@@ -11,9 +11,10 @@ from .checks import (CheckReport, CheckResult, check_appendix_f,
                      oracle_crosscheck, run_lie_suite, run_model_suite,
                      solve_lambda)
 from .errors import (ConventionMismatchError, DegenerateCouplingError,
-                     EngineError, OracleDisagreementError,
-                     PoleEvaluationError, ShapeMismatchError,
-                     SingularMetricError, TermBudgetError)
+                     EngineError, ExponentOverflowError,
+                     OracleDisagreementError, PoleEvaluationError,
+                     ShapeMismatchError, SingularMetricError,
+                     TermBudgetError)
 from .exact import RationalFunction
 from .lie import AlgebraSpec, basis, generator_op, metric, structure_row
 from .models import (MODEL_KINDS, ModelSpec, generator_grid, hamiltonian,
@@ -28,6 +29,7 @@ __all__ = [
     "ConventionMismatchError",
     "DegenerateCouplingError",
     "EngineError",
+    "ExponentOverflowError",
     "MODEL_KINDS",
     "ModelSpec",
     "Operator",

@@ -710,7 +710,7 @@ def _coupling_polynomials(defect: Operator, slot: int
     buckets: Dict[object, Dict[int, Fraction]] = {}
     for key, rf in defect.terms.items():
         profile = tuple(sorted(rf.den.items()))
-        for expo, coeff in rf.num.items():
+        for expo, coeff in rf.terms():
             bucket_key = (key, expo[:slot] + expo[slot + 1:], profile)
             poly = buckets.setdefault(bucket_key, {})
             poly[expo[slot]] = poly.get(expo[slot], Fraction(0)) + coeff
@@ -796,12 +796,23 @@ def solve_lambda(ms: ModelSpec) -> Set[Fraction]:
 def check_lambda_solver(ms: ModelSpec) -> CheckResult:
     """Solver returns exactly the critical coupling, or nothing when the
     critical coupling is undefined."""
+    return run_lambda_solver(ms)[0]
+
+
+def run_lambda_solver(ms: ModelSpec
+                      ) -> Tuple[CheckResult, Optional[Set[Fraction]]]:
+    """The coupling-solver check together with the roots it found.
+
+    The roots are None when the check stopped before the solve finished.
+    """
 
     symbolic = replace(ms, lam="symbolic")
     params = _model_params(symbolic)
+    found: List[Set[Fraction]] = []
 
     def body():
         roots = solve_lambda(symbolic)
+        found.append(roots)
         degenerate = ms.algebra.N == 4 * ms.algebra.theta0
         expected: Set[Fraction] = set()
         if not degenerate:
@@ -821,7 +832,8 @@ def check_lambda_solver(ms: ModelSpec) -> CheckResult:
                 (f"solver returned {shown}, expected {want}",),
                 tuple(notes))
 
-    return _run("coupling-solver", params, body)
+    result = _run("coupling-solver", params, body)
+    return result, (found[0] if found else None)
 
 
 # ---------------------------------------------------------------------------
@@ -894,9 +906,10 @@ def _dense_generator(spec: AlgebraSpec, a: int, b: int) -> Matrix:
 def _constant_value(rf: RationalFunction) -> Fraction:
     if rf.den:
         raise ValueError("coefficient is not constant")
-    if not rf.num:
+    terms = rf.terms()
+    if not terms:
         return Fraction(0)
-    ((expo, coeff),) = rf.num.items()
+    ((expo, coeff),) = terms
     if any(expo):
         raise ValueError("coefficient is not constant")
     return coeff

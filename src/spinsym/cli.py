@@ -19,11 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .checks import (MODEL_CHECK_NAMES, CheckReport, check_lambda_solver,
-                     run_lie_suite, run_model_suite, solve_lambda)
+from .checks import (MODEL_CHECK_NAMES, CheckReport, run_lambda_solver,
+                     run_lie_suite, run_model_suite)
 from .lie import AlgebraSpec, basis, metric, structure_row
 from .models import MODEL_KINDS, ModelSpec
-from .operators import set_term_ceiling
+from .operators import get_term_ceiling, set_term_ceiling
 from .version import __version__
 
 JOBS_ENV = "SPINSYM_JOBS"
@@ -296,10 +296,13 @@ def _cmd_model(config: RunConfig) -> int:
 
 
 def _cmd_solve(config: RunConfig) -> int:
-    ms = _model_spec(config)
-    report = CheckReport.build([check_lambda_solver(ms)])
-    roots = [str(r) for r in sorted(solve_lambda(ms))]
-    return _emit(report, config, extra={"lambda_roots": roots})
+    result, roots = run_lambda_solver(_model_spec(config))
+    report = CheckReport.build([result])
+    if roots is None:
+        # the check reports why it stopped; there are no roots to list
+        return _emit(report, config)
+    return _emit(report, config,
+                 extra={"lambda_roots": [str(r) for r in sorted(roots)]})
 
 
 def _pair_key(ab: Tuple[int, int]) -> str:
@@ -374,6 +377,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         # argparse already reported the problem on stderr
         code = exc.code
         return code if isinstance(code, int) else 2
+    previous_ceiling = get_term_ceiling()
     try:
         config = build_config(ns)
         if config.term_ceiling is not None:
@@ -382,6 +386,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        set_term_ceiling(previous_ceiling)
 
 
 def console_main() -> None:

@@ -21,6 +21,10 @@ class SingularMetricError(EngineError):
     """The invariant bilinear form is not invertible."""
 
 
+class ExponentOverflowError(EngineError):
+    """An exponent grew past the width of its packed monomial field."""
+
+
 class TermBudgetError(EngineError):
     """A computation exceeded the configured term-count ceiling."""
 

@@ -1,45 +1,70 @@
-"""Exact sparse arithmetic: multivariate polynomials over the rationals and
-rational functions whose denominators are products of coordinate differences.
+"""Exact sparse arithmetic: multivariate polynomials with integer
+coefficients and rational functions whose denominators are a positive
+integer times a product of coordinate differences.
 
 Representation choices, shared by the whole engine:
 
-* Scalars are `fractions.Fraction` (arbitrary precision, always reduced).
-* A polynomial is a dict mapping exponent tuples to nonzero Fractions.
-  With L position variables the tuple has length L + 2: slots 0..L-1 hold
-  the exponents of x_1..x_L, slot L the coupling `lam`, slot L + 1 the
-  trap strength `om`.  The zero polynomial is the empty dict.
+* A polynomial is a dict mapping a packed exponent key to a nonzero
+  Python int.  With L position variables there are L + 2 variables:
+  x_1..x_L, the coupling `lam` and the trap strength `om`; variable v
+  owns bits FIELD_BITS*v .. FIELD_BITS*(v+1) - 1 of the key, so the key
+  of a monomial product is one integer addition (the packed monomials of
+  Johnson 1974 and of Monagan & Pearce, "Sparse polynomial
+  multiplication and division in Maple 14", 2009).  The top bit of each
+  field is a guard bit that every stored key keeps clear: the sum of two
+  stored keys may set it but never carries into the next field, so one
+  mask test catches every exponent overflow, and ExponentOverflowError
+  is raised instead of a wrong key.  The zero polynomial is the empty
+  dict.
 * A denominator profile is a dict mapping ordered site pairs (j, k) with
   1 <= j < k <= L to positive integer exponents; it stands for the
   product of (x_j - x_k)**e over its entries.  Signs from reversed pairs
   are absorbed into the numerator.
-* RationalFunction pairs a numerator polynomial with a profile and keeps
-  itself canonical: the numerator is never divisible by an active
-  difference factor, and zero is uniquely (empty dict, empty profile).
+* RationalFunction holds a numerator polynomial `num`, a positive integer
+  common denominator `denom` and a profile `den`; its value is
+  num / (denom * profile).  It keeps itself canonical: the gcd of the
+  coefficients and `denom` is 1 (content stripped), the numerator is
+  never divisible by an active difference factor, and zero is uniquely
+  (empty dict, 1, empty profile).  Equality is plain field equality.
+* The packed format stays inside this module.  Other modules build
+  values with the constructors, which take exponent tuples (slots 0..L-1
+  for x_1..x_L, slot L for `lam`, slot L + 1 for `om`) and rationals,
+  and read them back through `terms()`, which yields (exponent tuple,
+  Fraction) items.
 
 Difference factors are irreducible, so canonical form never needs a
 general multivariate GCD: divisibility by the monic linear factor
 (x_j - x_k) is decided exactly by the substitution x_j -> x_k, and the
-quotient falls out of synthetic division.
+quotient falls out of synthetic division, which keeps integer
+coefficients and, by Gauss's lemma, the content.
 
-Polynomial dicts are shared freely between values; no function in this
-module mutates an argument.
+Polynomial dicts and profiles are shared freely between values and are
+never changed once stored; only `_accumulate` writes into a dict, and
+only into one its caller built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add as _add
+from functools import reduce
+from math import comb, gcd, lcm
+from operator import or_
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from .errors import PoleEvaluationError, ShapeMismatchError
+from .errors import (ExponentOverflowError, PoleEvaluationError,
+                     ShapeMismatchError)
 
 Exponent = Tuple[int, ...]
-Poly = Dict[Exponent, Fraction]
+Poly = Dict[int, int]
 DiffFactor = Tuple[int, int]
 Profile = Dict[DiffFactor, int]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+FIELD_BITS = 16
+MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
+MAX_VARIABLES = 64
+_FIELD = (1 << FIELD_BITS) - 1
+_GUARD = sum(1 << (FIELD_BITS * v + FIELD_BITS - 1)
+             for v in range(MAX_VARIABLES))
 
 
 def lam_slot(npos: int) -> int:
@@ -65,190 +90,123 @@ def var_name(npos: int, slot: int) -> str:
 
 
 # ---------------------------------------------------------------------------
+# packed monomial keys
+
+
+def _overflow() -> ExponentOverflowError:
+    return ExponentOverflowError(
+        f"an exponent exceeds {MAX_EXPONENT}, the largest that a "
+        f"{FIELD_BITS}-bit monomial field holds")
+
+
+def _check_keys(p: Poly) -> Poly:
+    # a set guard bit in any key means some field passed MAX_EXPONENT
+    if reduce(or_, p, 0) & _GUARD:
+        raise _overflow()
+    return p
+
+
+def _unit(slot: int, power: int = 1) -> int:
+    """Packed key of the single variable `slot` raised to `power`."""
+    if not 0 <= slot < MAX_VARIABLES:
+        raise ShapeMismatchError(
+            f"variable slot {slot} outside the {MAX_VARIABLES} packed fields")
+    if power < 0:
+        raise ValueError("negative exponent")
+    if power > MAX_EXPONENT:
+        raise _overflow()
+    return power << (FIELD_BITS * slot)
+
+
+def _pack(expo: Sequence[int]) -> int:
+    key = 0
+    for slot, e in enumerate(expo):
+        key += _unit(slot, e)
+    return key
+
+
+def _unpack(key: int, nv: int) -> Exponent:
+    return tuple((key >> (FIELD_BITS * v)) & _FIELD for v in range(nv))
+
+
+# ---------------------------------------------------------------------------
 # polynomials
 
 
-def poly_zero() -> Poly:
-    return {}
-
-
-def poly_const(npos: int, value) -> Poly:
-    c = Fraction(value)
-    if not c:
-        return {}
-    return {(0,) * nvars(npos): c}
-
-
-def poly_var(npos: int, slot: int, power: int = 1) -> Poly:
-    mono = [0] * nvars(npos)
-    mono[slot] = power
-    return {tuple(mono): _ONE}
-
-
-def poly_add(a: Poly, b: Poly) -> Poly:
-    if not a:
-        return b
-    if not b:
-        return a
-    out = dict(a)
-    for mono, c in b.items():
-        s = out.get(mono)
-        if s is None:
-            out[mono] = c
-        else:
-            s = s + c
-            if s:
-                out[mono] = s
-            else:
-                del out[mono]
-    return out
-
-
-def _poly_iadd(target: Poly, p: Poly) -> None:
-    # in-place accumulate; only for locally owned dicts
-    for mono, c in p.items():
-        s = target.get(mono)
-        if s is None:
-            target[mono] = c
-        else:
-            s = s + c
-            if s:
-                target[mono] = s
-            else:
-                del target[mono]
-
-
-def poly_neg(a: Poly) -> Poly:
-    return {mono: -c for mono, c in a.items()}
-
-
-def poly_sub(a: Poly, b: Poly) -> Poly:
-    return poly_add(a, poly_neg(b))
-
-
-def poly_scale(a: Poly, scalar) -> Poly:
-    c = Fraction(scalar)
-    if not c:
-        return {}
-    return {mono: v * c for mono, v in a.items()}
-
-
 def poly_mul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return {}
+    """Product of two polynomials; an overflowing exponent raises."""
     if len(a) > len(b):
         a, b = b, a
+    if len(a) == 1:
+        ((ka, ca),) = a.items()
+        if not ka:
+            if ca == 1:
+                return b
+            return {kb: ca * cb for kb, cb in b.items()}
+        return _check_keys({ka + kb: ca * cb for kb, cb in b.items()})
     out: Poly = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            mono = tuple(map(_add, ma, mb))
-            c = ca * cb
-            s = out.get(mono)
-            if s is None:
-                out[mono] = c
+    get = out.get
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = ka + kb
+            c = get(k)
+            out[k] = ca * cb if c is None else c + ca * cb
+    if 0 in out.values():
+        out = {k: c for k, c in out.items() if c}
+    return _check_keys(out)
+
+
+def _accumulate(acc: Poly, acc_denom: int, p: Poly, denom: int) -> int:
+    """acc/acc_denom += p/denom in place; returns acc's new denominator.
+
+    Only for locally owned `acc`; cancelled monomials are deleted.
+    """
+    scale = 1
+    if denom != acc_denom:
+        common = lcm(acc_denom, denom)
+        if common != acc_denom:
+            lift = common // acc_denom
+            for k in acc:
+                acc[k] *= lift
+            acc_denom = common
+        scale = common // denom
+    get = acc.get
+    for k, c in p.items():
+        if scale != 1:
+            c *= scale
+        s = get(k)
+        if s is None:
+            acc[k] = c
+        else:
+            s += c
+            if s:
+                acc[k] = s
             else:
-                s = s + c
-                if s:
-                    out[mono] = s
-                else:
-                    del out[mono]
-    return out
-
-
-def poly_pow(a: Poly, power: int) -> Poly:
-    if power < 0:
-        raise ValueError("negative polynomial power")
-    out = None
-    for _ in range(power):
-        out = a if out is None else poly_mul(out, a)
-    if out is None:
-        # empty product needs a variable count; callers avoid power == 0
-        raise ValueError("poly_pow with power 0 is ambiguous; use poly_const")
-    return out
-
-
-def poly_derivative(a: Poly, slot: int) -> Poly:
-    out: Poly = {}
-    for mono, c in a.items():
-        e = mono[slot]
-        if e:
-            m = mono[:slot] + (e - 1,) + mono[slot + 1:]
-            out[m] = out.get(m, _ZERO) + c * e
-    return {m: c for m, c in out.items() if c}
-
-
-def poly_substitute(a: Poly, bindings: Mapping[int, Fraction]) -> Poly:
-    """Replace the variables in `bindings` (slot -> value) exactly."""
-    if not bindings:
-        return a
-    out: Poly = {}
-    for mono, c in a.items():
-        value = c
-        m = list(mono)
-        for slot, v in bindings.items():
-            e = m[slot]
-            if e:
-                value = value * Fraction(v) ** e
-                m[slot] = 0
-        if not value:
-            continue
-        key = tuple(m)
-        s = out.get(key, _ZERO) + value
-        if s:
-            out[key] = s
-        elif key in out:
-            del out[key]
-    return out
-
-
-def poly_eval(a: Poly, point: Sequence[Fraction]) -> Fraction:
-    total = _ZERO
-    for mono, c in a.items():
-        v = c
-        for slot, e in enumerate(mono):
-            if e:
-                v = v * Fraction(point[slot]) ** e
-        total += v
-    return total
-
-
-def poly_occupies(a: Poly, slot: int) -> bool:
-    return any(mono[slot] for mono in a)
+                del acc[k]
+    return acc_denom
 
 
 def _subst_equal_vars(a: Poly, vj: int, vk: int) -> Poly:
     """Substitute x_vj -> x_vk; the remainder modulo (x_vj - x_vk)."""
+    sj = FIELD_BITS * vj
+    move = (1 << (FIELD_BITS * vk)) - (1 << sj)
     out: Poly = {}
-    for mono, c in a.items():
-        e = mono[vj]
+    get = out.get
+    for k, c in a.items():
+        e = (k >> sj) & _FIELD
         if e:
-            m = list(mono)
-            m[vj] = 0
-            m[vk] += e
-            mono = tuple(m)
-        s = out.get(mono)
-        if s is None:
-            out[mono] = c
-        else:
-            s = s + c
-            if s:
-                out[mono] = s
-            else:
-                del out[mono]
-    return out
-
-
-def _shift_var(a: Poly, slot: int) -> Poly:
-    out: Poly = {}
-    for mono, c in a.items():
-        out[mono[:slot] + (mono[slot] + 1,) + mono[slot + 1:]] = c
-    return out
+            k += e * move
+        s = get(k)
+        out[k] = c if s is None else s + c
+    if 0 in out.values():
+        out = {k: c for k, c in out.items() if c}
+    return _check_keys(out)
 
 
 def poly_divexact_diff(a: Poly, vj: int, vk: int):
     """Exact quotient of `a` by (x_vj - x_vk), or None if not divisible.
 
-    vj and vk are exponent slots (0-based).  Divisibility is equivalent to
+    vj and vk are variable slots (0-based).  Divisibility is equivalent to
     the remainder `a|_{x_vj -> x_vk}` vanishing; the quotient then comes
     from synthetic division in x_vj.
     """
@@ -256,30 +214,36 @@ def poly_divexact_diff(a: Poly, vj: int, vk: int):
         return {}
     if _subst_equal_vars(a, vj, vk):
         return None
+    sj = FIELD_BITS * vj
+    unit_j = 1 << sj
+    unit_k = 1 << (FIELD_BITS * vk)
     buckets: Dict[int, Poly] = {}
-    for mono, c in a.items():
-        d = mono[vj]
-        buckets.setdefault(d, {})[mono[:vj] + (0,) + mono[vj + 1:]] = c
-    top = max(buckets)
+    for k, c in a.items():
+        d = (k >> sj) & _FIELD
+        buckets.setdefault(d, {})[k - d * unit_j] = c
     quotient: Poly = {}
     carry: Poly = {}
-    for d in range(top, 0, -1):
-        carry = poly_add(buckets.get(d, {}), _shift_var(carry, vk))
-        for mono, c in carry.items():
-            quotient[mono[:vj] + (d - 1,) + mono[vj + 1:]] = c
-    return quotient
+    for d in range(max(buckets), 0, -1):
+        # carry_d = a_d + x_vk * carry_{d+1} is the x_vj^(d-1) coefficient
+        step = dict(buckets.get(d, ()))
+        _accumulate(step, 1, {k + unit_k: c for k, c in carry.items()}, 1)
+        carry = step
+        shift = (d - 1) * unit_j
+        for k, c in carry.items():
+            quotient[k + shift] = c
+    return _check_keys(quotient)
 
 
-def poly_sorted_items(a: Poly) -> List[Tuple[Exponent, Fraction]]:
-    """Canonical iteration order: graded, then lexicographic, largest first."""
-    return sorted(a.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
-
-
-def poly_render(a: Poly, npos: int) -> str:
-    if not a:
+def _render_poly(num: Poly, denom: int, npos: int) -> str:
+    if not num:
         return "0"
+    nv = nvars(npos)
+    # canonical order: graded, then lexicographic, largest first
+    items = sorted(((_unpack(k, nv), c) for k, c in num.items()),
+                   key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
     chunks: List[str] = []
-    for mono, c in poly_sorted_items(a):
+    for mono, c in items:
+        value = Fraction(c, denom)
         parts = []
         for slot, e in enumerate(mono):
             if e == 1:
@@ -288,13 +252,13 @@ def poly_render(a: Poly, npos: int) -> str:
                 parts.append(f"{var_name(npos, slot)}^{e}")
         body = "*".join(parts)
         if not body:
-            text = str(c)
-        elif c == 1:
+            text = str(value)
+        elif value == 1:
             text = body
-        elif c == -1:
+        elif value == -1:
             text = f"-{body}"
         else:
-            text = f"{c}*{body}"
+            text = f"{value}*{body}"
         chunks.append(text)
     out = chunks[0]
     for text in chunks[1:]:
@@ -308,16 +272,20 @@ def poly_render(a: Poly, npos: int) -> str:
 # ---------------------------------------------------------------------------
 # difference-factor helpers
 
-_DIFF_POW_CACHE: Dict[Tuple[int, int, int, int], Poly] = {}
+_DIFF_POW_CACHE: Dict[Tuple[int, int, int], Poly] = {}
 
 
-def diff_power(npos: int, j: int, k: int, power: int) -> Poly:
+def diff_power(j: int, k: int, power: int) -> Poly:
     """(x_j - x_k)**power as a polynomial; j < k are 1-based sites."""
-    key = (npos, j, k, power)
+    key = (j, k, power)
     cached = _DIFF_POW_CACHE.get(key)
     if cached is None:
-        base = poly_add(poly_var(npos, j - 1), poly_scale(poly_var(npos, k - 1), -1))
-        cached = poly_pow(base, power)
+        if power > MAX_EXPONENT:
+            raise _overflow()
+        uj, uk = _unit(j - 1), _unit(k - 1)
+        cached = {i * uj + (power - i) * uk:
+                  comb(power, i) * (-1) ** (power - i)
+                  for i in range(power + 1)}
         _DIFF_POW_CACHE[key] = cached
     return cached
 
@@ -336,46 +304,71 @@ def profile_render(den: Profile, npos: int) -> str:
 
 
 class RationalFunction:
-    """Canonical quotient of a polynomial by a product of differences."""
+    """Canonical quotient of a polynomial by an integer and a product of
+    differences."""
 
-    __slots__ = ("npos", "num", "den")
+    __slots__ = ("npos", "num", "denom", "den")
 
-    def __init__(self, npos: int, num: Poly, den: Profile | None = None, *,
-                 _canonical: bool = False):
-        den = den or {}
-        if not _canonical:
-            num, den = _canonicalize(num, {f: e for f, e in den.items() if e})
+    def __init__(self, npos: int,
+                 terms: Mapping[Exponent, object] | None = None,
+                 den: Profile | None = None):
+        """Build num / profile from exponent tuples and rational coefficients.
+
+        `terms` maps exponent tuples of length npos + 2 to anything
+        Fraction accepts; `den` maps site pairs (j, k), j < k, to
+        exponents.  The result is canonical.
+        """
+        nv = nvars(npos)
+        packed: Dict[int, Fraction] = {}
+        for expo, c in (terms or {}).items():
+            if len(expo) != nv:
+                raise ShapeMismatchError(
+                    f"exponent tuple {expo} has {len(expo)} slots, "
+                    f"expected {nv}")
+            packed[_pack(expo)] = Fraction(c)
+        profile: Profile = {}
+        for (j, k), e in (den or {}).items():
+            if not 1 <= j < k <= npos:
+                raise ValueError(f"difference factor (x{j}-x{k}) is not an "
+                                 f"ordered pair of sites 1..{npos}")
+            if e:
+                profile[(j, k)] = e
+        denom = lcm(*(c.denominator for c in packed.values()))
+        num = {k: c.numerator * (denom // c.denominator)
+               for k, c in packed.items() if c}
+        value = _reduce(npos, num, denom, profile)
         self.npos = npos
-        self.num = num
-        self.den = den
+        self.num = value.num
+        self.denom = value.denom
+        self.den = value.den
 
     # constructors ---------------------------------------------------------
 
     @classmethod
     def zero(cls, npos: int) -> "RationalFunction":
-        return cls(npos, {}, {}, _canonical=True)
+        return _make(npos, {}, 1, {})
 
     @classmethod
     def const(cls, npos: int, value) -> "RationalFunction":
-        return cls(npos, poly_const(npos, value), {}, _canonical=True)
+        c = Fraction(value)
+        if not c:
+            return _make(npos, {}, 1, {})
+        return _make(npos, {0: c.numerator}, c.denominator, {})
 
     @classmethod
-    def from_poly(cls, npos: int, p: Poly) -> "RationalFunction":
-        # caller dicts may carry zero coefficients; the canonical form never does
-        return cls(npos, {m: c for m, c in p.items() if c}, {},
-                   _canonical=True)
-
-    @classmethod
-    def position(cls, npos: int, j: int) -> "RationalFunction":
-        return cls(npos, poly_var(npos, j - 1), {}, _canonical=True)
+    def position(cls, npos: int, j: int, power: int = 1) -> "RationalFunction":
+        """x_j**power for the 1-based site j."""
+        if not 1 <= j <= npos:
+            raise ValueError(f"position index {j} out of range")
+        return _make(npos, {_unit(j - 1, power): 1}, 1, {})
 
     @classmethod
     def coupling(cls, npos: int) -> "RationalFunction":
-        return cls(npos, poly_var(npos, lam_slot(npos)), {}, _canonical=True)
+        return _make(npos, {_unit(lam_slot(npos)): 1}, 1, {})
 
     @classmethod
     def trap(cls, npos: int) -> "RationalFunction":
-        return cls(npos, poly_var(npos, om_slot(npos)), {}, _canonical=True)
+        return _make(npos, {_unit(om_slot(npos)): 1}, 1, {})
 
     @classmethod
     def inverse_difference(cls, npos: int, j: int, k: int,
@@ -387,10 +380,18 @@ class RationalFunction:
         if j > k:
             j, k = k, j
             sign = (-1) ** power
-        return cls(npos, poly_const(npos, sign), {(j, k): power},
-                   _canonical=True)
+        return _make(npos, {0: sign}, 1, {(j, k): power})
 
-    # predicates -----------------------------------------------------------
+    # accessors and predicates ----------------------------------------------
+
+    def terms(self) -> List[Tuple[Exponent, Fraction]]:
+        """Numerator monomials as (exponent tuple, Fraction) items.
+
+        Their sum divided by the profile `den` is the value.
+        """
+        nv = nvars(self.npos)
+        return [(_unpack(k, nv), Fraction(c, self.denom))
+                for k, c in self.num.items()]
 
     @property
     def is_zero(self) -> bool:
@@ -399,6 +400,7 @@ class RationalFunction:
     def __eq__(self, other) -> bool:
         return (isinstance(other, RationalFunction)
                 and self.npos == other.npos
+                and self.denom == other.denom
                 and self.den == other.den
                 and self.num == other.num)
 
@@ -412,42 +414,59 @@ class RationalFunction:
     # arithmetic -----------------------------------------------------------
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction(self.npos, poly_neg(self.num), self.den,
-                                _canonical=True)
+        return _make(self.npos, {k: -c for k, c in self.num.items()},
+                     self.denom, self.den)
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
         self._check(other)
-        if self.is_zero:
+        if not self.num:
             return other
-        if other.is_zero:
+        if not other.num:
             return self
         if self.den == other.den:
-            num = poly_add(self.num, other.num)
-            if not num:
-                return RationalFunction.zero(self.npos)
-            return RationalFunction(self.npos, num, self.den)
+            total = dict(self.num)
+            denom = _accumulate(total, self.denom, other.num, other.denom)
+            return _reduce(self.npos, total, denom, self.den)
         return rf_sum(self.npos, (self, other))
 
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
         return self + (-other)
 
     def __mul__(self, other) -> "RationalFunction":
+        npos = self.npos
         if not isinstance(other, RationalFunction):
-            scalar = Fraction(other)
-            if not scalar:
-                return RationalFunction.zero(self.npos)
-            return RationalFunction(self.npos, poly_scale(self.num, scalar),
-                                    self.den, _canonical=True)
+            if isinstance(other, int):
+                p, q = other, 1
+            else:
+                scalar = Fraction(other)
+                p, q = scalar.numerator, scalar.denominator
+            if not p or not self.num:
+                return _make(npos, {}, 1, {})
+            num = self.num if p == 1 else {k: c * p for k, c in self.num.items()}
+            # a scalar changes the content but not divisibility
+            num, denom = _strip_content(num, self.denom * q)
+            return _make(npos, num, denom, self.den)
         self._check(other)
-        if self.is_zero or other.is_zero:
-            return RationalFunction.zero(self.npos)
-        num = poly_mul(self.num, other.num)
-        if not self.den and not other.den:
-            return RationalFunction(self.npos, num, {}, _canonical=True)
-        den = dict(self.den)
-        for f, e in other.den.items():
-            den[f] = den.get(f, 0) + e
-        return RationalFunction(self.npos, num, den)
+        if not self.num or not other.num:
+            return _make(npos, {}, 1, {})
+        # A canonical numerator is prime to the factors of its own profile,
+        # so only the other operand's numerator can cancel one of them; the
+        # product of the two cancelled numerators is then canonical up to
+        # its content.
+        a, b = self.num, other.num
+        left, right = self.den, other.den
+        if left:
+            b, left = _cancel(b, left, other.den)
+        if right:
+            a, right = _cancel(a, right, self.den)
+        if right:
+            den = dict(left)
+            for f, e in right.items():
+                den[f] = den.get(f, 0) + e
+        else:
+            den = left
+        num, denom = _strip_content(poly_mul(a, b), self.denom * other.denom)
+        return _make(npos, num, denom, den)
 
     def __rmul__(self, other) -> "RationalFunction":
         return self.__mul__(other)
@@ -458,23 +477,33 @@ class RationalFunction:
         """Partial derivative with respect to the position x_j (1-based)."""
         if not 1 <= j <= self.npos:
             raise ValueError(f"position index {j} out of range")
-        slot = j - 1
+        npos, num, denom = self.npos, self.num, self.denom
+        shift = FIELD_BITS * (j - 1)
+        unit = 1 << shift
         pieces: List[RationalFunction] = []
-        dnum = poly_derivative(self.num, slot)
+        dnum = {}
+        for k, c in num.items():
+            e = (k >> shift) & _FIELD
+            if e:
+                dnum[k - unit] = c * e
         if dnum:
-            pieces.append(RationalFunction(self.npos, dnum, self.den))
+            pieces.append(_make(npos, dnum, denom, self.den))
         for (a, b), e in self.den.items():
             if a == j:
-                orient = 1
+                factor = -e
             elif b == j:
-                orient = -1
+                factor = e
             else:
                 continue
             den = dict(self.den)
             den[(a, b)] = e + 1
-            pieces.append(RationalFunction(
-                self.npos, poly_scale(self.num, -e * orient), den))
-        return rf_sum(self.npos, pieces)
+            pieces.append(_make(
+                npos, {k: c * factor for k, c in num.items()}, denom, den))
+        if len(pieces) == 1:
+            (piece,) = pieces
+            return _reduce(npos, piece.num, denom, piece.den)
+        # rf_sum canonicalizes a sum of two or more pieces in any form
+        return rf_sum(npos, pieces)
 
     def substitute(self, bindings: Mapping[int, Fraction]) -> "RationalFunction":
         """Bind variables (by slot) to exact rationals.
@@ -484,7 +513,7 @@ class RationalFunction:
         """
         if not bindings:
             return self
-        scalar = _ONE
+        scalar = Fraction(1)
         den: Profile = {}
         for (j, k), e in self.den.items():
             jb = j - 1 in bindings
@@ -500,19 +529,56 @@ class RationalFunction:
                     f"difference factor (x{j}-x{k}) only partially bound")
             else:
                 den[(j, k)] = e
-        num = poly_substitute(self.num, bindings)
+        num, denom = self.num, self.denom
+        for slot, v in bindings.items():
+            _unit(slot)  # rejects a slot outside the packed fields
+            v = Fraction(v)
+            p, q = v.numerator, v.denominator
+            shift = FIELD_BITS * slot
+            # clear q**e from every term by one common power of q
+            top = max(((k >> shift) & _FIELD for k in num), default=0) \
+                if q != 1 else 0
+            out: Poly = {}
+            for k, c in num.items():
+                e = (k >> shift) & _FIELD
+                if e:
+                    if not p:
+                        continue
+                    k -= e << shift
+                    c *= p ** e
+                if top > e:
+                    c *= q ** (top - e)
+                s = out.get(k)
+                out[k] = c if s is None else s + c
+            if 0 in out.values():
+                out = {k: c for k, c in out.items() if c}
+            num, denom = out, denom * q ** top
         if scalar != 1:
-            num = poly_scale(num, _ONE / scalar)
-        return RationalFunction(self.npos, num, den)
+            # divide by the value of the bound difference factors
+            p, q = scalar.numerator, scalar.denominator
+            if p < 0:
+                p, q = -p, -q
+            num = {k: c * q for k, c in num.items()}
+            denom *= p
+        return _reduce(self.npos, num, denom, den)
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         """Exact value at a full point (positions, lam, om)."""
-        if len(point) != nvars(self.npos):
+        nv = nvars(self.npos)
+        if len(point) != nv:
             raise ShapeMismatchError(
-                f"point has {len(point)} coordinates, expected {nvars(self.npos)}")
-        value = poly_eval(self.num, point)
+                f"point has {len(point)} coordinates, expected {nv}")
+        coords = [Fraction(v) for v in point]
+        value = Fraction(0)
+        for k, c in self.num.items():
+            term = Fraction(c)
+            for slot, e in enumerate(_unpack(k, nv)):
+                if e:
+                    term *= coords[slot] ** e
+            value += term
+        value /= self.denom
         for (j, k), e in self.den.items():
-            d = Fraction(point[j - 1]) - Fraction(point[k - 1])
+            d = coords[j - 1] - coords[k - 1]
             if not d:
                 raise PoleEvaluationError(f"(x{j}-x{k}) vanishes at the point")
             value /= d ** e
@@ -521,7 +587,7 @@ class RationalFunction:
     # rendering -------------------------------------------------------------
 
     def render(self) -> str:
-        num = poly_render(self.num, self.npos)
+        num = _render_poly(self.num, self.denom, self.npos)
         if not self.den:
             return f"({num})"
         return f"({num}) / ({profile_render(self.den, self.npos)})"
@@ -530,51 +596,116 @@ class RationalFunction:
         return f"RationalFunction[{self.render()}]"
 
 
-def _canonicalize(num: Poly, den: Profile) -> Tuple[Poly, Profile]:
-    num = {m: c for m, c in num.items() if c}
+def _make(npos: int, num: Poly, denom: int, den: Profile) -> RationalFunction:
+    """A RationalFunction from its parts, taken as they are.
+
+    Callers pass canonical parts, or pieces that only rf_sum will see.
+    """
+    r = object.__new__(RationalFunction)
+    r.npos = npos
+    r.num = num
+    r.denom = denom
+    r.den = den
+    return r
+
+
+def _strip_content(num: Poly, denom: int) -> Tuple[Poly, int]:
+    """Divide the coefficients and `denom` by their gcd."""
+    if denom != 1:
+        g = gcd(denom, *num.values())
+        if g != 1:
+            return {k: c // g for k, c in num.items()}, denom // g
+    return num, denom
+
+
+def _reduce(npos: int, num: Poly, denom: int, den: Profile) -> RationalFunction:
+    """Canonical form of num / (denom * den).
+
+    `num` must hold no zero coefficient and `denom` must be positive.
+    """
     if not num:
-        return {}, {}
+        return _make(npos, {}, 1, {})
+    num, denom = _strip_content(num, denom)
     if not den:
-        return num, {}
-    out: Profile = {}
-    for factor in sorted(den):
-        e = den[factor]
-        vj, vk = factor[0] - 1, factor[1] - 1
-        while e:
-            if not (poly_occupies(num, vj) and poly_occupies(num, vk)):
-                break
-            q = poly_divexact_diff(num, vj, vk)
+        return _make(npos, num, denom, den)
+    num, den = _cancel(num, den, {})
+    return _make(npos, num, denom, den)
+
+
+def _cancel(num: Poly, factors: Profile, prime: Profile) -> Tuple[Poly, Profile]:
+    """Divide `num` by the factors of `factors` that are not in `prime`, each
+    as often as it divides and its exponent allows.
+
+    `prime` lists factors already known not to divide `num`.  Returns the
+    quotient and the factors left over; `factors` itself is not changed.
+    """
+    left = factors
+    occupied = reduce(or_, num, 0)
+    for factor, e in factors.items():
+        if factor in prime:
+            continue
+        sj, sk = FIELD_BITS * (factor[0] - 1), FIELD_BITS * (factor[1] - 1)
+        cut = 0
+        # a numerator free of x_j or of x_k is not divisible by x_j - x_k
+        while (cut < e and (occupied >> sj) & _FIELD
+               and (occupied >> sk) & _FIELD):
+            q = poly_divexact_diff(num, factor[0] - 1, factor[1] - 1)
             if q is None:
                 break
             num = q
-            e -= 1
-        if e:
-            out[factor] = e
-    return num, out
+            occupied = reduce(or_, num, 0)
+            cut += 1
+        if cut:
+            if left is factors:
+                left = dict(factors)
+            if cut == e:
+                del left[factor]
+            else:
+                left[factor] = e - cut
+    return num, left
 
 
 def rf_sum(npos: int, items: Iterable[RationalFunction]) -> RationalFunction:
-    """Sum many rational functions with a single canonicalization pass."""
+    """Sum many rational functions with a single canonicalization pass.
+
+    Numerators that share a profile are summed first; the partial sums
+    are then lifted to the least common multiple of the profiles.  Two or
+    more items may be in any form, since the sum is canonicalized; a
+    single item is returned as it is.
+    """
     live = [r for r in items if r.num]
     if not live:
-        return RationalFunction.zero(npos)
+        return _make(npos, {}, 1, {})
     if len(live) == 1:
         return live[0]
-    lcm: Profile = {}
+    groups: List[list] = []  # [profile, owned numerator, denominator]
     for r in live:
         if r.npos != npos:
             raise ShapeMismatchError("mixed variable tables in sum")
-        for f, e in r.den.items():
-            if e > lcm.get(f, 0):
-                lcm[f] = e
-    total: Poly = {}
-    for r in live:
-        p = r.num
-        for f, e in lcm.items():
-            d = e - r.den.get(f, 0)
-            if d:
-                p = poly_mul(p, diff_power(npos, f[0], f[1], d))
-        _poly_iadd(total, p)
+        den = r.den
+        for group in groups:
+            if group[0] == den:
+                group[2] = _accumulate(group[1], group[2], r.num, r.denom)
+                break
+        else:
+            groups.append([den, dict(r.num), r.denom])
+    if len(groups) == 1:
+        den, total, denom = groups[0]
+    else:
+        den = {}
+        for group in groups:
+            for f, e in group[0].items():
+                if e > den.get(f, 0):
+                    den[f] = e
+        total, denom = {}, 1
+        for profile, p, d in groups:
+            if not p:
+                continue
+            for f, e in den.items():
+                gap = e - profile.get(f, 0)
+                if gap:
+                    p = poly_mul(p, diff_power(f[0], f[1], gap))
+            denom = _accumulate(total, denom, p, d)
     if not total:
-        return RationalFunction.zero(npos)
-    return RationalFunction(npos, total, lcm)
+        return _make(npos, {}, 1, {})
+    return _reduce(npos, total, denom, den)

@@ -85,11 +85,6 @@ def basis(spec: AlgebraSpec) -> Tuple[Pair, ...]:
     return tuple(out)
 
 
-def is_basis_pair(spec: AlgebraSpec, a: int, b: int) -> bool:
-    abar = conjugate_index(spec, a)
-    return abar > b or (spec.theta0 == -1 and abar == b)
-
-
 def generator_matrix(spec: AlgebraSpec, a: int, b: int) -> Tuple[Tuple[Fraction, ...], ...]:
     """F^{ab} in the defining representation, defined on the full square."""
     n = spec.N

@@ -37,8 +37,7 @@ from operator import add as _tadd
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ShapeMismatchError, TermBudgetError
-from .exact import (Poly, RationalFunction, lam_slot, nvars, om_slot,
-                    poly_var, rf_sum)
+from .exact import RationalFunction, lam_slot, om_slot, rf_sum
 
 Deriv = Tuple[int, ...]
 SpinAtom = Tuple[int, int, int]
@@ -150,10 +149,6 @@ def word_mul(spin_dim: int, left: SpinWord,
     return reduce_word(spin_dim, word)
 
 
-def word_sites(word: SpinWord) -> Tuple[int, ...]:
-    return tuple(atom[0] for atom in word)
-
-
 class Operator:
     """Normal-form operator over an OpSpace."""
 
@@ -222,9 +217,7 @@ class Operator:
     def position_op(cls, space: OpSpace, site: int, power: int = 1) -> "Operator":
         if not 1 <= site <= space.sites:
             raise ValueError(f"site {site} out of range")
-        npos = space.sites
-        coeff = RationalFunction.from_poly(
-            npos, poly_var(npos, site - 1, power))
+        coeff = RationalFunction.position(space.sites, site, power)
         return cls(space, {(space.zero_deriv, ()): coeff}, _trusted=True)
 
     # predicates --------------------------------------------------------------
@@ -511,15 +504,6 @@ def vector_sub(npos: int, a: SpinVector, b: SpinVector) -> SpinVector:
     return out
 
 
-def vector_scale(vec: SpinVector, scalar) -> SpinVector:
-    out: SpinVector = {}
-    for basis, amp in vec.items():
-        s = amp * scalar
-        if not s.is_zero:
-            out[basis] = s
-    return out
-
-
 def evaluate_vector(vec: SpinVector,
                     point: Sequence[Fraction]) -> Dict[SpinBasis, Fraction]:
     """Evaluate every amplitude at a full point; drops exact zeros."""
@@ -530,14 +514,3 @@ def evaluate_vector(vec: SpinVector,
             out[basis] = value
     return out
 
-
-def op_apply(op: Operator, amplitude: RationalFunction, basis: SpinBasis,
-             point: Sequence[Fraction]) -> Dict[SpinBasis, Fraction]:
-    """Apply `op` to the simple tensor amplitude(x) (x) basis and evaluate.
-
-    Derivatives act symbolically on the amplitude before anything is
-    evaluated, so the result is exact.
-    """
-    if len(basis) != op.space.sites:
-        raise ShapeMismatchError("basis tuple length differs from site count")
-    return evaluate_vector(apply_operator(op, {basis: amplitude}), point)

@@ -175,6 +175,23 @@ class TestExecution:
         assert code == 1
         assert "ERROR" in out
 
+    def test_run_restores_term_ceiling(self, capsys):
+        # checked inside the test body, before the autouse fixture resets it
+        set_term_ceiling(777)
+        assert cli.run(["model", "--model", "calogero", "--N", "2",
+                        "--theta0", "-1", "--L", "2", "--checks",
+                        "conservation", "--term-ceiling", "1000"]) == 0
+        assert get_term_ceiling() == 777
+
+    def test_solver_over_ceiling_reports_without_roots(self, capsys):
+        code = cli.run(["solve-lambda", "--model", "sutherland", "--N", "2",
+                        "--theta0", "-1", "--L", "3", "--format", "json",
+                        "--term-ceiling", "10"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert [c["status"] for c in payload["checks"]] == ["error"]
+        assert "lambda_roots" not in payload
+
     def test_oracle_banner(self, capsys, monkeypatch):
         one = RationalFunction.const(2, 1)
 
