@@ -12,7 +12,6 @@ oracle cross-check draws its trial data from a seeded generator.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import permutations
@@ -29,7 +28,7 @@ from .lie import (AlgebraSpec, Pair, basis, conjugate_index, generator_matrix,
                   generator_op, lowered_adjoint_constants, metric,
                   raised_constants, structure_row, structure_table, theta)
 from .models import (ModelSpec, coupling_weight, generator_grid, hamiltonian,
-                     star_coupling)
+                     star_coupling, symmetrized_triple)
 from .operators import (Operator, OpSpace, SpinBasis, SpinVector,
                         apply_operator, commutator, evaluate_vector,
                         operator_sum, vector_sub)
@@ -341,44 +340,149 @@ LIE_SUITE_SPECS: Tuple[Tuple[int, int], ...] = (
     (2, -1), (3, 1), (4, 1), (4, -1), (5, 1), (6, 1), (6, -1))
 
 
-def run_lie_suite(spec: AlgebraSpec, jobs: int = 1) -> CheckReport:
-    thunks: List[Callable[[], CheckResult]] = [
-        lambda: check_lie_closure(spec),
-        lambda: check_lie_jacobi(spec),
-        lambda: check_lie_generator_symmetry(spec),
-        lambda: check_metric_symmetric(spec),
-        lambda: check_metric_invertible(spec),
-        lambda: check_metric_ad_invariant(spec),
-        lambda: check_appendix_f(spec),
-    ]
-    return CheckReport.build(_execute(thunks, jobs))
+def run_lie_suite(spec: AlgebraSpec) -> CheckReport:
+    return CheckReport.build([
+        check_lie_closure(spec),
+        check_lie_jacobi(spec),
+        check_lie_generator_symmetry(spec),
+        check_metric_symmetric(spec),
+        check_metric_invertible(spec),
+        check_metric_ad_invariant(spec),
+        check_appendix_f(spec),
+    ])
 
 
-def _execute(thunks: Sequence[Callable[[], CheckResult]], jobs: int
-             ) -> List[CheckResult]:
-    if jobs <= 1:
-        return [t() for t in thunks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(t) for t in thunks]
-        return [f.result() for f in futures]
+# ---------------------------------------------------------------------------
+# the per-model proof context
+
+
+class _ModelContext:
+    """The operators one model instance's proofs are built from, each once.
+
+    ``run_model_suite`` makes one context and hands it to every check it
+    runs, so the oracle's flags come from the very objects the checks
+    proved; a check called on its own makes its own.  The context lives
+    only as long as that call.  Every entry is built on first use, inside
+    the check that first needs it, so a term-budget error is reported by
+    that check.
+    """
+
+    def __init__(self, ms: ModelSpec):
+        self.ms = ms
+        self._cache: Dict[object, object] = {}
+
+    def _once(self, key: object, build: Callable[[], object]):
+        hit = self._cache.get(key)
+        if hit is None:
+            hit = self._cache[key] = build()
+        return hit
+
+    def variant(self, **changes) -> "_ModelContext":
+        """The context of this model with some spec fields replaced."""
+        other = replace(self.ms, **changes)
+        if other == self.ms:
+            return self
+        return self._once(("variant", other), lambda: _ModelContext(other))
+
+    def grid(self, level: int) -> Dict[Pair, Operator]:
+        return self._once(("grid", level),
+                          lambda: generator_grid(self.ms, level))
+
+    def hamiltonian(self) -> Operator:
+        return self._once("hamiltonian", lambda: hamiltonian(self.ms))
+
+    def ham_bracket(self, level: int, ab: Pair) -> Operator:
+        """``[H, J^ab]`` for a generator of the given level."""
+        return self._once(("ham", level, ab), lambda: commutator(
+            self.hamiltonian(), self.grid(level)[ab]))
+
+    def residual(self, level: int, y: Pair, z: Pair) -> Operator:
+        """``R(y,z) = [J0^y, J^z] - sum_w f^{yz}_w J^w`` at the given level."""
+
+        def build() -> Operator:
+            grid = self.grid(level)
+            want = operator_sum(self.ms.space, (
+                grid[w].scaled(c)
+                for w, c in structure_row(self.ms.algebra, y, z).items()))
+            return commutator(self.grid(0)[y], grid[z]) - want
+
+        return self._once(("residual", level, y, z), build)
+
+    def bracket(self, x: Pair, w: Pair) -> Operator:
+        """``B(x,w) = [J1^x, J1^w]``; asked for with ``x < w`` only."""
+        return self._once(("bracket", x, w), lambda: commutator(
+            self.grid(1)[x], self.grid(1)[w]))
+
+    def piece(self, x: Pair, y: Pair, z: Pair) -> Operator:
+        """``[J1^x, [J0^y, J1^z]]`` for any basis triple, from ``B`` and ``R``.
+
+        The inner bracket splits into its level-1 combination and the
+        covariance residual ``R(y,z)``, so by bilinearity
+
+            [J1^x, [J0^y, J1^z]] = sum_w f^{yz}_w B(x,w) + [J1^x, R(y,z)]
+
+        with ``B(w,x) = -B(x,w)`` and ``B(x,x) = 0``.  The identity holds
+        whether or not covariance does; where ``R`` vanishes its term costs
+        nothing.  Normal forms are unique, so every piece equals the nested
+        commutator exactly.  A Serre loop over all triples asks for each
+        piece once per cyclic rotation.
+        """
+
+        def build() -> Operator:
+            rest = self.residual(1, y, z)
+            parts = [self.bracket(x, w).scaled(c) if x < w
+                     else self.bracket(w, x).scaled(-c)
+                     for w, c in structure_row(self.ms.algebra, y, z).items()
+                     if w != x]
+            if not rest.is_zero:
+                parts.append(commutator(self.grid(1)[x], rest))
+            return operator_sum(self.ms.space, parts)
+
+        return self._once(("piece", x, y, z), build)
+
+    def serre_scale(self) -> RationalFunction:
+        return self._once("scale", lambda: _serre_rhs_scale(self.ms))
+
+    def cubic_sides(self, ab: Pair, cd: Pair, ef: Pair
+                    ) -> Tuple[Operator, Operator]:
+        """Cyclic double-bracket sum and scaled triple contraction at one
+        basis triple."""
+        sym = self._once("sym", lambda: _triple_symmetrizer(
+            self.ms.space, self.grid(0)))
+        space = self.ms.space
+        lhs = operator_sum(space, (self.piece(*key)
+                                   for key in _rotations(ab, cd, ef)))
+        rhs = operator_sum(space, (
+            sym(*key).scaled(c) for key, c in
+            _serre_weight(self.ms.algebra, ab, cd, ef).items()))
+        return lhs, rhs.scaled(self.serre_scale())
+
+
+def _context(ms: ModelSpec, context: Optional[_ModelContext]
+             ) -> _ModelContext:
+    if context is None:
+        return _ModelContext(ms)
+    if context.ms != ms:
+        raise ValueError("the proof context belongs to another model")
+    return context
 
 
 # ---------------------------------------------------------------------------
 # conservation and level relations
 
 
-def check_conservation(ms: ModelSpec) -> Tuple[CheckResult, CheckResult]:
+def check_conservation(ms: ModelSpec, context: Optional[_ModelContext] = None
+                       ) -> Tuple[CheckResult, CheckResult]:
     """Level-0 generators commute with the Hamiltonian for every coupling;
     level-1 generators commute at the coupling bound in the model spec."""
 
     labels = basis(ms.algebra)
+    ctx = _context(ms, context)
 
     def level0():
-        free = replace(ms, lam="symbolic")
-        ham = hamiltonian(free)
-        grid = generator_grid(free, 0)
+        free = ctx.variant(lam="symbolic")
         for ab in labels:
-            defect = commutator(ham, grid[ab])
+            defect = free.ham_bracket(0, ab)
             if not defect.is_zero:
                 return ("fail",
                         _witness_terms(defect, f"defect for generator {ab}:"),
@@ -387,12 +491,10 @@ def check_conservation(ms: ModelSpec) -> Tuple[CheckResult, CheckResult]:
                             f"{len(labels)} generators conserved")
 
     def level1():
-        ham = hamiltonian(ms)
-        grid = generator_grid(ms, 1)
         failing: List[Pair] = []
         first: Optional[Operator] = None
         for ab in labels:
-            defect = commutator(ham, grid[ab])
+            defect = ctx.ham_bracket(1, ab)
             if not defect.is_zero:
                 failing.append(ab)
                 if first is None:
@@ -407,23 +509,20 @@ def check_conservation(ms: ModelSpec) -> Tuple[CheckResult, CheckResult]:
             _run("conservation-level1", _model_params(ms), level1))
 
 
-def check_level_relations(ms: ModelSpec) -> Tuple[CheckResult, CheckResult]:
+def check_level_relations(ms: ModelSpec,
+                          context: Optional[_ModelContext] = None
+                          ) -> Tuple[CheckResult, CheckResult]:
     """Bracket of a level-0 generator with a level-n generator lands on the
     structure-constant combination of level-n generators, n in {0, 1}."""
 
     labels = basis(ms.algebra)
-    space = ms.space
+    ctx = _context(ms, context)
 
     def relation(level: int):
         def body():
-            grid0 = generator_grid(ms, 0)
-            grid = grid0 if level == 0 else generator_grid(ms, 1)
             for ab in labels:
                 for cd in labels:
-                    want = operator_sum(
-                        space, (grid[ef].scaled(c) for ef, c in
-                                structure_row(ms.algebra, ab, cd).items()))
-                    diff = commutator(grid0[ab], grid[cd]) - want
+                    diff = ctx.residual(level, ab, cd)
                     if not diff.is_zero:
                         return ("fail",
                                 _witness_terms(diff,
@@ -458,19 +557,24 @@ def _serre_weight(spec: AlgebraSpec, ab: Pair, cd: Pair, ef: Pair
 
 def _triple_symmetrizer(space: OpSpace, grid: Mapping[Pair, Operator]
                         ) -> Callable[[Pair, Pair, Pair], Operator]:
+    """``models.symmetrized_triple`` of three grid entries, each distinct
+    label multiset built once."""
     cache: Dict[Tuple[Pair, ...], Operator] = {}
 
     def sym(x: Pair, y: Pair, z: Pair) -> Operator:
         key = tuple(sorted((x, y, z)))
         hit = cache.get(key)
         if hit is None:
-            parts = [p[0] * p[1] * p[2]
-                     for p in permutations((grid[x], grid[y], grid[z]))]
-            hit = operator_sum(space, parts).scaled(Fraction(1, 24))
-            cache[key] = hit
+            hit = cache[key] = symmetrized_triple(grid[x], grid[y], grid[z])
         return hit
 
     return sym
+
+
+def _rotations(ab: Pair, cd: Pair, ef: Pair
+               ) -> Tuple[Tuple[Pair, Pair, Pair], ...]:
+    """The three cyclic orders of a triple, in the order the sums take."""
+    return (ab, cd, ef), (ef, ab, cd), (cd, ef, ab)
 
 
 def _cyclic_triples(labels: Sequence[Pair]):
@@ -480,76 +584,27 @@ def _cyclic_triples(labels: Sequence[Pair]):
                 yield ab, cd, ef
 
 
-def _cyclic_piece(ms: ModelSpec) -> Callable[[Pair, Pair, Pair], Operator]:
-    """``[J1^x, [J0^y, J1^z]]`` for any basis triple, from one bracket table.
-
-    Each inner bracket splits into its level-1 combination and the
-    covariance residual ``R(y,z) = [J0^y, J1^z] - sum_w f^{yz}_w J1^w``,
-    so by bilinearity
-
-        [J1^x, [J0^y, J1^z]] = sum_w f^{yz}_w B(x,w) + [J1^x, R(y,z)]
-
-    with ``B(x,w) = [J1^x, J1^w]`` built once for ``x < w``
-    (``B(w,x) = -B(x,w)``, ``B(x,x) = 0``).  The identity holds whether or
-    not covariance does; where ``R`` vanishes its term costs nothing.
-    Normal forms are unique, so every piece equals the nested commutator
-    exactly.  Each piece is built on first use and kept: a Serre loop over
-    all triples asks for it once per cyclic rotation.
-    """
-    spec = ms.algebra
-    space = ms.space
-    grid0 = generator_grid(ms, 0)
-    grid1 = generator_grid(ms, 1)
-    residual: Dict[Tuple[Pair, Pair], Operator] = {}
-    table: Dict[Tuple[Pair, Pair], Operator] = {}
-    pieces: Dict[Tuple[Pair, Pair, Pair], Operator] = {}
-
-    def bracket(x: Pair, w: Pair) -> Operator:
-        hit = table.get((x, w))
-        if hit is None:
-            hit = commutator(grid1[x], grid1[w])
-            table[(x, w)] = hit
-        return hit
-
-    def piece(x: Pair, y: Pair, z: Pair) -> Operator:
-        hit = pieces.get((x, y, z))
-        if hit is not None:
-            return hit
-        row = structure_row(spec, y, z)
-        rest = residual.get((y, z))
-        if rest is None:
-            rest = commutator(grid0[y], grid1[z]) - operator_sum(
-                space, (grid1[w].scaled(c) for w, c in row.items()))
-            residual[(y, z)] = rest
-        parts = [bracket(x, w).scaled(c) if x < w else bracket(w, x).scaled(-c)
-                 for w, c in row.items() if w != x]
-        if not rest.is_zero:
-            parts.append(commutator(grid1[x], rest))
-        hit = operator_sum(space, parts)
-        pieces[(x, y, z)] = hit
-        return hit
-
-    return piece
-
-
-def check_serre_halfloop(ms: ModelSpec) -> CheckResult:
+def check_serre_halfloop(ms: ModelSpec,
+                         context: Optional[_ModelContext] = None
+                         ) -> CheckResult:
     """Cyclic double-bracket sum of level-1 generators vanishes.
 
-    The pieces come from the level-1 bracket table of ``_cyclic_piece``.
+    The pieces come from the level-1 bracket table of
+    ``_ModelContext.piece``.
     """
 
     params = _model_params(ms)
     if ms.kind != "calogero":
         return CheckResult("serre-halfloop", params, "error", 0, (),
                            ("defined for the rational model only",))
+    ctx = _context(ms, context)
 
     def body():
         labels = basis(ms.algebra)
         space = ms.space
-        piece = _cyclic_piece(ms)
         nonvacuous = 0
         for ab, cd, ef in _cyclic_triples(labels):
-            pieces = (piece(ab, cd, ef), piece(ef, ab, cd), piece(cd, ef, ab))
+            pieces = [ctx.piece(*key) for key in _rotations(ab, cd, ef)]
             if any(not p.is_zero for p in pieces):
                 nonvacuous += 1
             total = operator_sum(space, pieces)
@@ -596,7 +651,8 @@ def _serre_rhs_scale(ms: ModelSpec) -> RationalFunction:
     return scale
 
 
-def check_serre_yangian(ms: ModelSpec, omega_reduction: bool = True
+def check_serre_yangian(ms: ModelSpec, omega_reduction: bool = True,
+                        context: Optional[_ModelContext] = None
                         ) -> CheckResult:
     """Cyclic double-bracket sum equals the scaled triple contraction.
 
@@ -607,11 +663,12 @@ def check_serre_yangian(ms: ModelSpec, omega_reduction: bool = True
     reconciles the two sides instead of silently adopting it.
 
     The cyclic pieces come from the level-1 bracket table of
-    ``_cyclic_piece``; the evaluation oracle replays them through nested
-    commutators.  For the confined model with a symbolic trap strength,
-    additionally substitutes trap -> 0 into every cyclic piece and requires
-    the rendered text to match the same piece from a zero-trap rebuild of
-    the table byte for byte, with the right-hand side collapsing to zero.
+    ``_ModelContext.piece``; the evaluation oracle replays them through
+    nested commutators.  For the confined model with a symbolic trap
+    strength, additionally substitutes trap -> 0 into every distinct cyclic
+    piece and requires the rendered text to match the same piece from a
+    zero-trap rebuild of the table byte for byte, with the right-hand side
+    collapsing to zero.
     """
 
     params = _model_params(ms)
@@ -619,32 +676,23 @@ def check_serre_yangian(ms: ModelSpec, omega_reduction: bool = True
         return CheckResult("serre-yangian", params, "error", 0, (),
                            ("defined for the trigonometric and confined "
                             "models only",))
+    ctx = _context(ms, context)
 
     def body():
-        spec = ms.algebra
-        labels = basis(spec)
-        space = ms.space
-        sym = _triple_symmetrizer(space, generator_grid(ms, 0))
-        scale = _serre_rhs_scale(ms)
-        piece = _cyclic_piece(ms)
-
+        labels = basis(ms.algebra)
         reduce_zero_trap = (omega_reduction and ms.kind == "confined"
                             and ms.resolved_omega() is None)
         if reduce_zero_trap:
-            piece_zt = _cyclic_piece(replace(ms, omega=Fraction(0)))
+            zero_trap_ctx = ctx.variant(omega=Fraction(0))
 
         zero_trap = {"om": Fraction(0)}
+        replayed: Set[Tuple[Pair, Pair, Pair]] = set()
         nonvacuous: List[Tuple[Tuple[Pair, Pair, Pair], Operator, Operator]] = []
         bad: List[Tuple[Pair, Pair, Pair]] = []
         first_diff: Optional[Operator] = None
         reduction_checked = 0
         for ab, cd, ef in _cyclic_triples(labels):
-            keys = ((ab, cd, ef), (ef, ab, cd), (cd, ef, ab))
-            lhs = operator_sum(space, (piece(*key) for key in keys))
-            rhs = operator_sum(
-                space, (sym(*key).scaled(c)
-                        for key, c in _serre_weight(spec, ab, cd, ef).items()))
-            rhs = rhs.scaled(scale)
+            lhs, rhs = ctx.cubic_sides(ab, cd, ef)
             if not (lhs.is_zero and rhs.is_zero):
                 nonvacuous.append(((ab, cd, ef), lhs, rhs))
             if lhs != rhs:
@@ -652,9 +700,13 @@ def check_serre_yangian(ms: ModelSpec, omega_reduction: bool = True
                 if first_diff is None:
                     first_diff = lhs - rhs
             if reduce_zero_trap:
-                for key in keys:
-                    if (piece(*key).substitute(zero_trap).render()
-                            != piece_zt(*key).render()):
+                # each piece recurs in three triples; replay it at the first
+                for key in _rotations(ab, cd, ef):
+                    if key in replayed:
+                        continue
+                    replayed.add(key)
+                    if (ctx.piece(*key).substitute(zero_trap).render()
+                            != zero_trap_ctx.piece(*key).render()):
                         return ("fail",
                                 (f"zero-trap reduction mismatch at "
                                  f"{ab}, {cd}, {ef}",),
@@ -767,7 +819,8 @@ def _rational_roots(poly: Dict[int, Fraction]) -> Set[Fraction]:
     return roots
 
 
-def solve_lambda(ms: ModelSpec) -> Set[Fraction]:
+def solve_lambda(ms: ModelSpec, context: Optional[_ModelContext] = None
+                 ) -> Set[Fraction]:
     """Couplings at which every level-1 generator is conserved.
 
     Requires a symbolic coupling.  The defect bracket of the Hamiltonian
@@ -779,13 +832,11 @@ def solve_lambda(ms: ModelSpec) -> Set[Fraction]:
     """
     if ms.lam != "symbolic":
         raise ValueError("solve_lambda needs a symbolic coupling")
-    ham = hamiltonian(ms)
+    ctx = _context(ms, context)
     slot = lam_slot(ms.sites)
-    grid = generator_grid(ms, 1)
     common: Optional[Dict[int, Fraction]] = None
     for ab in basis(ms.algebra):
-        defect = commutator(ham, grid[ab])
-        for poly in _coupling_polynomials(defect, slot):
+        for poly in _coupling_polynomials(ctx.ham_bracket(1, ab), slot):
             common = dict(poly) if common is None else _poly_gcd(common, poly)
     if common is None:
         # defect vanished identically; every coupling is admissible
@@ -793,25 +844,28 @@ def solve_lambda(ms: ModelSpec) -> Set[Fraction]:
     return {r for r in _rational_roots(common) if r != 0}
 
 
-def check_lambda_solver(ms: ModelSpec) -> CheckResult:
+def check_lambda_solver(ms: ModelSpec,
+                        context: Optional[_ModelContext] = None
+                        ) -> CheckResult:
     """Solver returns exactly the critical coupling, or nothing when the
     critical coupling is undefined."""
-    return run_lambda_solver(ms)[0]
+    return run_lambda_solver(ms, context)[0]
 
 
-def run_lambda_solver(ms: ModelSpec
+def run_lambda_solver(ms: ModelSpec, context: Optional[_ModelContext] = None
                       ) -> Tuple[CheckResult, Optional[Set[Fraction]]]:
     """The coupling-solver check together with the roots it found.
 
     The roots are None when the check stopped before the solve finished.
     """
 
-    symbolic = replace(ms, lam="symbolic")
+    ctx = _context(ms, context).variant(lam="symbolic")
+    symbolic = ctx.ms
     params = _model_params(symbolic)
     found: List[Set[Fraction]] = []
 
     def body():
-        roots = solve_lambda(symbolic)
+        roots = solve_lambda(symbolic, ctx)
         found.append(roots)
         degenerate = ms.algebra.N == 4 * ms.algebra.theta0
         expected: Set[Fraction] = set()
@@ -1140,25 +1194,25 @@ def _vector_add(npos: int, acc: SpinVector, extra: SpinVector,
     return out
 
 
-def _conservation_targets(ms: ModelSpec) -> List[_OracleTarget]:
-    ham = hamiltonian(ms)
+def _conservation_targets(ctx: _ModelContext) -> List[_OracleTarget]:
+    ham = ctx.hamiltonian()
     out: List[_OracleTarget] = []
     for level in (0, 1):
-        grid = generator_grid(ms, level)
-        for ab in basis(ms.algebra):
-            gen = grid[ab]
-            zero = commutator(ham, gen).is_zero
+        grid = ctx.grid(level)
+        for ab in basis(ctx.ms.algebra):
             out.append(_OracleTarget(
                 f"conservation level {level} generator {ab}",
-                _commutator_apply(ham, gen), zero))
+                _commutator_apply(ham, grid[ab]),
+                ctx.ham_bracket(level, ab).is_zero))
     return out
 
 
-def _level_relation_targets(ms: ModelSpec, rng: Random, limit: int
+def _level_relation_targets(ctx: _ModelContext, rng: Random, limit: int
                             ) -> List[_OracleTarget]:
+    ms = ctx.ms
     labels = basis(ms.algebra)
-    grid0 = generator_grid(ms, 0)
-    grid1 = generator_grid(ms, 1)
+    grid0 = ctx.grid(0)
+    grid1 = ctx.grid(1)
     npos = ms.sites
     pairs = [(ab, cd) for ab in labels for cd in labels]
     if len(pairs) > limit:
@@ -1166,9 +1220,7 @@ def _level_relation_targets(ms: ModelSpec, rng: Random, limit: int
     out: List[_OracleTarget] = []
     for ab, cd in pairs:
         row = structure_row(ms.algebra, ab, cd)
-        want = operator_sum(ms.space, (grid1[ef].scaled(c)
-                                       for ef, c in row.items()))
-        zero = (commutator(grid0[ab], grid1[cd]) - want).is_zero
+        zero = ctx.residual(1, ab, cd).is_zero
         comm = _commutator_apply(grid0[ab], grid1[cd])
 
         def defect(vec: SpinVector, comm=comm, row=row) -> SpinVector:
@@ -1182,31 +1234,27 @@ def _level_relation_targets(ms: ModelSpec, rng: Random, limit: int
     return out
 
 
-def _serre_targets(ms: ModelSpec, rng: Random, limit: int
+def _serre_targets(ctx: _ModelContext, rng: Random, limit: int
                    ) -> List[_OracleTarget]:
+    """Cubic relations at sampled triples.
+
+    The flag comes from the table route the Serre check proves with; the
+    defect is the independent nested-commutator route, applied to vectors.
+    """
+    ms = ctx.ms
     spec = ms.algebra
-    labels = basis(spec)
-    space = ms.space
     npos = ms.sites
-    grid0 = generator_grid(ms, 0)
-    grid1 = generator_grid(ms, 1)
-    scale = _serre_rhs_scale(ms)
-    sym = _triple_symmetrizer(space, grid0)
-    triples = list(_cyclic_triples(labels))
+    grid0 = ctx.grid(0)
+    grid1 = ctx.grid(1)
+    scale = ctx.serre_scale()
+    triples = list(_cyclic_triples(basis(spec)))
     if len(triples) > limit:
         triples = rng.sample(triples, limit)
     out: List[_OracleTarget] = []
     for ab, cd, ef in triples:
         weights = _serre_weight(spec, ab, cd, ef)
-        pieces = (commutator(grid1[ab], commutator(grid0[cd], grid1[ef])),
-                  commutator(grid1[ef], commutator(grid0[ab], grid1[cd])),
-                  commutator(grid1[cd], commutator(grid0[ef], grid1[ab])))
-        rhs_op = operator_sum(space, (sym(*key).scaled(c)
-                                      for key, c in weights.items()))
-        rhs_op = rhs_op.scaled(scale)
-        zero = (operator_sum(space, pieces) - rhs_op).is_zero
-
-        cyclic = ((ab, cd, ef), (ef, ab, cd), (cd, ef, ab))
+        lhs, rhs = ctx.cubic_sides(ab, cd, ef)
+        cyclic = _rotations(ab, cd, ef)
 
         def defect(vec: SpinVector, cyclic=cyclic, weights=weights) -> SpinVector:
             acc: SpinVector = {}
@@ -1226,7 +1274,7 @@ def _serre_targets(ms: ModelSpec, rng: Random, limit: int
             return acc
 
         out.append(_OracleTarget(f"cubic relation {ab}, {cd}, {ef}",
-                                 defect, zero))
+                                 defect, lhs == rhs))
     return out
 
 
@@ -1326,7 +1374,8 @@ def _random_point(rng: Random, ms: ModelSpec) -> List[Fraction]:
 
 def oracle_crosscheck(ms: ModelSpec, trials: int = 20, seed: int = 1,
                       include_spin: bool = True, pair_limit: int = 6,
-                      triple_limit: int = 3) -> CheckResult:
+                      triple_limit: int = 3,
+                      context: Optional[_ModelContext] = None) -> CheckResult:
     """Replay symbolically proven identities through independent evaluation.
 
     Every target identity is applied compositionally (operator application
@@ -1334,20 +1383,23 @@ def oracle_crosscheck(ms: ModelSpec, trials: int = 20, seed: int = 1,
     applications, never symbolic products) and evaluated at random rational
     points with pairwise distinct coordinates.  Any nonzero value for an
     identity the symbolic engine proved is an engine bug and is reported
-    with an alarm note, never downgraded to an ordinary failure.
+    with an alarm note, never downgraded to an ordinary failure.  Which
+    identities count as proved is read from the same context objects the
+    checks proved them with.
     """
     if trials < 1:
         raise ValueError("oracle needs at least one trial")
     params = _model_params(ms) + (("trials", str(trials)),
                                   ("seed", str(seed)))
+    ctx = _context(ms, context)
 
     def body():
         rng = Random(seed)
         space = ms.space
         families: List[Tuple[str, List[_OracleTarget]]] = [
-            ("conservation", _conservation_targets(ms)),
-            ("level-relations", _level_relation_targets(ms, rng, pair_limit)),
-            ("cubic-relations", _serre_targets(ms, rng, triple_limit)),
+            ("conservation", _conservation_targets(ctx)),
+            ("level-relations", _level_relation_targets(ctx, rng, pair_limit)),
+            ("cubic-relations", _serre_targets(ctx, rng, triple_limit)),
         ]
         if include_spin:
             families.append(("spin-identities", _spin_targets(ms.algebra)))
@@ -1418,10 +1470,13 @@ MODEL_CHECK_NAMES: Tuple[str, ...] = (
 
 
 def run_model_suite(ms: ModelSpec, checks: Optional[Sequence[str]] = None,
-                    jobs: int = 1, seed: int = 1, trials: int = 20
-                    ) -> CheckReport:
+                    seed: int = 1, trials: int = 20) -> CheckReport:
     """Default model suite: conservation, level relations, the Serre check
-    for the model family, and the evaluation oracle."""
+    for the model family, and the evaluation oracle.
+
+    The checks share one proof context, so each grid, Hamiltonian and
+    bracket is built once per call.
+    """
     selected = tuple(checks) if checks else (
         "conservation", "level-relations", "serre", "oracle")
     unknown = [c for c in selected if c not in MODEL_CHECK_NAMES]
@@ -1429,29 +1484,20 @@ def run_model_suite(ms: ModelSpec, checks: Optional[Sequence[str]] = None,
         raise ValueError(f"unknown checks: {unknown}; "
                          f"available: {list(MODEL_CHECK_NAMES)}")
 
-    thunks: List[Callable[[], Sequence[CheckResult]]] = []
+    ctx = _ModelContext(ms)
+    results: List[CheckResult] = []
     if "conservation" in selected:
-        thunks.append(lambda: check_conservation(ms))
+        results.extend(check_conservation(ms, ctx))
     if "level-relations" in selected:
-        thunks.append(lambda: check_level_relations(ms))
+        results.extend(check_level_relations(ms, ctx))
     if "serre" in selected:
         if ms.kind == "calogero":
-            thunks.append(lambda: (check_serre_halfloop(ms),))
+            results.append(check_serre_halfloop(ms, ctx))
         else:
-            thunks.append(lambda: (check_serre_yangian(ms),))
+            results.append(check_serre_yangian(ms, context=ctx))
     if "solve-lambda" in selected:
-        thunks.append(lambda: (check_lambda_solver(ms),))
+        results.append(check_lambda_solver(ms, ctx))
     if "oracle" in selected:
-        thunks.append(lambda: (oracle_crosscheck(ms, trials=trials,
-                                                 seed=seed),))
-
-    if jobs <= 1:
-        groups = [t() for t in thunks]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(t) for t in thunks]
-            groups = [f.result() for f in futures]
-    results: List[CheckResult] = []
-    for group in groups:
-        results.extend(group)
+        results.append(oracle_crosscheck(ms, trials=trials, seed=seed,
+                                         context=ctx))
     return CheckReport.build(results)

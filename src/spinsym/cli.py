@@ -26,7 +26,6 @@ from .models import MODEL_KINDS, ModelSpec
 from .operators import get_term_ceiling, set_term_ceiling
 from .version import __version__
 
-JOBS_ENV = "SPINSYM_JOBS"
 CEILING_ENV = "SPINSYM_TERM_CEILING"
 
 Coupling = Union[str, Fraction]
@@ -49,7 +48,6 @@ class RunConfig:
     omega: Coupling = "symbolic"
     checks: Optional[Tuple[str, ...]] = None
     format: str = "text"
-    jobs: int = 1
     seed: int = 1
     term_ceiling: Optional[int] = None
 
@@ -108,8 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_output(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--jobs", type=int, default=None,
-                       help=f"worker threads (default: ${JOBS_ENV} or 1)")
         p.add_argument("--term-ceiling", type=int, default=None,
                        help="abort any operator that grows past this many "
                             f"terms (default: ${CEILING_ENV} or built-in)")
@@ -171,9 +167,6 @@ def _int_env(name: str) -> Optional[int]:
 
 
 def build_config(ns: argparse.Namespace) -> RunConfig:
-    jobs = ns.jobs if ns.jobs is not None else (_int_env(JOBS_ENV) or 1)
-    if jobs < 1:
-        raise ConfigError("jobs must be at least 1")
     ceiling = ns.term_ceiling
     if ceiling is None:
         ceiling = _int_env(CEILING_ENV)
@@ -199,7 +192,6 @@ def build_config(ns: argparse.Namespace) -> RunConfig:
         omega=getattr(ns, "omega", "symbolic"),
         checks=checks,
         format=ns.format,
-        jobs=jobs,
         seed=getattr(ns, "seed", 1),
         term_ceiling=ceiling,
     )
@@ -279,7 +271,7 @@ def _emit(report: CheckReport, config: RunConfig,
 
 
 def _cmd_lie(config: RunConfig) -> int:
-    report = run_lie_suite(_algebra(config), jobs=config.jobs)
+    report = run_lie_suite(_algebra(config))
     return _emit(report, config)
 
 
@@ -290,8 +282,7 @@ def _model_spec(config: RunConfig) -> ModelSpec:
 
 def _cmd_model(config: RunConfig) -> int:
     ms = _model_spec(config)
-    report = run_model_suite(ms, checks=config.checks, jobs=config.jobs,
-                             seed=config.seed)
+    report = run_model_suite(ms, checks=config.checks, seed=config.seed)
     return _emit(report, config)
 
 

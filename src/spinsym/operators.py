@@ -152,7 +152,7 @@ def word_mul(spin_dim: int, left: SpinWord,
 class Operator:
     """Normal-form operator over an OpSpace."""
 
-    __slots__ = ("space", "terms")
+    __slots__ = ("space", "terms", "__weakref__")
 
     def __init__(self, space: OpSpace, terms: Mapping[TermKey, RationalFunction],
                  *, _trusted: bool = False):
@@ -393,6 +393,7 @@ def _accumulate_product(left: Operator, right: Operator, negate: bool,
     by_deriv: Dict[Deriv, List[Tuple[SpinWord, RationalFunction]]] = {}
     for (deriv, word), coeff in left.terms.items():
         by_deriv.setdefault(deriv, []).append((word, coeff))
+    # keyed by id() of coefficients of `right`, which outlives this call
     cache: Dict = {}
     for (rderiv, rword), rcoeff in right.terms.items():
         for alpha, group in by_deriv.items():
@@ -474,6 +475,7 @@ def apply_operator(op: Operator, vec: SpinVector) -> SpinVector:
     """Apply an operator to a spin vector with rational-function amplitudes."""
     npos = op.space.sites
     acc: Dict[SpinBasis, List[RationalFunction]] = {}
+    # keyed by id() of amplitudes of `vec`, which outlives this call
     cache: Dict = {}
     for (deriv, word), coeff in op.terms.items():
         for basis, amp in vec.items():

@@ -1,5 +1,7 @@
 """Verification module: result plumbing, check verdicts, oracle wiring."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -113,12 +115,6 @@ class TestLieSuite:
         assert r.status == "skipped"
         assert "critical coupling undefined" in r.notes[0]
 
-    def test_jobs_do_not_change_verdicts(self):
-        serial = run_lie_suite(SO3, jobs=1)
-        threaded = run_lie_suite(SO3, jobs=4)
-        assert serial.to_payload(zero_millis=True) == \
-            threaded.to_payload(zero_millis=True)
-
 
 class TestConservation:
     def test_calogero_star_passes(self):
@@ -207,7 +203,7 @@ class TestSerre:
                  for ab, op in generator_grid(ms, 1).items()}
         monkeypatch.setattr(checks, "generator_grid",
                             lambda _, level: grid1 if level else grid0)
-        piece = checks._cyclic_piece(ms)
+        piece = checks._ModelContext(ms).piece
         residual_seen = False
         for x, y, z in checks._cyclic_triples(basis(SP2)):
             inner = commutator(grid0[y], grid1[z])
@@ -331,9 +327,52 @@ class TestModelSuite:
         assert [r.name for r in rep.results] == ["coupling-solver"]
         assert rep.ok
 
-    def test_parallel_matches_serial(self):
-        ms = ModelSpec(SP2, 2, "sutherland", lam="star")
-        serial = run_model_suite(ms, jobs=1, trials=3)
-        threaded = run_model_suite(ms, jobs=3, trials=3)
-        assert serial.to_payload(zero_millis=True) == \
-            threaded.to_payload(zero_millis=True)
+
+class TestSharedContext:
+    """The default suite builds each operator once and keeps none of them."""
+
+    MS = ModelSpec(SP2, 2, "confined", lam="star")
+
+    def test_sharing_changes_no_verdict(self):
+        ms = self.MS
+        suite = run_model_suite(ms, trials=3)
+        alone = CheckReport.build(
+            check_conservation(ms) + check_level_relations(ms)
+            + (check_serre_yangian(ms), oracle_crosscheck(ms, trials=3)))
+        assert [r.to_dict(zero_millis=True) for r in suite.results] == \
+            [r.to_dict(zero_millis=True) for r in alone.results]
+        assert suite.ok
+
+    def test_each_bracket_built_once(self, monkeypatch):
+        seen = []
+
+        def recording(a, b):
+            seen.append((a, b))
+            return commutator(a, b)
+
+        monkeypatch.setattr(checks, "commutator", recording)
+        run_model_suite(self.MS, trials=3)
+        assert seen
+        repeats = [i for i, (a, b) in enumerate(seen)
+                   if any(a == c and b == d for c, d in seen[:i])]
+        assert not repeats
+
+    def test_grids_built_once_and_released(self, monkeypatch):
+        calls = []
+        refs = []
+
+        def recording(ms, level):
+            calls.append((ms, level))
+            grid = generator_grid(ms, level)
+            if ms == self.MS:
+                # bound grids are fresh operators; the builders' own
+                # caches hold only the symbolic ones
+                refs.extend(weakref.ref(op) for op in grid.values())
+            return grid
+
+        monkeypatch.setattr(checks, "generator_grid", recording)
+        run_model_suite(self.MS, trials=3)
+        assert len(calls) == len(set(calls))
+        assert len(refs) == 2 * len(basis(SP2))
+        gc.collect()
+        assert all(ref() is None for ref in refs)

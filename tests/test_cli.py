@@ -88,10 +88,6 @@ class TestConfigRejections:
         assert cli.run(["model", "--model", "calogero", "--N", "3",
                         "--theta0", "+1", "--L", "0"]) == 2
 
-    def test_bad_jobs(self, capsys):
-        assert cli.run(["lie", "--N", "3", "--theta0", "+1",
-                        "--jobs", "0"]) == 2
-
     def test_missing_subcommand(self, capsys):
         assert cli.run([]) == 2
 
@@ -111,20 +107,13 @@ class TestConfigResolution:
                         "--theta0", "+1", "--L", "3"])
         assert config.lam == "symbolic"
 
-    def test_jobs_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(cli.JOBS_ENV, "3")
-        config = parse(["lie", "--N", "3", "--theta0", "+1"])
-        assert config.jobs == 3
-        config = parse(["lie", "--N", "3", "--theta0", "+1", "--jobs", "2"])
-        assert config.jobs == 2
-
     def test_ceiling_env_fallback(self, monkeypatch):
         monkeypatch.setenv(cli.CEILING_ENV, "1234")
         config = parse(["lie", "--N", "3", "--theta0", "+1"])
         assert config.term_ceiling == 1234
 
     def test_bad_env_value(self, monkeypatch, capsys):
-        monkeypatch.setenv(cli.JOBS_ENV, "lots")
+        monkeypatch.setenv(cli.CEILING_ENV, "lots")
         assert cli.run(["lie", "--N", "3", "--theta0", "+1"]) == 2
 
 
