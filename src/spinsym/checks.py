@@ -27,8 +27,8 @@ from .exact import RationalFunction, lam_slot, nvars
 from .lie import (AlgebraSpec, Pair, basis, conjugate_index, generator_matrix,
                   generator_op, lowered_adjoint_constants, metric,
                   raised_constants, structure_row, structure_table, theta)
-from .models import (ModelSpec, coupling_weight, generator_grid, hamiltonian,
-                     star_coupling, symmetrized_triple)
+from .models import (ModelSpec, bind, coupling_weight, generator_grid,
+                     hamiltonian, star_coupling, symmetrized_triple)
 from .operators import (Operator, OpSpace, SpinBasis, SpinVector,
                         apply_operator, commutator, evaluate_vector,
                         operator_sum, vector_sub)
@@ -171,6 +171,11 @@ def _run(name: str, params: Tuple[Tuple[str, str], ...], body: Body) -> CheckRes
         status = "fail"
         witness = exc.diagnostics or (str(exc),)
         notes = (str(exc),)
+    except OracleDisagreementError as exc:
+        status = "fail"
+        witness = (str(exc),)
+        notes = ("ORACLE DISAGREEMENT: a symbolically proven identity "
+                 "evaluated nonzero; this signals an engine bug",)
     millis = int((time.perf_counter() - start) * 1000)
     return CheckResult(name, params, status, millis, tuple(witness), tuple(notes))
 
@@ -365,31 +370,51 @@ class _ModelContext:
     only as long as that call.  Every entry is built on first use, inside
     the check that first needs it, so a term-budget error is reported by
     that check.
+
+    The context and its variants share one build of the fully symbolic
+    model, one ``generator_grid`` call per level and one ``hamiltonian``
+    call; each binds its own coupling and trap strength into it.
     """
 
-    def __init__(self, ms: ModelSpec):
+    def __init__(self, ms: ModelSpec,
+                 symbolic: Optional[Dict[object, object]] = None):
         self.ms = ms
         self._cache: Dict[object, object] = {}
+        self._symbolic = {} if symbolic is None else symbolic
 
-    def _once(self, key: object, build: Callable[[], object]):
-        hit = self._cache.get(key)
+    def _once(self, key: object, build: Callable[[], object],
+              cache: Optional[Dict[object, object]] = None):
+        cache = self._cache if cache is None else cache
+        hit = cache.get(key)
         if hit is None:
-            hit = self._cache[key] = build()
+            hit = cache[key] = build()
         return hit
+
+    def _symbolic_build(self, key: object,
+                        build: Callable[[ModelSpec], object]):
+        symbolic = replace(self.ms, lam="symbolic", omega="symbolic")
+        return self._once((symbolic, key), lambda: build(symbolic),
+                          self._symbolic)
 
     def variant(self, **changes) -> "_ModelContext":
         """The context of this model with some spec fields replaced."""
         other = replace(self.ms, **changes)
         if other == self.ms:
             return self
-        return self._once(("variant", other), lambda: _ModelContext(other))
+        return self._once(("variant", other),
+                          lambda: _ModelContext(other, self._symbolic))
 
     def grid(self, level: int) -> Dict[Pair, Operator]:
-        return self._once(("grid", level),
-                          lambda: generator_grid(self.ms, level))
+        def build() -> Dict[Pair, Operator]:
+            symbolic = self._symbolic_build(
+                ("grid", level), lambda ms: generator_grid(ms, level))
+            return {ab: bind(op, self.ms) for ab, op in symbolic.items()}
+
+        return self._once(("grid", level), build)
 
     def hamiltonian(self) -> Operator:
-        return self._once("hamiltonian", lambda: hamiltonian(self.ms))
+        return self._once("hamiltonian", lambda: bind(
+            self._symbolic_build("hamiltonian", hamiltonian), self.ms))
 
     def ham_bracket(self, level: int, ab: Pair) -> Operator:
         """``[H, J^ab]`` for a generator of the given level."""
@@ -1194,6 +1219,19 @@ def _vector_add(npos: int, acc: SpinVector, extra: SpinVector,
     return out
 
 
+def _conserved(ctx: _ModelContext, level: int, ab: Pair) -> bool:
+    """Whether ``[H, J^ab]`` vanishes, from the bracket its check proved.
+
+    Level 0 is proved with the coupling free.  Binding the coupling
+    commutes with products and derivatives and normal forms are unique,
+    so the bound bracket is the free one with the coupling substituted.
+    """
+    if level == 1:
+        return ctx.ham_bracket(1, ab).is_zero
+    free = ctx.variant(lam="symbolic").ham_bracket(0, ab)
+    return free.is_zero or bind(free, ctx.ms).is_zero
+
+
 def _conservation_targets(ctx: _ModelContext) -> List[_OracleTarget]:
     ham = ctx.hamiltonian()
     out: List[_OracleTarget] = []
@@ -1203,7 +1241,7 @@ def _conservation_targets(ctx: _ModelContext) -> List[_OracleTarget]:
             out.append(_OracleTarget(
                 f"conservation level {level} generator {ab}",
                 _commutator_apply(ham, grid[ab]),
-                ctx.ham_bracket(level, ab).is_zero))
+                _conserved(ctx, level, ab)))
     return out
 
 
@@ -1446,19 +1484,7 @@ def oracle_crosscheck(ms: ModelSpec, trials: int = 20, seed: int = 1,
                          f"{len(skipped_labels)} targets")
         return "pass", (), tuple(notes)
 
-    start = time.perf_counter()
-    try:
-        status, witness, notes = body()
-    except OracleDisagreementError as exc:
-        status = "fail"
-        witness = (str(exc),)
-        notes = ("ORACLE DISAGREEMENT: a symbolically proven identity "
-                 "evaluated nonzero; this signals an engine bug",)
-    except DegenerateCouplingError as exc:
-        status, witness, notes = "error", (), (f"degenerate coupling: {exc}",)
-    millis = int((time.perf_counter() - start) * 1000)
-    return CheckResult("oracle-crosscheck", params, status, millis,
-                       tuple(witness), tuple(notes))
+    return _run("oracle-crosscheck", params, body)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 integrable spin-chain families (rational, trigonometric-rational with
 Euler derivatives, and harmonically confined).
 
-Every displayed formula is assembled once with the coupling `lam` (and
-trap strength `om`) fully symbolic; explicit coupling modes then bind the
-parameters by exact substitution, so a star-mode operator is literally
-the symbolic one evaluated at lam = 2/(N - 4*theta0).
+Every displayed formula is assembled with the coupling `lam` (and trap
+strength `om`) fully symbolic; explicit coupling modes then bind the
+parameters by exact substitution (`bind`), so a star-mode operator is
+literally the symbolic one evaluated at lam = 2/(N - 4*theta0).  The
+builders keep nothing between calls: a caller that needs one operator at
+several couplings builds the symbolic spec once and binds it for each.
 
 Pair sums run over ordered pairs j != k and triple sums over pairwise
 distinct (j, k, l), matching the displayed conventions; odd reorderings
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 from itertools import permutations
 from typing import Dict, Tuple, Union
 
@@ -99,7 +100,9 @@ class ModelSpec:
         return "symbolic" if self.omega == "symbolic" else str(self.omega)
 
 
-def _bind(op: Operator, ms: ModelSpec) -> Operator:
+def bind(op: Operator, ms: ModelSpec) -> Operator:
+    """Substitute the model's explicit coupling and trap strength into an
+    operator built with them symbolic; symbolic modes stay symbolic."""
     bindings: Dict[str, Fraction] = {}
     lam = ms.resolved_lam()
     if lam is not None:
@@ -123,9 +126,8 @@ def _inv_diff(space: OpSpace, j: int, k: int, power: int = 1) -> RationalFunctio
 # Hamiltonians
 
 
-@lru_cache(maxsize=None)
-def _hamiltonian_symbolic(spec: AlgebraSpec, sites: int, kind: str) -> Operator:
-    space = OpSpace(spec.N, sites)
+def hamiltonian(ms: ModelSpec) -> Operator:
+    spec, sites, kind, space = ms.algebra, ms.sites, ms.kind, ms.space
     lam = _coupling(space)
     lam2 = lam * lam
     parts = []
@@ -163,11 +165,7 @@ def _hamiltonian_symbolic(spec: AlgebraSpec, sites: int, kind: str) -> Operator:
                 parts.append(pair)
     else:
         raise ValueError(f"unknown model kind {kind!r}")
-    return operator_sum(space, parts)
-
-
-def hamiltonian(ms: ModelSpec) -> Operator:
-    return _bind(_hamiltonian_symbolic(ms.algebra, ms.sites, ms.kind), ms)
+    return bind(operator_sum(space, parts), ms)
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +179,12 @@ def _require_label(spec: AlgebraSpec, ab: Pair) -> None:
         raise ValueError(f"label {ab} not in the admissible set")
 
 
-@lru_cache(maxsize=None)
 def _global_rotation(spec: AlgebraSpec, sites: int, a: int, b: int) -> Operator:
     space = OpSpace(spec.N, sites)
     return operator_sum(space, (generator_op(spec, space, j, a, b)
                                 for j in range(1, sites + 1)))
 
 
-@lru_cache(maxsize=None)
 def _rational_level1(spec: AlgebraSpec, sites: int, a: int, b: int) -> Operator:
     space = OpSpace(spec.N, sites)
     lam = _coupling(space)
@@ -204,7 +200,6 @@ def _rational_level1(spec: AlgebraSpec, sites: int, a: int, b: int) -> Operator:
     return operator_sum(space, parts)
 
 
-@lru_cache(maxsize=None)
 def _rational_level2(spec: AlgebraSpec, sites: int, a: int, b: int) -> Operator:
     space = OpSpace(spec.N, sites)
     lam = _coupling(space)
@@ -241,7 +236,6 @@ def _rational_level2(spec: AlgebraSpec, sites: int, a: int, b: int) -> Operator:
     return operator_sum(space, parts)
 
 
-@lru_cache(maxsize=None)
 def _euler_level1(spec: AlgebraSpec, sites: int, a: int, b: int) -> Operator:
     space = OpSpace(spec.N, sites)
     lam = _coupling(space)
@@ -264,7 +258,6 @@ def _euler_level1(spec: AlgebraSpec, sites: int, a: int, b: int) -> Operator:
     return operator_sum(space, parts)
 
 
-@lru_cache(maxsize=None)
 def _moment_symbolic(spec: AlgebraSpec, sites: int, n: int, a: int, b: int) -> Operator:
     space = OpSpace(spec.N, sites)
     parts = []
@@ -274,7 +267,6 @@ def _moment_symbolic(spec: AlgebraSpec, sites: int, n: int, a: int, b: int) -> O
     return operator_sum(space, parts)
 
 
-@lru_cache(maxsize=None)
 def _confined_level1(spec: AlgebraSpec, sites: int, a: int, b: int) -> Operator:
     space = OpSpace(spec.N, sites)
     om = RationalFunction.trap(space.sites)
@@ -282,59 +274,28 @@ def _confined_level1(spec: AlgebraSpec, sites: int, a: int, b: int) -> Operator:
         - _moment_symbolic(spec, sites, 2, a, b).scaled(om * om)
 
 
-def calogero_generator(ms: ModelSpec, level: int, ab: Pair) -> Operator:
-    """Rational-family tower: level 0 rotation, level 1 and explicit level 2."""
-    _require_label(ms.algebra, ab)
-    if level == 0:
-        op = _global_rotation(ms.algebra, ms.sites, *ab)
-    elif level == 1:
-        op = _rational_level1(ms.algebra, ms.sites, *ab)
-    elif level == 2:
-        op = _rational_level2(ms.algebra, ms.sites, *ab)
-    else:
-        raise ValueError("rational tower levels are 0, 1, 2")
-    return _bind(op, ms)
-
-
-def sutherland_generator(ms: ModelSpec, level: int, ab: Pair) -> Operator:
-    _require_label(ms.algebra, ab)
-    if level == 0:
-        op = _global_rotation(ms.algebra, ms.sites, *ab)
-    elif level == 1:
-        op = _euler_level1(ms.algebra, ms.sites, *ab)
-    else:
-        raise ValueError("Euler tower levels are 0, 1")
-    return _bind(op, ms)
-
-
-def confined_generator(ms: ModelSpec, level: int, ab: Pair) -> Operator:
-    _require_label(ms.algebra, ab)
-    if level == 0:
-        op = _global_rotation(ms.algebra, ms.sites, *ab)
-    elif level == 1:
-        op = _confined_level1(ms.algebra, ms.sites, *ab)
-    else:
-        raise ValueError("confined tower levels are 0, 1")
-    return _bind(op, ms)
-
-
 def moment_generator(ms: ModelSpec, n: int, ab: Pair) -> Operator:
     """Weighted rotation sum_j F_j^{ab} x_j^n."""
     _require_label(ms.algebra, ab)
     if n < 0:
         raise ValueError("moment order must be nonnegative")
-    return _bind(_moment_symbolic(ms.algebra, ms.sites, n, *ab), ms)
+    return bind(_moment_symbolic(ms.algebra, ms.sites, n, *ab), ms)
+
+
+# each family's tower: its level-0 and level-1 builders, lam and om symbolic
+_TOWERS = {
+    "calogero": (_global_rotation, _rational_level1),
+    "sutherland": (_global_rotation, _euler_level1),
+    "confined": (_global_rotation, _confined_level1),
+}
 
 
 def symmetry_generator(ms: ModelSpec, level: int, ab: Pair) -> Operator:
     """The model's own tower (levels 0 and 1), dispatched by kind."""
-    if ms.kind == "calogero":
-        if level not in (0, 1):
-            raise ValueError("symmetry tower levels are 0 and 1")
-        return calogero_generator(ms, level, ab)
-    if ms.kind == "sutherland":
-        return sutherland_generator(ms, level, ab)
-    return confined_generator(ms, level, ab)
+    if level not in (0, 1):
+        raise ValueError("symmetry tower levels are 0 and 1")
+    _require_label(ms.algebra, ab)
+    return bind(_TOWERS[ms.kind][level](ms.algebra, ms.sites, *ab), ms)
 
 
 def generator_grid(ms: ModelSpec, level: int) -> Dict[Pair, Operator]:

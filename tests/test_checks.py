@@ -364,10 +364,7 @@ class TestSharedContext:
         def recording(ms, level):
             calls.append((ms, level))
             grid = generator_grid(ms, level)
-            if ms == self.MS:
-                # bound grids are fresh operators; the builders' own
-                # caches hold only the symbolic ones
-                refs.extend(weakref.ref(op) for op in grid.values())
+            refs.extend(weakref.ref(op) for op in grid.values())
             return grid
 
         monkeypatch.setattr(checks, "generator_grid", recording)

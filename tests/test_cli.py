@@ -181,6 +181,19 @@ class TestExecution:
         assert [c["status"] for c in payload["checks"]] == ["error"]
         assert "lambda_roots" not in payload
 
+    def test_oracle_over_ceiling_reports_error(self, capsys):
+        code = cli.run(["model", "--model", "calogero", "--N", "2",
+                        "--theta0", "-1", "--L", "2", "--checks", "oracle",
+                        "--format", "json", "--term-ceiling", "20"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 1
+        (check,) = payload["checks"]
+        assert check["name"] == "oracle-crosscheck"
+        assert check["status"] == "error"
+        assert check["notes"] == [
+            "operator exceeded the term ceiling (25 > 20); raise it via "
+            "set_term_ceiling or the --term-ceiling flag"]
+
     def test_oracle_banner(self, capsys, monkeypatch):
         one = RationalFunction.const(2, 1)
 

@@ -1,5 +1,7 @@
 """Model builders: Hamiltonians, symmetry generators, the critical coupling."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -137,6 +139,14 @@ class TestGenerators:
             generator_op(SP2, space, j, 1, 2) * Operator.position_op(space, j, 2)
             for j in (1, 2)])
         assert moment_generator(ms, 2, (1, 2)) == expected
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_builders_keep_nothing(self, kind):
+        ms = ModelSpec(SP2, 2, kind, lam="symbolic")
+        refs = [weakref.ref(hamiltonian(ms))]
+        refs.extend(weakref.ref(op) for op in generator_grid(ms, 1).values())
+        gc.collect()
+        assert all(ref() is None for ref in refs)
 
     def test_translation_invariance(self):
         # total momentum commutes with the rational Hamiltonian at any coupling
