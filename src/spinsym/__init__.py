@@ -10,11 +10,10 @@ from .checks import (CheckReport, CheckResult, check_appendix_f,
                      check_serre_halfloop, check_serre_yangian,
                      oracle_crosscheck, run_lie_suite, run_model_suite,
                      solve_lambda)
-from .errors import (ConventionMismatchError, DegenerateCouplingError,
-                     EngineError, ExponentOverflowError,
-                     OracleDisagreementError, PoleEvaluationError,
-                     ShapeMismatchError, SingularMetricError,
-                     TermBudgetError)
+from .errors import (DegenerateCouplingError, EngineError,
+                     ExponentOverflowError, OracleDisagreementError,
+                     PoleEvaluationError, ShapeMismatchError,
+                     SingularMetricError, TermBudgetError)
 from .exact import RationalFunction
 from .lie import AlgebraSpec, basis, generator_op, metric, structure_row
 from .models import (MODEL_KINDS, ModelSpec, generator_grid, hamiltonian,
@@ -26,7 +25,6 @@ __all__ = [
     "AlgebraSpec",
     "CheckReport",
     "CheckResult",
-    "ConventionMismatchError",
     "DegenerateCouplingError",
     "EngineError",
     "ExponentOverflowError",

@@ -20,9 +20,8 @@ from random import Random
 from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Set, Tuple)
 
-from .errors import (ConventionMismatchError, DegenerateCouplingError,
-                     OracleDisagreementError, SingularMetricError,
-                     TermBudgetError)
+from .errors import (DegenerateCouplingError, OracleDisagreementError,
+                     SingularMetricError, TermBudgetError)
 from .exact import RationalFunction, lam_slot, nvars
 from .lie import (AlgebraSpec, Pair, basis, conjugate_index, generator_matrix,
                   generator_op, lowered_adjoint_constants, metric,
@@ -31,7 +30,7 @@ from .models import (ModelSpec, bind, coupling_weight, generator_grid,
                      hamiltonian, star_coupling, symmetrized_triple)
 from .operators import (Operator, OpSpace, SpinBasis, SpinVector,
                         apply_operator, commutator, evaluate_vector,
-                        operator_sum, vector_sub)
+                        operator_sum, vector_add)
 from .spin_ops import permutation_op, twist_op
 from .version import __version__
 
@@ -104,9 +103,6 @@ class CheckReport:
         return any(n.startswith("ORACLE DISAGREEMENT")
                    for r in self.results for n in r.notes)
 
-    def merged(self, other: "CheckReport") -> "CheckReport":
-        return CheckReport.build(self.results + other.results)
-
     def to_payload(self, spec_info: Optional[Mapping[str, object]] = None,
                    zero_millis: bool = False) -> dict:
         c = self.counts
@@ -167,10 +163,6 @@ def _run(name: str, params: Tuple[Tuple[str, str], ...], body: Body) -> CheckRes
         status, witness, notes = "error", (), (f"degenerate coupling: {exc}",)
     except TermBudgetError as exc:
         status, witness, notes = "error", (), (str(exc),)
-    except ConventionMismatchError as exc:
-        status = "fail"
-        witness = exc.diagnostics or (str(exc),)
-        notes = (str(exc),)
     except OracleDisagreementError as exc:
         status = "fail"
         witness = (str(exc),)
@@ -645,23 +637,6 @@ def check_serre_halfloop(ms: ModelSpec,
     return _run("serre-halfloop", params, body)
 
 
-# calibration table: scale factors a mis-chosen raising slot or symmetrizer
-# prefactor would introduce, with human-readable tags
-_CALIBRATION: Tuple[Tuple[Fraction, str], ...] = (
-    (Fraction(-1), "opposite lowering slot (global sign)"),
-    (Fraction(4), "1/6 symmetrizer prefactor"),
-    (Fraction(-4), "1/6 symmetrizer prefactor with opposite slot"),
-    (Fraction(6), "1/4 symmetrizer prefactor"),
-    (Fraction(-6), "1/4 symmetrizer prefactor with opposite slot"),
-    (Fraction(2), "factor 2 normalization"),
-    (Fraction(-2), "factor 2 normalization with opposite slot"),
-    (Fraction(1, 2), "factor 1/2 normalization"),
-    (Fraction(-1, 2), "factor 1/2 normalization with opposite slot"),
-    (Fraction(1, 4), "metric applied twice on one slot"),
-    (Fraction(-1, 4), "metric applied twice with opposite slot"),
-)
-
-
 def _serre_rhs_scale(ms: ModelSpec) -> RationalFunction:
     npos = ms.sites
     lam = ms.resolved_lam()
@@ -676,24 +651,24 @@ def _serre_rhs_scale(ms: ModelSpec) -> RationalFunction:
     return scale
 
 
-def check_serre_yangian(ms: ModelSpec, omega_reduction: bool = True,
+def check_serre_yangian(ms: ModelSpec,
                         context: Optional[_ModelContext] = None
                         ) -> CheckResult:
     """Cyclic double-bracket sum equals the scaled triple contraction.
 
     The committed convention lowers the second upper pair of each adjoint
     row and fully raises the lower pair of the remaining row; the
-    symmetrized cube carries the 1/24 prefactor.  If the committed form
-    fails, a calibration sweep reports which single scale factor (if any)
-    reconciles the two sides instead of silently adopting it.
+    symmetrized cube carries the 1/24 prefactor.  A failure reports how
+    many triples mismatch and the residue at the first of them.
 
     The cyclic pieces come from the level-1 bracket table of
     ``_ModelContext.piece``; the evaluation oracle replays them through
     nested commutators.  For the confined model with a symbolic trap
-    strength, additionally substitutes trap -> 0 into every distinct cyclic
-    piece and requires the rendered text to match the same piece from a
-    zero-trap rebuild of the table byte for byte, with the right-hand side
-    collapsing to zero.
+    strength, additionally substitutes trap -> 0 into every cyclic piece
+    and requires its normal form to equal the same piece from a zero-trap
+    rebuild of the table, with the right-hand side collapsing to zero.
+    Every piece is keyed by one of the triples of the loop, so each is
+    compared once, at its own triple.
     """
 
     params = _model_params(ms)
@@ -705,38 +680,32 @@ def check_serre_yangian(ms: ModelSpec, omega_reduction: bool = True,
 
     def body():
         labels = basis(ms.algebra)
-        reduce_zero_trap = (omega_reduction and ms.kind == "confined"
+        reduce_zero_trap = (ms.kind == "confined"
                             and ms.resolved_omega() is None)
         if reduce_zero_trap:
             zero_trap_ctx = ctx.variant(omega=Fraction(0))
 
         zero_trap = {"om": Fraction(0)}
-        replayed: Set[Tuple[Pair, Pair, Pair]] = set()
-        nonvacuous: List[Tuple[Tuple[Pair, Pair, Pair], Operator, Operator]] = []
+        nonvacuous = 0
         bad: List[Tuple[Pair, Pair, Pair]] = []
         first_diff: Optional[Operator] = None
         reduction_checked = 0
         for ab, cd, ef in _cyclic_triples(labels):
             lhs, rhs = ctx.cubic_sides(ab, cd, ef)
             if not (lhs.is_zero and rhs.is_zero):
-                nonvacuous.append(((ab, cd, ef), lhs, rhs))
+                nonvacuous += 1
             if lhs != rhs:
                 bad.append((ab, cd, ef))
                 if first_diff is None:
                     first_diff = lhs - rhs
             if reduce_zero_trap:
-                # each piece recurs in three triples; replay it at the first
-                for key in _rotations(ab, cd, ef):
-                    if key in replayed:
-                        continue
-                    replayed.add(key)
-                    if (ctx.piece(*key).substitute(zero_trap).render()
-                            != zero_trap_ctx.piece(*key).render()):
-                        return ("fail",
-                                (f"zero-trap reduction mismatch at "
-                                 f"{ab}, {cd}, {ef}",),
-                                ())
-                if rhs.substitute(zero_trap).render() != "0":
+                if (ctx.piece(ab, cd, ef).substitute(zero_trap)
+                        != zero_trap_ctx.piece(ab, cd, ef)):
+                    return ("fail",
+                            (f"zero-trap reduction mismatch at "
+                             f"{ab}, {cd}, {ef}",),
+                            ())
+                if not rhs.substitute(zero_trap).is_zero:
                     return ("fail",
                             (f"right side survives trap -> 0 at "
                              f"{ab}, {cd}, {ef}",),
@@ -744,22 +713,14 @@ def check_serre_yangian(ms: ModelSpec, omega_reduction: bool = True,
                 reduction_checked += 1
 
         if bad:
-            diagnostics = [f"mismatching triples: {len(bad)}/{len(labels) ** 3}"]
-            for mult, tag in _CALIBRATION:
-                if all(lhs == rhs.scaled(mult) for _, lhs, rhs in nonvacuous):
-                    raise ConventionMismatchError(
-                        f"right-hand side validates only with factor {mult} "
-                        f"({tag}); committed convention fails",
-                        diagnostics + _witness_terms(
-                            first_diff, f"committed-form residue at {bad[0]}:"))
             return ("fail",
-                    tuple(diagnostics) + _witness_terms(
-                        first_diff, f"residue at {bad[0]}:"),
-                    ("no single calibration factor reconciles the sides",))
+                    (f"mismatching triples: {len(bad)}/{len(labels) ** 3}",)
+                    + _witness_terms(first_diff, f"residue at {bad[0]}:"),
+                    ())
 
         notes = [f"{len(labels) ** 3} triples verified under the committed "
                  f"convention",
-                 f"nonvacuous triples: {len(nonvacuous)}"]
+                 f"nonvacuous triples: {nonvacuous}"]
         if not nonvacuous:
             notes.append("both sides vanish identically for every triple: "
                          "the cubic relation is degenerate for a "
@@ -1182,6 +1143,12 @@ def check_pq_identities(spec: AlgebraSpec) -> Tuple[CheckResult, ...]:
 # the evaluation oracle
 
 
+# how many of the d^2 level-relation pairs and d^3 cubic triples one oracle
+# run samples
+ORACLE_PAIRS = 6
+ORACLE_TRIPLES = 3
+
+
 @dataclass(frozen=True)
 class _OracleTarget:
     label: str
@@ -1201,22 +1168,8 @@ def _commutator_apply(a: Operator, b: Operator) -> VectorMap:
     def apply_comm(vec: SpinVector) -> SpinVector:
         left = apply_operator(a, apply_operator(b, vec))
         right = apply_operator(b, apply_operator(a, vec))
-        return vector_sub(a.space.sites, left, right)
+        return vector_add(left, right, Fraction(-1))
     return apply_comm
-
-
-def _vector_add(npos: int, acc: SpinVector, extra: SpinVector,
-                scale: Optional[Fraction] = None) -> SpinVector:
-    out = dict(acc)
-    for ket, amp in extra.items():
-        term = amp if scale is None else amp * scale
-        prev = out.get(ket)
-        total = term if prev is None else prev + term
-        if total.is_zero:
-            out.pop(ket, None)
-        else:
-            out[ket] = total
-    return out
 
 
 def _conserved(ctx: _ModelContext, level: int, ab: Pair) -> bool:
@@ -1245,16 +1198,15 @@ def _conservation_targets(ctx: _ModelContext) -> List[_OracleTarget]:
     return out
 
 
-def _level_relation_targets(ctx: _ModelContext, rng: Random, limit: int
+def _level_relation_targets(ctx: _ModelContext, rng: Random
                             ) -> List[_OracleTarget]:
     ms = ctx.ms
     labels = basis(ms.algebra)
     grid0 = ctx.grid(0)
     grid1 = ctx.grid(1)
-    npos = ms.sites
     pairs = [(ab, cd) for ab in labels for cd in labels]
-    if len(pairs) > limit:
-        pairs = rng.sample(pairs, limit)
+    if len(pairs) > ORACLE_PAIRS:
+        pairs = rng.sample(pairs, ORACLE_PAIRS)
     out: List[_OracleTarget] = []
     for ab, cd in pairs:
         row = structure_row(ms.algebra, ab, cd)
@@ -1264,15 +1216,14 @@ def _level_relation_targets(ctx: _ModelContext, rng: Random, limit: int
         def defect(vec: SpinVector, comm=comm, row=row) -> SpinVector:
             acc = comm(vec)
             for ef, c in row.items():
-                acc = _vector_add(npos, acc,
-                                  apply_operator(grid1[ef], vec), -c)
+                acc = vector_add(acc, apply_operator(grid1[ef], vec), -c)
             return acc
 
         out.append(_OracleTarget(f"level relation {ab} x {cd}", defect, zero))
     return out
 
 
-def _serre_targets(ctx: _ModelContext, rng: Random, limit: int
+def _serre_targets(ctx: _ModelContext, rng: Random
                    ) -> List[_OracleTarget]:
     """Cubic relations at sampled triples.
 
@@ -1281,13 +1232,12 @@ def _serre_targets(ctx: _ModelContext, rng: Random, limit: int
     """
     ms = ctx.ms
     spec = ms.algebra
-    npos = ms.sites
     grid0 = ctx.grid(0)
     grid1 = ctx.grid(1)
     scale = ctx.serre_scale()
     triples = list(_cyclic_triples(basis(spec)))
-    if len(triples) > limit:
-        triples = rng.sample(triples, limit)
+    if len(triples) > ORACLE_TRIPLES:
+        triples = rng.sample(triples, ORACLE_TRIPLES)
     out: List[_OracleTarget] = []
     for ab, cd, ef in triples:
         weights = _serre_weight(spec, ab, cd, ef)
@@ -1300,15 +1250,15 @@ def _serre_targets(ctx: _ModelContext, rng: Random, limit: int
                 inner = _commutator_apply(grid0[y], grid1[z])
                 outer_left = apply_operator(grid1[x], inner(vec))
                 outer_right = inner(apply_operator(grid1[x], vec))
-                acc = _vector_add(npos, acc, outer_left)
-                acc = _vector_add(npos, acc, outer_right, Fraction(-1))
+                acc = vector_add(acc, outer_left)
+                acc = vector_add(acc, outer_right, Fraction(-1))
             for (p1, p2, p3), c in weights.items():
                 for perm in permutations((p1, p2, p3)):
                     chain = _apply_chain([grid0[perm[0]], grid0[perm[1]],
                                           grid0[perm[2]]])
                     for ket, amp in chain(vec).items():
-                        acc = _vector_add(npos, acc, {ket: amp * scale},
-                                          -c * Fraction(1, 24))
+                        acc = vector_add(acc, {ket: amp * scale},
+                                         -c * Fraction(1, 24))
             return acc
 
         out.append(_OracleTarget(f"cubic relation {ab}, {cd}, {ef}",
@@ -1327,26 +1277,26 @@ def _spin_targets(spec: AlgebraSpec) -> List[_OracleTarget]:
              for a in range(1, n + 1) for b in range(1, n + 1)}
 
     def square_defect(vec: SpinVector) -> SpinVector:
-        return vector_sub(2, apply_operator(perm, apply_operator(perm, vec)),
-                          vec)
+        return vector_add(apply_operator(perm, apply_operator(perm, vec)),
+                          vec, Fraction(-1))
 
     def twist_square_defect(vec: SpinVector) -> SpinVector:
         qv = apply_operator(twist, vec)
-        return _vector_add(2, apply_operator(twist, qv), qv, Fraction(-n))
+        return vector_add(apply_operator(twist, qv), qv, Fraction(-n))
 
     def product_defect(vec: SpinVector) -> SpinVector:
         qv = apply_operator(twist, vec)
-        return _vector_add(2, apply_operator(perm, qv), qv,
-                           Fraction(-spec.theta0))
+        return vector_add(apply_operator(perm, qv), qv,
+                          Fraction(-spec.theta0))
 
     def difference_defect(vec: SpinVector) -> SpinVector:
-        acc = vector_sub(2, apply_operator(perm, vec),
-                         apply_operator(twist, vec))
+        acc = vector_add(apply_operator(perm, vec),
+                         apply_operator(twist, vec), Fraction(-1))
         for a in range(1, n + 1):
             for b in range(1, n + 1):
                 part = apply_operator(gens1[(a, b)],
                                       apply_operator(gens2[(b, a)], vec))
-                acc = _vector_add(2, acc, part, Fraction(-1, 2))
+                acc = vector_add(acc, part, Fraction(-1, 2))
         return acc
 
     def exchange_swap_defect(vec: SpinVector) -> SpinVector:
@@ -1354,7 +1304,7 @@ def _spin_targets(spec: AlgebraSpec) -> List[_OracleTarget]:
         for ab, gen in gens1.items():
             left = apply_operator(perm, apply_operator(gen, vec))
             right = apply_operator(gens2[ab], apply_operator(perm, vec))
-            acc = _vector_add(2, acc, vector_sub(2, left, right))
+            acc = vector_add(acc, vector_add(left, right, Fraction(-1)))
         return acc
 
     def twist_swap_defect(vec: SpinVector) -> SpinVector:
@@ -1362,7 +1312,7 @@ def _spin_targets(spec: AlgebraSpec) -> List[_OracleTarget]:
         for ab, gen in gens1.items():
             left = apply_operator(twist, apply_operator(gen, vec))
             right = apply_operator(twist, apply_operator(gens2[ab], vec))
-            acc = _vector_add(2, acc, _vector_add(2, left, right))
+            acc = vector_add(acc, vector_add(left, right))
         return acc
 
     return [
@@ -1411,8 +1361,6 @@ def _random_point(rng: Random, ms: ModelSpec) -> List[Fraction]:
 
 
 def oracle_crosscheck(ms: ModelSpec, trials: int = 20, seed: int = 1,
-                      include_spin: bool = True, pair_limit: int = 6,
-                      triple_limit: int = 3,
                       context: Optional[_ModelContext] = None) -> CheckResult:
     """Replay symbolically proven identities through independent evaluation.
 
@@ -1436,11 +1384,10 @@ def oracle_crosscheck(ms: ModelSpec, trials: int = 20, seed: int = 1,
         space = ms.space
         families: List[Tuple[str, List[_OracleTarget]]] = [
             ("conservation", _conservation_targets(ctx)),
-            ("level-relations", _level_relation_targets(ctx, rng, pair_limit)),
-            ("cubic-relations", _serre_targets(ctx, rng, triple_limit)),
+            ("level-relations", _level_relation_targets(ctx, rng)),
+            ("cubic-relations", _serre_targets(ctx, rng)),
+            ("spin-identities", _spin_targets(ms.algebra)),
         ]
-        if include_spin:
-            families.append(("spin-identities", _spin_targets(ms.algebra)))
         spin_space = OpSpace(ms.algebra.N, 2)
         spin_ms = replace(ms, sites=2) if ms.sites != 2 else ms
 
@@ -1520,7 +1467,7 @@ def run_model_suite(ms: ModelSpec, checks: Optional[Sequence[str]] = None,
         if ms.kind == "calogero":
             results.append(check_serre_halfloop(ms, ctx))
         else:
-            results.append(check_serre_yangian(ms, context=ctx))
+            results.append(check_serre_yangian(ms, ctx))
     if "solve-lambda" in selected:
         results.append(check_lambda_solver(ms, ctx))
     if "oracle" in selected:

@@ -29,18 +29,6 @@ class TermBudgetError(EngineError):
     """A computation exceeded the configured term-count ceiling."""
 
 
-class ConventionMismatchError(EngineError):
-    """A Serre right-hand side validates only under a non-default convention.
-
-    Carries the calibration diagnostics (which multiplier, if any, makes the
-    two sides agree) so the discrepancy is localized instead of papered over.
-    """
-
-    def __init__(self, message: str, diagnostics=()):
-        super().__init__(message)
-        self.diagnostics = tuple(diagnostics)
-
-
 class OracleDisagreementError(EngineError):
     """A symbolically proven identity failed a numeric oracle trial.
 

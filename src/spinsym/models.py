@@ -179,10 +179,16 @@ def _require_label(spec: AlgebraSpec, ab: Pair) -> None:
         raise ValueError(f"label {ab} not in the admissible set")
 
 
-def _global_rotation(spec: AlgebraSpec, sites: int, a: int, b: int) -> Operator:
+def _rotation_moment(spec: AlgebraSpec, sites: int, a: int, b: int,
+                     power: int = 0) -> Operator:
+    """Weighted rotation sum_j F_j^{ab} x_j^power; power 0 is level 0."""
     space = OpSpace(spec.N, sites)
-    return operator_sum(space, (generator_op(spec, space, j, a, b)
-                                for j in range(1, sites + 1)))
+    parts = []
+    for j in range(1, sites + 1):
+        gen = generator_op(spec, space, j, a, b)
+        parts.append(gen * Operator.position_op(space, j, power) if power
+                     else gen)
+    return operator_sum(space, parts)
 
 
 def _rational_level1(spec: AlgebraSpec, sites: int, a: int, b: int) -> Operator:
@@ -258,35 +264,18 @@ def _euler_level1(spec: AlgebraSpec, sites: int, a: int, b: int) -> Operator:
     return operator_sum(space, parts)
 
 
-def _moment_symbolic(spec: AlgebraSpec, sites: int, n: int, a: int, b: int) -> Operator:
-    space = OpSpace(spec.N, sites)
-    parts = []
-    for j in range(1, sites + 1):
-        gen = generator_op(spec, space, j, a, b)
-        parts.append(gen if n == 0 else gen * Operator.position_op(space, j, n))
-    return operator_sum(space, parts)
-
-
 def _confined_level1(spec: AlgebraSpec, sites: int, a: int, b: int) -> Operator:
     space = OpSpace(spec.N, sites)
     om = RationalFunction.trap(space.sites)
     return _rational_level2(spec, sites, a, b) \
-        - _moment_symbolic(spec, sites, 2, a, b).scaled(om * om)
-
-
-def moment_generator(ms: ModelSpec, n: int, ab: Pair) -> Operator:
-    """Weighted rotation sum_j F_j^{ab} x_j^n."""
-    _require_label(ms.algebra, ab)
-    if n < 0:
-        raise ValueError("moment order must be nonnegative")
-    return bind(_moment_symbolic(ms.algebra, ms.sites, n, *ab), ms)
+        - _rotation_moment(spec, sites, a, b, 2).scaled(om * om)
 
 
 # each family's tower: its level-0 and level-1 builders, lam and om symbolic
 _TOWERS = {
-    "calogero": (_global_rotation, _rational_level1),
-    "sutherland": (_global_rotation, _euler_level1),
-    "confined": (_global_rotation, _confined_level1),
+    "calogero": (_rotation_moment, _rational_level1),
+    "sutherland": (_rotation_moment, _euler_level1),
+    "confined": (_rotation_moment, _confined_level1),
 }
 
 

@@ -494,15 +494,18 @@ def apply_operator(op: Operator, vec: SpinVector) -> SpinVector:
     return out
 
 
-def vector_sub(npos: int, a: SpinVector, b: SpinVector) -> SpinVector:
+def vector_add(a: SpinVector, b: SpinVector,
+               scale: Optional[Fraction] = None) -> SpinVector:
+    """``a + scale * b`` (``a + b`` without a scale), dropping zero amplitudes."""
     out: SpinVector = dict(a)
     for basis, amp in b.items():
+        term = amp if scale is None else amp * scale
         prev = out.get(basis)
-        s = -amp if prev is None else prev - amp
-        if s.is_zero:
+        total = term if prev is None else prev + term
+        if total.is_zero:
             out.pop(basis, None)
         else:
-            out[basis] = s
+            out[basis] = total
     return out
 
 

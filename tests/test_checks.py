@@ -14,7 +14,6 @@ from spinsym.checks import (CheckReport, CheckResult, LIE_SUITE_SPECS,
                             check_serre_halfloop, check_serre_yangian,
                             oracle_crosscheck, run_lie_suite, run_model_suite,
                             solve_lambda)
-from spinsym.errors import ConventionMismatchError
 from spinsym.exact import RationalFunction
 from spinsym.lie import AlgebraSpec, basis, structure_row
 from spinsym.models import ModelSpec, generator_grid
@@ -76,11 +75,6 @@ class TestResultPlumbing:
         assert text.endswith("summary: 1 pass, 0 fail, 0 skipped, "
                              "0 error (ok)")
 
-    def test_merged(self):
-        rep = CheckReport.build([make("a")]).merged(
-            CheckReport.build([make("b")]))
-        assert [r.name for r in rep.results] == ["a", "b"]
-
     def test_oracle_alarm_flag(self):
         quiet = CheckReport.build([make()])
         assert not quiet.oracle_alarm
@@ -88,15 +82,6 @@ class TestResultPlumbing:
             status="fail", witness=("w",),
             notes=("ORACLE DISAGREEMENT: engine bug",))])
         assert loud.oracle_alarm
-
-    def test_convention_mismatch_maps_to_fail(self):
-        def body():
-            raise ConventionMismatchError("needs multiplier 4",
-                                          diagnostics=("triple (1,1)",))
-        r = checks._run("demo", (), body)
-        assert r.status == "fail"
-        assert r.witness == ("triple (1,1)",)
-        assert "multiplier 4" in r.notes[0]
 
 
 class TestLieSuite:
@@ -171,6 +156,7 @@ class TestSerre:
         detuned = check_serre_yangian(detuned_ms)
         assert detuned.status == "fail"
         assert detuned.witness[0] == "mismatching triples: 660/1000"
+        assert detuned.notes == ()
         grid0 = generator_grid(detuned_ms, 0)
         grid1 = generator_grid(detuned_ms, 1)
         sym = checks._triple_symmetrizer(detuned_ms.space, grid0)
@@ -193,6 +179,21 @@ class TestSerre:
                                                   lam="star"))
         assert halfloop.status == "pass"
         assert "triples with nonzero cyclic pieces: 18" in halfloop.notes
+
+    def test_zero_trap_rebuild_mismatch_fails(self, monkeypatch):
+        # plant a wrong zero-trap rebuild: the variant binds trap 1, not 0
+        variant = checks._ModelContext.variant
+
+        def wrong_trap(ctx, **changes):
+            if changes == {"omega": F(0)}:
+                changes = {"omega": F(1)}
+            return variant(ctx, **changes)
+
+        monkeypatch.setattr(checks._ModelContext, "variant", wrong_trap)
+        r = check_serre_yangian(ModelSpec(SP2, 2, "confined", lam="star"))
+        assert r.status == "fail"
+        assert len(r.witness) == 1
+        assert r.witness[0].startswith("zero-trap reduction mismatch at ")
 
     def test_cyclic_piece_holds_without_covariance(self, monkeypatch):
         # a level-1 grid shifted by squares of level-0 generators is no

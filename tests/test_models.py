@@ -6,13 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+import spinsym.models as models
 from spinsym.errors import DegenerateCouplingError
 from spinsym.exact import RationalFunction
 from spinsym.lie import AlgebraSpec, basis, generator_op
 from spinsym.models import (MODEL_KINDS, ModelSpec, coupling_weight,
-                            generator_grid, hamiltonian, moment_generator,
-                            star_coupling, symmetrized_triple,
-                            symmetry_generator)
+                            generator_grid, hamiltonian, star_coupling,
+                            symmetrized_triple, symmetry_generator)
 from spinsym.operators import Operator, OpSpace, commutator, operator_sum
 
 F = Fraction
@@ -127,18 +127,13 @@ class TestGenerators:
         assert set(grid) == set(basis(SP2))
         assert grid[(1, 2)] == symmetry_generator(ms, 1, (1, 2))
 
-    def test_moment_zero_is_level_zero(self):
-        ms = ModelSpec(SP2, 2, "confined", lam="star")
-        for ab in basis(SP2):
-            assert moment_generator(ms, 0, ab) == symmetry_generator(ms, 0, ab)
-
     def test_moment_two_frozen(self):
-        ms = ModelSpec(SP2, 2, "confined", lam="star")
-        space = ms.space
+        # the trap term of the confined level 1 is this moment times om^2
+        space = OpSpace(SP2.N, 2)
         expected = operator_sum(space, [
             generator_op(SP2, space, j, 1, 2) * Operator.position_op(space, j, 2)
             for j in (1, 2)])
-        assert moment_generator(ms, 2, (1, 2)) == expected
+        assert models._rotation_moment(SP2, 2, 1, 2, power=2) == expected
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_builders_keep_nothing(self, kind):

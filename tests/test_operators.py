@@ -10,7 +10,7 @@ from spinsym.errors import ShapeMismatchError, TermBudgetError
 from spinsym.exact import RationalFunction
 from spinsym.operators import (Operator, OpSpace, apply_operator, commutator,
                                evaluate_vector, get_term_ceiling, operator_sum,
-                               set_term_ceiling, vector_sub, word_apply)
+                               set_term_ceiling, vector_add, word_apply)
 
 F = Fraction
 SP = OpSpace(spin_dim=2, sites=2)
@@ -129,8 +129,9 @@ class TestVectorRoute:
         one = RationalFunction.const(2, 1)
         a = {(1, 2): one, (2, 1): one}
         b = {(2, 1): one}
-        diff = vector_sub(2, a, b)
+        diff = vector_add(a, b, F(-1))
         assert diff == {(1, 2): one}
+        assert vector_add(diff, b) == a
         point = (F(3), F(5), F(0), F(0))
         assert evaluate_vector(diff, point) == {(1, 2): F(1)}
 
