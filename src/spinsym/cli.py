@@ -12,44 +12,24 @@ or errored, 2 invalid configuration.
 
 import argparse
 import json
-import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .checks import (MODEL_CHECK_NAMES, CheckReport, run_lambda_solver,
                      run_lie_suite, run_model_suite)
+from .errors import DegenerateCouplingError
 from .lie import AlgebraSpec, basis, metric, structure_row
 from .models import MODEL_KINDS, ModelSpec
-from .operators import get_term_ceiling, set_term_ceiling
+from .operators import DEFAULT_TERM_CEILING, term_ceiling
 from .version import __version__
-
-CEILING_ENV = "SPINSYM_TERM_CEILING"
 
 Coupling = Union[str, Fraction]
 
 
 class ConfigError(Exception):
     """Rejected run configuration; maps to exit code 2."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Normalized command-line request."""
-
-    subcommand: str
-    N: int
-    theta0: int
-    L: int = 0
-    model: str = ""
-    lam: Coupling = "star"
-    omega: Coupling = "symbolic"
-    checks: Optional[Tuple[str, ...]] = None
-    format: str = "text"
-    seed: int = 1
-    term_ceiling: Optional[int] = None
 
 
 def _parse_theta0(text: str) -> int:
@@ -86,7 +66,19 @@ def _parse_checks(text: str) -> Tuple[str, ...]:
     names = tuple(part.strip() for part in text.split(",") if part.strip())
     if not names:
         raise argparse.ArgumentTypeError("empty check list")
+    unknown = [c for c in names if c not in MODEL_CHECK_NAMES]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown checks {unknown}; "
+            f"available: {', '.join(MODEL_CHECK_NAMES)}")
     return names
+
+
+def _parse_positive(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,9 +98,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_output(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--term-ceiling", type=int, default=None,
+        p.add_argument("--term-ceiling", type=_parse_positive,
+                       default=DEFAULT_TERM_CEILING, metavar="TERMS",
                        help="abort any operator that grows past this many "
-                            f"terms (default: ${CEILING_ENV} or built-in)")
+                            f"terms (default {DEFAULT_TERM_CEILING})")
 
     def add_model(p: argparse.ArgumentParser) -> None:
         p.add_argument("--model", choices=MODEL_KINDS, required=True)
@@ -124,6 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "weight for one algebra")
     add_algebra(lie)
     add_output(lie)
+    lie.set_defaults(command=_cmd_lie)
 
     model = sub.add_parser("model", help="run the model check suite")
     add_algebra(model)
@@ -139,6 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     model.add_argument("--seed", type=int, default=1,
                        help="seed for the evaluation oracle (default 1)")
     add_output(model)
+    model.set_defaults(command=_cmd_model)
 
     solve = sub.add_parser(
         "solve-lambda", help="solve for couplings that conserve the "
@@ -146,96 +141,57 @@ def build_parser() -> argparse.ArgumentParser:
     add_algebra(solve)
     add_model(solve)
     add_output(solve)
+    solve.set_defaults(command=_cmd_solve, lam="symbolic")
 
     dump = sub.add_parser(
         "dump-tables", help="emit structure constants and metric as a "
                             "deterministic table")
     add_algebra(dump)
     add_output(dump)
+    dump.set_defaults(command=_cmd_dump)
     return parser
 
 
-def _int_env(name: str) -> Optional[int]:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return None
+def _algebra(ns: argparse.Namespace) -> AlgebraSpec:
     try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"environment variable {name} must be an "
-                          f"integer, got {raw!r}")
-
-
-def build_config(ns: argparse.Namespace) -> RunConfig:
-    ceiling = ns.term_ceiling
-    if ceiling is None:
-        ceiling = _int_env(CEILING_ENV)
-    if ceiling is not None and ceiling < 1:
-        raise ConfigError("term ceiling must be positive")
-    lam: Coupling = getattr(ns, "lam", "star")
-    if ns.subcommand == "solve-lambda":
-        lam = "symbolic"
-    checks = getattr(ns, "checks", None)
-    if checks:
-        unknown = [c for c in checks if c not in MODEL_CHECK_NAMES]
-        if unknown:
-            raise ConfigError(
-                f"unknown checks {unknown}; "
-                f"available: {', '.join(MODEL_CHECK_NAMES)}")
-    config = RunConfig(
-        subcommand=ns.subcommand,
-        N=ns.N,
-        theta0=ns.theta0,
-        L=getattr(ns, "L", 0),
-        model=getattr(ns, "model", ""),
-        lam=lam,
-        omega=getattr(ns, "omega", "symbolic"),
-        checks=checks,
-        format=ns.format,
-        seed=getattr(ns, "seed", 1),
-        term_ceiling=ceiling,
-    )
-    _validate(config)
-    return config
-
-
-def _validate(config: RunConfig) -> None:
-    try:
-        spec = AlgebraSpec(config.N, config.theta0)
+        return AlgebraSpec(ns.N, ns.theta0)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    if config.lam == "star" and config.N == 4 * config.theta0:
+
+
+def _model_spec(ns: argparse.Namespace) -> ModelSpec:
+    spec = _algebra(ns)
+    try:
+        return ModelSpec(spec, sites=ns.L, kind=ns.model, lam=ns.lam,
+                         omega=ns.omega)
+    except DegenerateCouplingError:
         raise ConfigError(
             f"the critical coupling 2/(N - 4*theta0) is undefined for "
             f"{spec.describe()}: N = 4*theta0 makes it divide by zero and "
             f"the algebra non-simple; pass an explicit --lambda or "
             f"--lambda symbolic instead")
-    if config.subcommand in ("model", "solve-lambda") and config.L < 1:
-        raise ConfigError("L must be at least 1")
-
-
-def _algebra(config: RunConfig) -> AlgebraSpec:
-    return AlgebraSpec(config.N, config.theta0)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
 
 
 def _coupling_label(value: Coupling) -> str:
     return value if isinstance(value, str) else str(value)
 
 
-def _spec_info(config: RunConfig) -> Dict[str, object]:
+def _spec_info(ns: argparse.Namespace) -> Dict[str, object]:
     info: Dict[str, object] = {
-        "subcommand": config.subcommand,
-        "algebra": _algebra(config).describe(),
-        "N": config.N,
-        "theta0": config.theta0,
+        "subcommand": ns.subcommand,
+        "algebra": _algebra(ns).describe(),
+        "N": ns.N,
+        "theta0": ns.theta0,
     }
-    if config.subcommand in ("model", "solve-lambda"):
-        info["L"] = config.L
-        info["model"] = config.model
-        info["lambda"] = _coupling_label(config.lam)
-        info["omega"] = _coupling_label(config.omega)
-    if config.subcommand == "model":
-        info["seed"] = config.seed
+    if ns.subcommand in ("model", "solve-lambda"):
+        info["L"] = ns.L
+        info["model"] = ns.model
+        info["lambda"] = _coupling_label(ns.lam)
+        info["omega"] = _coupling_label(ns.omega)
+    if ns.subcommand == "model":
+        info["seed"] = ns.seed
     return info
 
 
@@ -251,10 +207,10 @@ _ORACLE_BANNER = "\n".join([
 ])
 
 
-def _emit(report: CheckReport, config: RunConfig,
+def _emit(report: CheckReport, ns: argparse.Namespace,
           extra: Optional[Dict[str, object]] = None) -> int:
-    if config.format == "json":
-        payload = report.to_payload(_spec_info(config))
+    if ns.format == "json":
+        payload = report.to_payload(_spec_info(ns))
         if extra:
             tail = payload.pop("engine_version")
             payload.update(extra)
@@ -270,29 +226,24 @@ def _emit(report: CheckReport, config: RunConfig,
     return 0 if report.ok else 1
 
 
-def _cmd_lie(config: RunConfig) -> int:
-    report = run_lie_suite(_algebra(config))
-    return _emit(report, config)
+def _cmd_lie(ns: argparse.Namespace) -> int:
+    report = run_lie_suite(_algebra(ns))
+    return _emit(report, ns)
 
 
-def _model_spec(config: RunConfig) -> ModelSpec:
-    return ModelSpec(_algebra(config), sites=config.L, kind=config.model,
-                     lam=config.lam, omega=config.omega)
+def _cmd_model(ns: argparse.Namespace) -> int:
+    ms = _model_spec(ns)
+    report = run_model_suite(ms, checks=ns.checks, seed=ns.seed)
+    return _emit(report, ns)
 
 
-def _cmd_model(config: RunConfig) -> int:
-    ms = _model_spec(config)
-    report = run_model_suite(ms, checks=config.checks, seed=config.seed)
-    return _emit(report, config)
-
-
-def _cmd_solve(config: RunConfig) -> int:
-    result, roots = run_lambda_solver(_model_spec(config))
+def _cmd_solve(ns: argparse.Namespace) -> int:
+    result, roots = run_lambda_solver(_model_spec(ns))
     report = CheckReport.build([result])
     if roots is None:
         # the check reports why it stopped; there are no roots to list
-        return _emit(report, config)
-    return _emit(report, config,
+        return _emit(report, ns)
+    return _emit(report, ns,
                  extra={"lambda_roots": [str(r) for r in sorted(roots)]})
 
 
@@ -335,9 +286,9 @@ def _dump_payload(spec: AlgebraSpec) -> Dict[str, object]:
     }
 
 
-def _cmd_dump(config: RunConfig) -> int:
-    payload = _dump_payload(_algebra(config))
-    if config.format == "json":
+def _cmd_dump(ns: argparse.Namespace) -> int:
+    payload = _dump_payload(_algebra(ns))
+    if ns.format == "json":
         print(json.dumps(payload, indent=2))
     else:
         print(f"algebra: {payload['spec']['algebra']}")
@@ -352,33 +303,19 @@ def _cmd_dump(config: RunConfig) -> int:
     return 0
 
 
-_DISPATCH = {
-    "lie": _cmd_lie,
-    "model": _cmd_model,
-    "solve-lambda": _cmd_solve,
-    "dump-tables": _cmd_dump,
-}
-
-
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse already reported the problem on stderr
         code = exc.code
         return code if isinstance(code, int) else 2
-    previous_ceiling = get_term_ceiling()
     try:
-        config = build_config(ns)
-        if config.term_ceiling is not None:
-            set_term_ceiling(config.term_ceiling)
-        return _DISPATCH[config.subcommand](config)
+        with term_ceiling(ns.term_ceiling):
+            return ns.command(ns)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        set_term_ceiling(previous_ceiling)
 
 
 def console_main() -> None:

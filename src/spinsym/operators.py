@@ -29,12 +29,15 @@ order their terms were accumulated in.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _iproduct
 from math import comb
 from operator import add as _tadd
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from .errors import ShapeMismatchError, TermBudgetError
 from .exact import RationalFunction, lam_slot, om_slot, rf_sum
@@ -44,27 +47,33 @@ SpinAtom = Tuple[int, int, int]
 SpinWord = Tuple[SpinAtom, ...]
 TermKey = Tuple[Deriv, SpinWord]
 
-_DEFAULT_TERM_CEILING = 500_000
-_term_ceiling = _DEFAULT_TERM_CEILING
+DEFAULT_TERM_CEILING = 500_000
+_term_ceiling: ContextVar[int] = ContextVar("term_ceiling",
+                                           default=DEFAULT_TERM_CEILING)
 
 
-def set_term_ceiling(limit: int) -> None:
-    """Cap the number of normal-form terms any single result may hold."""
-    global _term_ceiling
+@contextmanager
+def term_ceiling(limit: int) -> Iterator[None]:
+    """Cap the number of normal-form terms any single result may hold.
+
+    The cap holds in the current context until the block exits, however it
+    exits; then the enclosing cap (by default DEFAULT_TERM_CEILING) returns.
+    """
     if limit < 1:
         raise ValueError("term ceiling must be positive")
-    _term_ceiling = limit
-
-
-def get_term_ceiling() -> int:
-    return _term_ceiling
+    token = _term_ceiling.set(limit)
+    try:
+        yield
+    finally:
+        _term_ceiling.reset(token)
 
 
 def _budget_check(count: int) -> None:
-    if count > _term_ceiling:
+    limit = _term_ceiling.get()
+    if count > limit:
         raise TermBudgetError(
-            f"operator exceeded the term ceiling ({count} > {_term_ceiling}); "
-            "raise it via set_term_ceiling or the --term-ceiling flag")
+            f"operator exceeded the term ceiling ({count} > {limit}); "
+            "raise it via term_ceiling or the --term-ceiling flag")
 
 
 @dataclass(frozen=True)
@@ -154,42 +163,29 @@ class Operator:
 
     __slots__ = ("space", "terms", "__weakref__")
 
-    def __init__(self, space: OpSpace, terms: Mapping[TermKey, RationalFunction],
-                 *, _trusted: bool = False):
-        if _trusted:
-            self.space = space
-            self.terms = dict(terms) if not isinstance(terms, dict) else terms
-            return
-        clean: Dict[TermKey, RationalFunction] = {}
-        for (deriv, raw), coeff in terms.items():
-            if coeff.is_zero:
-                continue
-            if coeff.npos != space.sites:
-                raise ShapeMismatchError("coefficient over a different site count")
-            for sign, word in reduce_word(space.spin_dim, raw):
-                key = (deriv, word)
-                part = coeff if sign > 0 else -coeff
-                prev = clean.get(key)
-                clean[key] = part if prev is None else prev + part
+    def __init__(self, space: OpSpace, terms: Dict[TermKey, RationalFunction]):
+        """Wrap terms that are already in normal form: reduced spin words,
+        no zero coefficients, every coefficient over ``space.sites``
+        positions.  The dict is kept, not copied, and never mutated."""
         self.space = space
-        self.terms = {k: v for k, v in clean.items() if not v.is_zero}
+        self.terms = terms
 
     # constructors -----------------------------------------------------------
 
     @classmethod
     def zero(cls, space: OpSpace) -> "Operator":
-        return cls(space, {}, _trusted=True)
+        return cls(space, {})
 
     @classmethod
     def identity(cls, space: OpSpace) -> "Operator":
         coeff = RationalFunction.const(space.sites, 1)
-        return cls(space, {(space.zero_deriv, ()): coeff}, _trusted=True)
+        return cls(space, {(space.zero_deriv, ()): coeff})
 
     @classmethod
     def from_coefficient(cls, space: OpSpace, coeff: RationalFunction) -> "Operator":
         if coeff.is_zero:
             return cls.zero(space)
-        return cls(space, {(space.zero_deriv, ()): coeff}, _trusted=True)
+        return cls(space, {(space.zero_deriv, ()): coeff})
 
     @classmethod
     def spin_unit(cls, space: OpSpace, site: int, a: int, b: int) -> "Operator":
@@ -202,7 +198,7 @@ class Operator:
         terms: Dict[TermKey, RationalFunction] = {}
         for sign, word in reduce_word(space.spin_dim, ((site, a, b),)):
             terms[(space.zero_deriv, word)] = one if sign > 0 else -one
-        return cls(space, terms, _trusted=True)
+        return cls(space, terms)
 
     @classmethod
     def derivative_op(cls, space: OpSpace, site: int, order: int = 1) -> "Operator":
@@ -211,14 +207,14 @@ class Operator:
         deriv = tuple(order if s == site else 0
                       for s in range(1, space.sites + 1))
         coeff = RationalFunction.const(space.sites, 1)
-        return cls(space, {(deriv, ()): coeff}, _trusted=True)
+        return cls(space, {(deriv, ()): coeff})
 
     @classmethod
     def position_op(cls, space: OpSpace, site: int, power: int = 1) -> "Operator":
         if not 1 <= site <= space.sites:
             raise ValueError(f"site {site} out of range")
         coeff = RationalFunction.position(space.sites, site, power)
-        return cls(space, {(space.zero_deriv, ()): coeff}, _trusted=True)
+        return cls(space, {(space.zero_deriv, ()): coeff})
 
     # predicates --------------------------------------------------------------
 
@@ -245,8 +241,7 @@ class Operator:
     # arithmetic ---------------------------------------------------------------
 
     def __neg__(self) -> "Operator":
-        return Operator(self.space, {k: -v for k, v in self.terms.items()},
-                        _trusted=True)
+        return Operator(self.space, {k: -v for k, v in self.terms.items()})
 
     def __add__(self, other: "Operator") -> "Operator":
         self._check(other)
@@ -266,7 +261,7 @@ class Operator:
                 else:
                     out[key] = s
         _budget_check(len(out))
-        return Operator(self.space, out, _trusted=True)
+        return Operator(self.space, out)
 
     def __sub__(self, other: "Operator") -> "Operator":
         return self + (-other)
@@ -289,13 +284,11 @@ class Operator:
                 return Operator.zero(self.space)
             out = {k: v * scalar for k, v in self.terms.items()}
             return Operator(self.space,
-                            {k: v for k, v in out.items() if not v.is_zero},
-                            _trusted=True)
+                            {k: v for k, v in out.items() if not v.is_zero})
         c = Fraction(scalar)
         if not c:
             return Operator.zero(self.space)
-        return Operator(self.space, {k: v * c for k, v in self.terms.items()},
-                        _trusted=True)
+        return Operator(self.space, {k: v * c for k, v in self.terms.items()})
 
     # substitution and rendering ----------------------------------------------
 
@@ -318,7 +311,7 @@ class Operator:
             c = coeff.substitute(slots)
             if not c.is_zero:
                 out[key] = c
-        return Operator(self.space, out, _trusted=True)
+        return Operator(self.space, out)
 
     def sorted_terms(self) -> List[Tuple[TermKey, RationalFunction]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0])
@@ -432,7 +425,7 @@ def _finalize(space: OpSpace, acc: Dict[TermKey, List[RationalFunction]]) -> Ope
         if not total.is_zero:
             terms[key] = total
     _budget_check(len(terms))
-    return Operator(space, terms, _trusted=True)
+    return Operator(space, terms)
 
 
 def commutator(a: Operator, b: Operator) -> Operator:

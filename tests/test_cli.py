@@ -7,21 +7,26 @@ import pytest
 
 import spinsym.checks as checks
 from spinsym import cli
+from spinsym.errors import TermBudgetError
 from spinsym.exact import RationalFunction
-from spinsym.operators import get_term_ceiling, set_term_ceiling
+from spinsym.operators import (DEFAULT_TERM_CEILING, Operator, OpSpace,
+                               operator_sum, term_ceiling)
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.fixture(autouse=True)
-def restore_term_ceiling():
-    previous = get_term_ceiling()
-    yield
-    set_term_ceiling(previous)
-
-
 def parse(argv):
-    return cli.build_config(cli.build_parser().parse_args(argv))
+    return cli.build_parser().parse_args(argv)
+
+
+def over_three_terms():
+    """The product of test_operators' ceiling test: past a ceiling of 3."""
+    sp = OpSpace(spin_dim=2, sites=2)
+    op = operator_sum(sp, [Operator.position_op(sp, 1, p)
+                           * Operator.derivative_op(sp, 1)
+                           for p in range(1, 4)])
+    return op * (op + Operator.spin_unit(sp, 1, 1, 2)
+                 + Operator.spin_unit(sp, 2, 1, 2))
 
 
 class TestGoldenInvocations:
@@ -88,6 +93,20 @@ class TestConfigRejections:
         assert cli.run(["model", "--model", "calogero", "--N", "3",
                         "--theta0", "+1", "--L", "0"]) == 2
 
+    def test_single_site_is_config_error(self, capsys):
+        code = cli.run(["model", "--model", "calogero", "--N", "2",
+                        "--theta0", "-1", "--L", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "configuration error: at least two sites" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["0", "-5", "lots"])
+    def test_bad_term_ceiling(self, capsys, value):
+        assert cli.run(["lie", "--N", "3", "--theta0", "+1",
+                        "--term-ceiling", value]) == 2
+        assert "--term-ceiling" in capsys.readouterr().err
+
     def test_missing_subcommand(self, capsys):
         assert cli.run([]) == 2
 
@@ -107,14 +126,9 @@ class TestConfigResolution:
                         "--theta0", "+1", "--L", "3"])
         assert config.lam == "symbolic"
 
-    def test_ceiling_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(cli.CEILING_ENV, "1234")
+    def test_ceiling_default(self):
         config = parse(["lie", "--N", "3", "--theta0", "+1"])
-        assert config.term_ceiling == 1234
-
-    def test_bad_env_value(self, monkeypatch, capsys):
-        monkeypatch.setenv(cli.CEILING_ENV, "lots")
-        assert cli.run(["lie", "--N", "3", "--theta0", "+1"]) == 2
+        assert config.term_ceiling == DEFAULT_TERM_CEILING
 
 
 class TestExecution:
@@ -122,6 +136,12 @@ class TestExecution:
         assert cli.run(["lie", "--N", "2", "--theta0", "-1"]) == 0
         out = capsys.readouterr().out
         assert "coupling-weight-unity" in out
+
+    @pytest.mark.parametrize("subcommand", ["lie", "dump-tables"])
+    def test_so4_needs_no_coupling(self, capsys, subcommand):
+        # so(4) has no critical coupling, but these subcommands use none
+        assert cli.run([subcommand, "--N", "4", "--theta0", "+1"]) == 0
+        assert "so(4)" in capsys.readouterr().out
 
     def test_failing_run_exits_one(self, capsys):
         code = cli.run(["model", "--model", "calogero", "--N", "2",
@@ -165,12 +185,12 @@ class TestExecution:
         assert "ERROR" in out
 
     def test_run_restores_term_ceiling(self, capsys):
-        # checked inside the test body, before the autouse fixture resets it
-        set_term_ceiling(777)
-        assert cli.run(["model", "--model", "calogero", "--N", "2",
-                        "--theta0", "-1", "--L", "2", "--checks",
-                        "conservation", "--term-ceiling", "1000"]) == 0
-        assert get_term_ceiling() == 777
+        with term_ceiling(3):
+            assert cli.run(["model", "--model", "calogero", "--N", "2",
+                            "--theta0", "-1", "--L", "2", "--checks",
+                            "conservation", "--term-ceiling", "1000"]) == 0
+            with pytest.raises(TermBudgetError):
+                over_three_terms()
 
     def test_solver_over_ceiling_reports_without_roots(self, capsys):
         code = cli.run(["solve-lambda", "--model", "sutherland", "--N", "2",
@@ -192,7 +212,7 @@ class TestExecution:
         assert check["status"] == "error"
         assert check["notes"] == [
             "operator exceeded the term ceiling (25 > 20); raise it via "
-            "set_term_ceiling or the --term-ceiling flag"]
+            "term_ceiling or the --term-ceiling flag"]
 
     def test_oracle_banner(self, capsys, monkeypatch):
         one = RationalFunction.const(2, 1)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from spinsym.errors import ShapeMismatchError, TermBudgetError
 from spinsym.exact import RationalFunction
 from spinsym.operators import (Operator, OpSpace, apply_operator, commutator,
-                               evaluate_vector, get_term_ceiling, operator_sum,
-                               set_term_ceiling, vector_add, word_apply)
+                               evaluate_vector, operator_sum, term_ceiling,
+                               vector_add, word_apply)
 
 F = Fraction
 SP = OpSpace(spin_dim=2, sites=2)
@@ -101,15 +101,27 @@ class TestBookkeeping:
             acc = acc + p
         assert operator_sum(SP, parts) == acc
 
+    @staticmethod
+    def over_three_terms():
+        op = operator_sum(SP, [X(1, p) * D(1) for p in range(1, 4)])
+        return op * (op + E(1, 1, 2) + E(2, 1, 2))
+
     def test_term_ceiling_enforced(self):
-        previous = get_term_ceiling()
-        set_term_ceiling(3)
-        try:
+        with term_ceiling(3), pytest.raises(TermBudgetError):
+            self.over_three_terms()
+
+    def test_term_ceiling_survives_inner_error(self):
+        with term_ceiling(3):
+            with pytest.raises(KeyError), term_ceiling(1000):
+                raise KeyError("inside the inner block")
             with pytest.raises(TermBudgetError):
-                op = operator_sum(SP, [X(1, p) * D(1) for p in range(1, 4)])
-                op * (op + E(1, 1, 2) + E(2, 1, 2))
-        finally:
-            set_term_ceiling(previous)
+                self.over_three_terms()
+        assert self.over_three_terms().term_count > 3
+
+    def test_term_ceiling_must_be_positive(self):
+        with pytest.raises(ValueError):
+            with term_ceiling(0):
+                pass
 
 
 class TestVectorRoute:
