@@ -22,15 +22,15 @@ from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
 
 from .errors import (DegenerateCouplingError, OracleDisagreementError,
                      SingularMetricError, TermBudgetError)
-from .exact import RationalFunction, lam_slot, nvars
+from .exact import RationalFunction, lam_slot, om_slot
 from .lie import (AlgebraSpec, Pair, basis, conjugate_index, generator_matrix,
                   generator_op, lowered_adjoint_constants, metric,
                   raised_constants, structure_row, structure_table, theta)
 from .models import (ModelSpec, bind, coupling_weight, generator_grid,
                      hamiltonian, star_coupling, symmetrized_triple)
-from .operators import (Operator, OpSpace, SpinBasis, SpinVector,
-                        apply_operator, commutator, evaluate_vector,
-                        operator_sum, vector_add)
+from .operators import (Operator, OpSpace, SpinVector, apply_operator,
+                        commutator, evaluate_vector, operator_sum,
+                        vector_add)
 from .spin_ops import permutation_op, twist_op
 from .version import __version__
 
@@ -639,16 +639,12 @@ def check_serre_halfloop(ms: ModelSpec,
 
 def _serre_rhs_scale(ms: ModelSpec) -> RationalFunction:
     npos = ms.sites
-    lam = ms.resolved_lam()
-    scale = (RationalFunction.const(npos, lam) if lam is not None
-             else RationalFunction.coupling(npos))
-    scale = scale * scale
+    lam = RationalFunction.coupling(npos)
+    scale = lam * lam
     if ms.kind == "confined":
-        omega = ms.resolved_omega()
-        om = (RationalFunction.const(npos, omega) if omega is not None
-              else RationalFunction.trap(npos))
+        om = RationalFunction.trap(npos)
         scale = scale * om * om * 4
-    return scale
+    return scale.substitute(ms.bindings())
 
 
 def check_serre_yangian(ms: ModelSpec,
@@ -685,7 +681,7 @@ def check_serre_yangian(ms: ModelSpec,
         if reduce_zero_trap:
             zero_trap_ctx = ctx.variant(omega=Fraction(0))
 
-        zero_trap = {"om": Fraction(0)}
+        zero_trap = {om_slot(ms.sites): Fraction(0)}
         nonvacuous = 0
         bad: List[Tuple[Pair, Pair, Pair]] = []
         first_diff: Optional[Operator] = None

@@ -281,23 +281,3 @@ def raised_constants(spec: AlgebraSpec) -> Dict[Tuple[Pair, Pair, Pair], Fractio
                     out[(ij, kl, mn)] = total
     return out
 
-
-def restore_second_pair(spec: AlgebraSpec, ab: Pair) -> Dict[Tuple[Pair, Pair], Fraction]:
-    """Raise the lowered middle slot back with the metric (round-trip check)."""
-    labels = basis(spec)
-    g = metric(spec)
-    lowered = lowered_adjoint_constants(spec)[ab]
-    out: Dict[Tuple[Pair, Pair], Fraction] = {}
-    for (pq, ij), value in lowered.items():
-        p = g.index(pq)
-        for c, cd in enumerate(labels):
-            weight = g.matrix[p][c]
-            if not weight:
-                continue
-            key = (cd, ij)
-            total = out.get(key, Fraction(0)) + value * weight
-            if total:
-                out[key] = total
-            elif key in out:
-                del out[key]
-    return out

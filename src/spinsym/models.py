@@ -16,13 +16,13 @@ of a difference factor push their sign into the numerator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from typing import Dict, Tuple, Union
 
 from .errors import DegenerateCouplingError
-from .exact import RationalFunction
+from .exact import RationalFunction, lam_slot, om_slot
 from .lie import AlgebraSpec, basis, conjugate_index, generator_op, theta
 from .operators import Operator, OpSpace, operator_sum
 from .spin_ops import (pair_contraction, permutation_op, triple_contraction,
@@ -87,6 +87,18 @@ class ModelSpec:
             return None
         return self.omega
 
+    def bindings(self) -> Dict[int, Fraction]:
+        """Slot values of the explicit parameters: the coupling unless it
+        is symbolic, and the trap strength of a confined model with an
+        explicit omega.  The one place where modes become bound values."""
+        out: Dict[int, Fraction] = {}
+        lam = self.resolved_lam()
+        if lam is not None:
+            out[lam_slot(self.sites)] = lam
+        if self.kind == "confined" and self.omega != "symbolic":
+            out[om_slot(self.sites)] = self.omega
+        return out
+
     def lam_label(self) -> str:
         if self.lam == "symbolic":
             return "symbolic"
@@ -103,15 +115,7 @@ class ModelSpec:
 def bind(op: Operator, ms: ModelSpec) -> Operator:
     """Substitute the model's explicit coupling and trap strength into an
     operator built with them symbolic; symbolic modes stay symbolic."""
-    bindings: Dict[str, Fraction] = {}
-    lam = ms.resolved_lam()
-    if lam is not None:
-        bindings["lam"] = lam
-    if ms.kind == "confined":
-        om = ms.resolved_omega()
-        if om is not None:
-            bindings["om"] = om
-    return op.substitute(bindings) if bindings else op
+    return op.substitute(ms.bindings())
 
 
 def _coupling(space: OpSpace) -> RationalFunction:
@@ -122,61 +126,48 @@ def _inv_diff(space: OpSpace, j: int, k: int, power: int = 1) -> RationalFunctio
     return RationalFunction.inverse_difference(space.sites, j, k, power)
 
 
+def _kinetic(kind: str, space: OpSpace, j: int) -> Operator:
+    """The family's one-site derivative: d_j, or x_j d_j in Euler form."""
+    d = Operator.derivative_op(space, j)
+    return Operator.position_op(space, j) * d if kind == "sutherland" else d
+
+
+def _pair_weight(kind: str, space: OpSpace, j: int, k: int) -> RationalFunction:
+    """1/(x_j-x_k)^2, times x_j x_k for the trigonometric family."""
+    weight = _inv_diff(space, j, k, 2)
+    if kind == "sutherland":
+        weight = RationalFunction.position(space.sites, j) \
+            * RationalFunction.position(space.sites, k) * weight
+    return weight
+
+
 # ---------------------------------------------------------------------------
 # Hamiltonians
 
 
 def hamiltonian(ms: ModelSpec) -> Operator:
-    spec, sites, kind, space = ms.algebra, ms.sites, ms.kind, ms.space
+    """-sum_j D_j^2 + sum_{j!=k} w_jk (lam^2 - lam P_jk + lam Q_jk), plus the
+    trap om^2 sum_j x_j^2 for the confined model."""
+    spec, kind, space = ms.algebra, ms.kind, ms.space
     lam = _coupling(space)
-    lam2 = lam * lam
     parts = []
-    if kind in ("calogero", "confined"):
-        for j in range(1, sites + 1):
-            parts.append(Operator.derivative_op(space, j, 2).scaled(Fraction(-1)))
-        for j in range(1, sites + 1):
-            for k in range(1, sites + 1):
-                if j == k:
-                    continue
-                weight = _inv_diff(space, j, k, 2)
-                pair = Operator.from_coefficient(space, lam2 * weight) \
-                    - permutation_op(spec, space, j, k).scaled(lam * weight) \
-                    + twist_op(spec, space, j, k).scaled(lam * weight)
-                parts.append(pair)
-        if kind == "confined":
-            om = RationalFunction.trap(space.sites)
-            om2 = om * om
-            for j in range(1, sites + 1):
-                parts.append(Operator.position_op(space, j, 2).scaled(om2))
-    elif kind == "sutherland":
-        for j in range(1, sites + 1):
-            euler = Operator.position_op(space, j) * Operator.derivative_op(space, j)
-            parts.append((euler * euler).scaled(Fraction(-1)))
-        for j in range(1, sites + 1):
-            for k in range(1, sites + 1):
-                if j == k:
-                    continue
-                xx = RationalFunction.position(space.sites, j) \
-                    * RationalFunction.position(space.sites, k)
-                weight = xx * _inv_diff(space, j, k, 2)
-                pair = Operator.from_coefficient(space, lam2 * weight) \
-                    - permutation_op(spec, space, j, k).scaled(lam * weight) \
-                    + twist_op(spec, space, j, k).scaled(lam * weight)
-                parts.append(pair)
-    else:
-        raise ValueError(f"unknown model kind {kind!r}")
+    for j in range(1, ms.sites + 1):
+        kinetic = _kinetic(kind, space, j)
+        parts.append((kinetic * kinetic).scaled(Fraction(-1)))
+    for j, k in permutations(range(1, ms.sites + 1), 2):
+        weight = _pair_weight(kind, space, j, k)
+        parts.append(Operator.from_coefficient(space, lam * lam * weight)
+                     - permutation_op(spec, space, j, k).scaled(lam * weight)
+                     + twist_op(spec, space, j, k).scaled(lam * weight))
+    if kind == "confined":
+        om = RationalFunction.trap(space.sites)
+        for j in range(1, ms.sites + 1):
+            parts.append(Operator.position_op(space, j, 2).scaled(om * om))
     return bind(operator_sum(space, parts), ms)
 
 
 # ---------------------------------------------------------------------------
 # symmetry generators
-
-
-def _require_label(spec: AlgebraSpec, ab: Pair) -> None:
-    a, b = ab
-    abar = conjugate_index(spec, a)
-    if not (abar > b or (spec.theta0 == -1 and abar == b)):
-        raise ValueError(f"label {ab} not in the admissible set")
 
 
 def _rotation_moment(spec: AlgebraSpec, sites: int, a: int, b: int,
@@ -191,18 +182,24 @@ def _rotation_moment(spec: AlgebraSpec, sites: int, a: int, b: int,
     return operator_sum(space, parts)
 
 
-def _rational_level1(spec: AlgebraSpec, sites: int, a: int, b: int) -> Operator:
+def _level1(kind: str, spec: AlgebraSpec, sites: int, a: int, b: int) -> Operator:
+    """sum_j F_j^{ab} D_j - sum_{j!=k} v_jk (F_j F_k)^{ab}, with
+    v = lam/(x_j-x_k), times (x_j+x_k)/2 in Euler form."""
     space = OpSpace(spec.N, sites)
     lam = _coupling(space)
-    parts = [generator_op(spec, space, j, a, b) * Operator.derivative_op(space, j)
+    parts = [generator_op(spec, space, j, a, b) * _kinetic(kind, space, j)
              for j in range(1, sites + 1)]
-    for j in range(1, sites + 1):
-        for k in range(1, sites + 1):
-            if j == k:
-                continue
-            weight = lam * _inv_diff(space, j, k)
-            parts.append(pair_contraction(spec, space, j, k, a, b)
-                         .scaled(-weight))
+    for j, k in permutations(range(1, sites + 1), 2):
+        weight = lam * _inv_diff(space, j, k)
+        if kind == "sutherland":
+            # weight (x_j+x_k)/(2(x_j-x_k)); the 1/2 is forced by
+            # [H, level1] = 0 at the critical coupling, doubling it breaks
+            # conservation for every algebra tested
+            weight = weight * (RationalFunction.position(space.sites, j)
+                               + RationalFunction.position(space.sites, k)) \
+                * Fraction(1, 2)
+        parts.append(pair_contraction(spec, space, j, k, a, b)
+                     .scaled(-weight))
     return operator_sum(space, parts)
 
 
@@ -215,52 +212,23 @@ def _rational_level2(spec: AlgebraSpec, sites: int, a: int, b: int) -> Operator:
     bbar = conjugate_index(spec, b)
     parts = [generator_op(spec, space, j, a, b) * Operator.derivative_op(space, j, 2)
              for j in range(1, sites + 1)]
-    for j in range(1, sites + 1):
-        for k in range(1, sites + 1):
-            if j == k:
-                continue
-            inv1 = _inv_diff(space, j, k)
-            # (d_j + d_k): the relative sign is pinned by the bracket identity
-            # [level1, level1] = f * level2 at the critical coupling; the
-            # difference d_j - d_k leaves an f-contractible residue
-            ops = Operator.derivative_op(space, j) + Operator.derivative_op(space, k)
-            parts.append((pair_contraction(spec, space, j, k, a, b) * ops)
-                         .scaled(-(lam * inv1)))
-            inv2 = lam * _inv_diff(space, j, k, 2)
-            middle = unit_pair_contraction(spec, space, j, k, a, b) \
-                - unit_pair_contraction(spec, space, j, k, bbar, abar).scaled(sign) \
-                - generator_op(spec, space, j, a, b).scaled(lam)
-            parts.append(middle.scaled(inv2))
-    for j in range(1, sites + 1):
-        for k in range(1, sites + 1):
-            for l in range(1, sites + 1):
-                if j == k or j == l or k == l:
-                    continue
-                weight = lam2 * _inv_diff(space, j, k) * _inv_diff(space, j, l)
-                parts.append(triple_contraction(spec, space, k, j, l, a, b)
-                             .scaled(-weight))
-    return operator_sum(space, parts)
-
-
-def _euler_level1(spec: AlgebraSpec, sites: int, a: int, b: int) -> Operator:
-    space = OpSpace(spec.N, sites)
-    lam = _coupling(space)
-    parts = []
-    for j in range(1, sites + 1):
-        euler = Operator.position_op(space, j) * Operator.derivative_op(space, j)
-        parts.append(generator_op(spec, space, j, a, b) * euler)
-    for j in range(1, sites + 1):
-        for k in range(1, sites + 1):
-            if j == k:
-                continue
-            xsum = RationalFunction.position(space.sites, j) \
-                + RationalFunction.position(space.sites, k)
-            # weight (x_j+x_k)/(2(x_j-x_k)); the 1/2 is forced by
-            # [H, level1] = 0 at the critical coupling, doubling it breaks
-            # conservation for every algebra tested
-            weight = lam * xsum * _inv_diff(space, j, k) * Fraction(1, 2)
-            parts.append(pair_contraction(spec, space, j, k, a, b)
-                         .scaled(-weight))
+    for j, k in permutations(range(1, sites + 1), 2):
+        inv1 = _inv_diff(space, j, k)
+        # (d_j + d_k): the relative sign is pinned by the bracket identity
+        # [level1, level1] = f * level2 at the critical coupling; the
+        # difference d_j - d_k leaves an f-contractible residue
+        ops = Operator.derivative_op(space, j) + Operator.derivative_op(space, k)
+        parts.append((pair_contraction(spec, space, j, k, a, b) * ops)
+                     .scaled(-(lam * inv1)))
+        inv2 = lam * _inv_diff(space, j, k, 2)
+        middle = unit_pair_contraction(spec, space, j, k, a, b) \
+            - unit_pair_contraction(spec, space, j, k, bbar, abar).scaled(sign) \
+            - generator_op(spec, space, j, a, b).scaled(lam)
+        parts.append(middle.scaled(inv2))
+    for j, k, l in permutations(range(1, sites + 1), 3):
+        weight = lam2 * _inv_diff(space, j, k) * _inv_diff(space, j, l)
+        parts.append(triple_contraction(spec, space, k, j, l, a, b)
+                     .scaled(-weight))
     return operator_sum(space, parts)
 
 
@@ -271,20 +239,20 @@ def _confined_level1(spec: AlgebraSpec, sites: int, a: int, b: int) -> Operator:
         - _rotation_moment(spec, sites, a, b, 2).scaled(om * om)
 
 
-# each family's tower: its level-0 and level-1 builders, lam and om symbolic
-_TOWERS = {
-    "calogero": (_rotation_moment, _rational_level1),
-    "sutherland": (_rotation_moment, _euler_level1),
-    "confined": (_rotation_moment, _confined_level1),
-}
-
-
 def symmetry_generator(ms: ModelSpec, level: int, ab: Pair) -> Operator:
     """The model's own tower (levels 0 and 1), dispatched by kind."""
     if level not in (0, 1):
         raise ValueError("symmetry tower levels are 0 and 1")
-    _require_label(ms.algebra, ab)
-    return bind(_TOWERS[ms.kind][level](ms.algebra, ms.sites, *ab), ms)
+    if ab not in basis(ms.algebra):
+        raise ValueError(f"label {ab} not in the admissible set")
+    spec, sites = ms.algebra, ms.sites
+    if level == 0:
+        op = _rotation_moment(spec, sites, *ab)
+    elif ms.kind == "confined":
+        op = _confined_level1(spec, sites, *ab)
+    else:
+        op = _level1(ms.kind, spec, sites, *ab)
+    return bind(op, ms)
 
 
 def generator_grid(ms: ModelSpec, level: int) -> Dict[Pair, Operator]:

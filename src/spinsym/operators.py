@@ -292,23 +292,18 @@ class Operator:
 
     # substitution and rendering ----------------------------------------------
 
-    def substitute(self, bindings: Mapping[str, Fraction]) -> "Operator":
-        """Bind the scalar parameters "lam" and/or "om" to exact rationals."""
-        slots: Dict[int, Fraction] = {}
+    def substitute(self, bindings: Mapping[int, Fraction]) -> "Operator":
+        """Bind the coupling and/or trap slot to exact rationals."""
         npos = self.space.sites
-        for name, value in bindings.items():
-            if name == "lam":
-                slots[lam_slot(npos)] = Fraction(value)
-            elif name == "om":
-                slots[om_slot(npos)] = Fraction(value)
-            else:
-                raise ValueError(f"unknown parameter {name!r}; "
+        for slot in bindings:
+            if slot not in (lam_slot(npos), om_slot(npos)):
+                raise ValueError(f"slot {slot} is not a parameter slot; "
                                  "positions stay symbolic in operators")
-        if not slots:
+        if not bindings:
             return self
         out: Dict[TermKey, RationalFunction] = {}
         for key, coeff in self.terms.items():
-            c = coeff.substitute(slots)
+            c = coeff.substitute(bindings)
             if not c.is_zero:
                 out[key] = c
         return Operator(self.space, out)

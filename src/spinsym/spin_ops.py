@@ -11,9 +11,6 @@ symmetry generators.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
-
-from .exact import RationalFunction
 from .lie import AlgebraSpec, conjugate_index, generator_op, theta
 from .operators import Operator, OpSpace, operator_sum
 

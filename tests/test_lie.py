@@ -11,8 +11,8 @@ import pytest
 from spinsym.errors import DegenerateCouplingError
 from spinsym.lie import (AlgebraSpec, basis, conjugate_index,
                          generator_matrix, generator_op, lowered_adjoint_constants,
-                         metric, raised_constants, restore_second_pair,
-                         structure_row, structure_table, theta)
+                         metric, raised_constants, structure_row,
+                         structure_table, theta)
 from spinsym.operators import OpSpace, commutator, operator_sum, Operator
 
 F = Fraction
@@ -165,6 +165,25 @@ class TestMetric:
 
 class TestRaisingMaps:
     def test_round_trip(self):
+        def restore_second_pair(spec, ab):
+            """Raise the lowered middle slot back with the metric."""
+            labels = basis(spec)
+            g = metric(spec)
+            out = {}
+            for (pq, ij), value in lowered_adjoint_constants(spec)[ab].items():
+                p = g.index(pq)
+                for c, cd in enumerate(labels):
+                    weight = g.matrix[p][c]
+                    if not weight:
+                        continue
+                    key = (cd, ij)
+                    total = out.get(key, F(0)) + value * weight
+                    if total:
+                        out[key] = total
+                    elif key in out:
+                        del out[key]
+            return out
+
         for spec in (SP2, SO3, AlgebraSpec(4, 1)):
             table = structure_table(spec)
             for ab in basis(spec):

@@ -8,12 +8,13 @@ import pytest
 
 import spinsym.models as models
 from spinsym.errors import DegenerateCouplingError
-from spinsym.exact import RationalFunction
+from spinsym.exact import RationalFunction, lam_slot, om_slot
 from spinsym.lie import AlgebraSpec, basis, generator_op
 from spinsym.models import (MODEL_KINDS, ModelSpec, coupling_weight,
                             generator_grid, hamiltonian, star_coupling,
                             symmetrized_triple, symmetry_generator)
 from spinsym.operators import Operator, OpSpace, commutator, operator_sum
+from spinsym.spin_ops import permutation_op, twist_op
 
 F = Fraction
 
@@ -52,6 +53,24 @@ class TestModelSpec:
         assert ModelSpec(SP2, 2, "calogero", lam="star").resolved_lam() == F(1, 3)
         assert ModelSpec(SP2, 2, "calogero", lam=F(7)).resolved_lam() == F(7)
         assert ModelSpec(SP2, 2, "calogero", lam="symbolic").resolved_lam() is None
+
+    @pytest.mark.parametrize("kind", ["calogero", "confined"])
+    def test_coupling_bindings(self, kind):
+        def bindings(lam):
+            return ModelSpec(SP2, 2, kind, lam=lam).bindings()
+        assert bindings("star") == {lam_slot(2): F(1, 3)}
+        assert bindings(F(7)) == {lam_slot(2): F(7)}
+        assert bindings("symbolic") == {}
+
+    def test_trap_bindings(self):
+        # only the confined model has a trap slot to bind
+        assert ModelSpec(SP2, 2, "calogero", lam="symbolic",
+                         omega=F(2)).bindings() == {}
+        assert ModelSpec(SP2, 2, "confined", lam="symbolic",
+                         omega=F(2)).bindings() == {om_slot(2): F(2)}
+        assert ModelSpec(SP2, 2, "confined", lam="star",
+                         omega=F(0)).bindings() == {lam_slot(2): F(1, 3),
+                                                   om_slot(2): F(0)}
 
     def test_labels(self):
         ms = ModelSpec(SP2, 2, "confined", lam="star", omega=F(2))
@@ -112,7 +131,76 @@ class TestFreeLimits:
         assert symmetry_generator(conf, 1, (1, 2)) == expected
 
 
+def pair_sum(ms, term):
+    """sum over unordered pairs j < k of term(j, k)."""
+    return operator_sum(ms.space, [
+        term(j, k) for j in range(1, ms.sites + 1)
+        for k in range(j + 1, ms.sites + 1)])
+
+
+class TestInteraction:
+    """The builders at a nonzero (symbolic) coupling, written over unordered
+    pairs: every summand is symmetric (or odd) under j <-> k."""
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_hamiltonian(self, kind):
+        for spec in (SP2, SO3):
+            ms = ModelSpec(spec, sites=3, kind=kind, lam="symbolic")
+            space = ms.space
+            lam = RationalFunction.coupling(3)
+
+            def pair(j, k):
+                weight = RationalFunction.inverse_difference(3, j, k, 2)
+                if kind == "sutherland":
+                    weight = weight * RationalFunction.position(3, j) \
+                        * RationalFunction.position(3, k)
+                spin = Operator.from_coefficient(space, lam * lam) \
+                    - permutation_op(spec, space, j, k).scaled(lam) \
+                    + twist_op(spec, space, j, k).scaled(lam)
+                return spin.scaled(weight * 2)
+
+            assert hamiltonian(ms) == free(ms) + pair_sum(ms, pair)
+
+    @pytest.mark.parametrize("kind", ["calogero", "sutherland"])
+    def test_level1(self, kind):
+        for spec in (SP2, SO3):
+            ms = ModelSpec(spec, sites=3, kind=kind, lam="symbolic")
+            space = ms.space
+            lam = RationalFunction.coupling(3)
+            x = {j: RationalFunction.position(3, j) for j in (1, 2, 3)}
+
+            def f(j, c, d):
+                return generator_op(spec, space, j, c, d)
+
+            def kinetic(j):
+                d = Operator.derivative_op(space, j)
+                return Operator.position_op(space, j) * d \
+                    if kind == "sutherland" else d
+
+            for a, b in basis(spec):
+                def pair(j, k):
+                    # v_jk (F_j F_k)^{ab} + v_kj (F_k F_j)^{ab}, v_kj = -v_jk
+                    v = lam * RationalFunction.inverse_difference(3, j, k)
+                    if kind == "sutherland":
+                        v = v * (x[j] + x[k]) * F(1, 2)
+                    return operator_sum(space, [
+                        f(j, a, c) * f(k, c, b) - f(k, a, c) * f(j, c, b)
+                        for c in range(1, spec.N + 1)]).scaled(-v)
+
+                expected = operator_sum(space, [
+                    f(j, a, b) * kinetic(j) for j in (1, 2, 3)]) \
+                    + pair_sum(ms, pair)
+                assert symmetry_generator(ms, 1, (a, b)) == expected
+
+
 class TestGenerators:
+    def test_rejects_inadmissible_label_and_level(self):
+        ms = ModelSpec(SP2, 2, "calogero")
+        with pytest.raises(ValueError, match="not in the admissible set"):
+            symmetry_generator(ms, 1, (2, 2))
+        with pytest.raises(ValueError, match="levels are 0 and 1"):
+            symmetry_generator(ms, 2, (1, 2))
+
     def test_level0_is_generator_sum(self):
         for kind in MODEL_KINDS:
             ms = ModelSpec(SO3, 3, kind, lam="symbolic")

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinsym.errors import ShapeMismatchError, TermBudgetError
-from spinsym.exact import RationalFunction
+from spinsym.exact import RationalFunction, lam_slot, om_slot
 from spinsym.operators import (Operator, OpSpace, apply_operator, commutator,
                                evaluate_vector, operator_sum, term_ceiling,
                                vector_add, word_apply)
@@ -89,10 +89,15 @@ class TestBookkeeping:
     def test_substitute_parameters(self):
         lam = RationalFunction.coupling(2)
         op = D(1).scaled(lam)
-        assert op.substitute({"lam": F(1, 3)}) == D(1).scaled(F(1, 3))
-        assert op.substitute({"lam": F(0)}).is_zero
+        assert op.substitute({lam_slot(2): F(1, 3)}) == D(1).scaled(F(1, 3))
+        assert op.substitute({lam_slot(2): F(0)}).is_zero
+
+    @pytest.mark.parametrize("slot", [0, 1, om_slot(2) + 1])
+    def test_substitute_rejects_non_parameter_slots(self, slot):
+        # positions stay symbolic, and nothing lies past the trap slot
+        op = D(1).scaled(RationalFunction.coupling(2))
         with pytest.raises(ValueError):
-            op.substitute({"x1": F(1)})
+            op.substitute({slot: F(1)})
 
     def test_operator_sum_matches_addition(self):
         parts = [D(1), X(1) * D(2), E(1, 2, 1), -D(1)]
