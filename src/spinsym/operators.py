@@ -56,8 +56,10 @@ _term_ceiling: ContextVar[int] = ContextVar("term_ceiling",
 def term_ceiling(limit: int) -> Iterator[None]:
     """Cap the number of normal-form terms any single result may hold.
 
-    The cap holds in the current context until the block exits, however it
-    exits; then the enclosing cap (by default DEFAULT_TERM_CEILING) returns.
+    The cap also bounds the accumulator while a product or commutator is
+    being built.  The cap holds in the current context until the block
+    exits, however it exits; then the enclosing cap (by default
+    DEFAULT_TERM_CEILING) returns.
     """
     if limit < 1:
         raise ValueError("term ceiling must be positive")
@@ -270,7 +272,7 @@ class Operator:
         if isinstance(other, Operator):
             self._check(other)
             acc: Dict[TermKey, List[RationalFunction]] = {}
-            _accumulate_product(self, other, False, acc)
+            _accumulate_product(self, other, acc)
             return _finalize(self.space, acc)
         return self.scaled(other)
 
@@ -372,7 +374,20 @@ def _leibniz(alpha: Deriv, r: RationalFunction,
     return out
 
 
-def _accumulate_product(left: Operator, right: Operator, negate: bool,
+def _push(acc: Dict[TermKey, List[RationalFunction]], deriv: Deriv,
+          words: List[Tuple[int, SpinWord]], value: RationalFunction) -> None:
+    """Add ``value`` times each signed word of ``words`` at ``deriv``."""
+    minus = None
+    for sign, word in words:
+        if sign > 0:
+            acc.setdefault((deriv, word), []).append(value)
+        else:
+            if minus is None:
+                minus = -value
+            acc.setdefault((deriv, word), []).append(minus)
+
+
+def _accumulate_product(left: Operator, right: Operator,
                         acc: Dict[TermKey, List[RationalFunction]]) -> None:
     if left.is_zero or right.is_zero:
         return
@@ -398,17 +413,7 @@ def _accumulate_product(left: Operator, right: Operator, negate: bool,
                         deriv = rderiv
                     else:
                         deriv = tuple(map(_tadd, beta, rderiv))
-                    value = lcoeff * rpart
-                    if negate:
-                        value = -value
-                    minus = None
-                    for sign, word in words:
-                        if sign > 0:
-                            acc.setdefault((deriv, word), []).append(value)
-                        else:
-                            if minus is None:
-                                minus = -value
-                            acc.setdefault((deriv, word), []).append(minus)
+                    _push(acc, deriv, words, lcoeff * rpart)
         _budget_check(len(acc))
 
 
@@ -423,12 +428,53 @@ def _finalize(space: OpSpace, acc: Dict[TermKey, List[RationalFunction]]) -> Ope
     return Operator(space, terms)
 
 
+def _push_lower(acc: Dict[TermKey, List[RationalFunction]], alpha: Deriv,
+                coeff: RationalFunction, other: RationalFunction,
+                other_deriv: Deriv, words: List[Tuple[int, SpinWord]],
+                cache: Dict) -> None:
+    """Push the orders beta < alpha of ``coeff d^alpha . other d^other_deriv``.
+
+    The top order beta = alpha is always the last Leibniz entry, since
+    ``other`` is a nonzero stored coefficient.
+    """
+    expansion = _leibniz(alpha, other, cache)
+    for i in range(len(expansion) - 1):
+        beta, part = expansion[i]
+        _push(acc, tuple(map(_tadd, beta, other_deriv)), words, coeff * part)
+
+
 def commutator(a: Operator, b: Operator) -> Operator:
-    """[a, b] with a single accumulation/canonicalization pass."""
+    """[a, b] in one pass over the term pairs of a and b.
+
+    A pair (c_s d^alpha_s w_s, c_t d^alpha_t w_t) contributes the top order
+    c_s c_t d^(alpha_s+alpha_t) (w_s w_t - w_t w_s), formed only when
+    the two signed word products differ: where they are equal it cancels
+    exactly and is never built.  The lower Leibniz orders of each side,
+    where a derivative of one factor hits the other's coefficient, are
+    formed as in a product.
+    """
     a._check(b)
     acc: Dict[TermKey, List[RationalFunction]] = {}
-    _accumulate_product(a, b, False, acc)
-    _accumulate_product(b, a, True, acc)
+    zero_deriv = a.space.zero_deriv
+    ndim = a.space.spin_dim
+    # keyed by id() of coefficients of `a` and `b`, which outlive this call
+    cache: Dict = {}
+    for (tderiv, tword), tcoeff in b.terms.items():
+        # -c_t leads the lower orders of -b.a, which exist only if alpha_t > 0
+        minus_t = -tcoeff if tderiv != zero_deriv else None
+        for (sderiv, sword), scoeff in a.terms.items():
+            st = word_mul(ndim, sword, tword)
+            ts = word_mul(ndim, tword, sword)
+            if st != ts:
+                value = scoeff * tcoeff
+                deriv = tuple(map(_tadd, sderiv, tderiv))
+                _push(acc, deriv, st, value)
+                _push(acc, deriv, ts, -value)
+            if st and sderiv != zero_deriv:
+                _push_lower(acc, sderiv, scoeff, tcoeff, tderiv, st, cache)
+            if ts and minus_t is not None:
+                _push_lower(acc, tderiv, minus_t, scoeff, sderiv, ts, cache)
+        _budget_check(len(acc))
     return _finalize(a.space, acc)
 
 

@@ -65,6 +65,22 @@ class TestGoldenInvocations:
                                  "engine_version"]
         assert list(payload["checks"][0]) == ["name", "params", "status",
                                               "millis", "witness", "notes"]
+        model_keys = ["subcommand", "algebra", "N", "theta0", "L", "model",
+                      "lambda", "omega"]
+        assert list(payload["spec"]) == model_keys
+        cli.run(["model", "--model", "calogero", "--N", "2", "--theta0",
+                 "-1", "--L", "2", "--checks", "conservation", "--format",
+                 "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload["spec"]) == model_keys + ["seed"]
+        cli.run(["lie", "--N", "3", "--theta0", "+1", "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload["spec"]) == ["subcommand", "algebra", "N",
+                                         "theta0"]
+        cli.run(["dump-tables", "--N", "3", "--theta0", "+1", "--format",
+                 "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload["spec"]) == ["algebra", "N", "theta0"]
 
 
 class TestConfigRejections:
@@ -211,7 +227,7 @@ class TestExecution:
         assert check["name"] == "oracle-crosscheck"
         assert check["status"] == "error"
         assert check["notes"] == [
-            "operator exceeded the term ceiling (25 > 20); raise it via "
+            "operator exceeded the term ceiling (21 > 20); raise it via "
             "term_ceiling or the --term-ceiling flag"]
 
     def test_oracle_banner(self, capsys, monkeypatch):

@@ -14,6 +14,7 @@ from spinsym.operators import (Operator, OpSpace, apply_operator, commutator,
 
 F = Fraction
 SP = OpSpace(spin_dim=2, sites=2)
+SP3 = OpSpace(spin_dim=3, sites=2)
 
 
 def E(site, a, b, space=SP):
@@ -73,6 +74,37 @@ class TestWeylAction:
         other = OpSpace(spin_dim=2, sites=3)
         with pytest.raises(ShapeMismatchError):
             D(1) + Operator.derivative_op(other, 1)
+
+
+class TestOnePassCommutator:
+    def test_top_orders_cancel_lower_orders_survive(self):
+        # [d^2, x^2] = 4 x d + 2: the d^2 x^2 orders cancel, two lower survive
+        expected = (X(1) * D(1)).scaled(4) + Operator.identity(SP).scaled(2)
+        assert commutator(D(1, 2), X(1, 2)) == expected
+
+    def test_noncommuting_words_with_a_derivative(self):
+        # E12 d x E21 - E21 x E12 d = E11 (x d + 1) - E22 x d
+        a = E(1, 1, 2) * D(1)
+        b = E(1, 2, 1) * X(1)
+        expected = (E(1, 1, 1) - E(1, 2, 2)) * X(1) * D(1) + E(1, 1, 1)
+        assert commutator(a, b) == expected
+        assert commutator(a, b) == a * b - b * a
+
+    def test_commuting_words_form_no_products(self, monkeypatch):
+        # derivative-free operators whose words commute: every pair's whole
+        # contribution is a cancelling top order, so nothing is multiplied
+        a = X(1) * E(1, 1, 2)
+        b = X(2) * E(2, 2, 1)
+        calls = []
+        original = RationalFunction.__mul__
+
+        def counting(self, other):
+            calls.append(other)
+            return original(self, other)
+
+        monkeypatch.setattr(RationalFunction, "__mul__", counting)
+        assert commutator(a, b).is_zero
+        assert calls == []
 
 
 class TestBookkeeping:
@@ -167,6 +199,38 @@ def small_ops(draw):
         acc = acc * atoms[i]
     scale = draw(st.sampled_from([F(1), F(-1), F(1, 2), F(3)]))
     return acc.scaled(scale)
+
+
+# pool of operator pairs in one space, with same-site words that do not
+# commute, an E^{NN} atom that expands, a second derivative and spin_dim 3
+@st.composite
+def op_pairs(draw):
+    space = draw(st.sampled_from([SP, SP3]))
+    n = space.spin_dim
+    atoms = [
+        E(1, 1, 2, space), E(1, 2, 1, space), E(1, n, n, space),
+        E(2, 1, n, space), D(1, 2, space), D(2, space=space),
+        X(1, space=space), X(2, 2, space),
+        Operator.from_coefficient(
+            space, RationalFunction.inverse_difference(2, 1, 2)),
+    ]
+
+    def draw_op():
+        picks = draw(st.lists(st.sampled_from(range(len(atoms))),
+                              min_size=1, max_size=3))
+        acc = Operator.identity(space)
+        for i in picks:
+            acc = acc * atoms[i]
+        return acc.scaled(draw(st.sampled_from([F(1), F(-1), F(1, 2)])))
+
+    return draw_op(), draw_op()
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=op_pairs())
+def test_commutator_matches_product_route(pair):
+    a, b = pair
+    assert commutator(a, b) == a * b - b * a
 
 
 @settings(max_examples=40, deadline=None)
