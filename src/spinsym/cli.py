@@ -251,7 +251,8 @@ def _pair_key(ab: Tuple[int, int]) -> str:
     return f"{ab[0]},{ab[1]}"
 
 
-def _dump_payload(spec: AlgebraSpec) -> Dict[str, object]:
+def _dump_payload(ns: argparse.Namespace) -> Dict[str, object]:
+    spec = _algebra(ns)
     labels = sorted(basis(spec))
     g = metric(spec)
     constants: Dict[str, Dict[str, str]] = {}
@@ -273,11 +274,7 @@ def _dump_payload(spec: AlgebraSpec) -> Dict[str, object]:
             if raised:
                 inverse_entries[key] = str(raised)
     return {
-        "spec": {
-            "algebra": spec.describe(),
-            "N": spec.N,
-            "theta0": spec.theta0,
-        },
+        "spec": _spec_info(ns),
         "basis": [_pair_key(ab) for ab in labels],
         "structure_constants": constants,
         "metric": metric_entries,
@@ -287,7 +284,7 @@ def _dump_payload(spec: AlgebraSpec) -> Dict[str, object]:
 
 
 def _cmd_dump(ns: argparse.Namespace) -> int:
-    payload = _dump_payload(_algebra(ns))
+    payload = _dump_payload(ns)
     if ns.format == "json":
         print(json.dumps(payload, indent=2))
     else:

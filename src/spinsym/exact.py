@@ -25,7 +25,10 @@ Representation choices, shared by the whole engine:
   num / (denom * profile).  It keeps itself canonical: the gcd of the
   coefficients and `denom` is 1 (content stripped), the numerator is
   never divisible by an active difference factor, and zero is uniquely
-  (empty dict, 1, empty profile).  Equality is plain field equality.
+  (empty dict, 1, empty profile).  Equality is plain field equality,
+  and the hash is taken over the same fields.  `split()` factors a value
+  as a rational scalar times a primitive representative, which every
+  rational multiple of the value shares.
 * The packed format stays inside this module.  Other modules build
   values with the constructors, which take exponent tuples (slots 0..L-1
   for x_1..x_L, slot L for `lam`, slot L + 1 for `om`) and rationals,
@@ -404,7 +407,29 @@ class RationalFunction:
                 and self.den == other.den
                 and self.num == other.num)
 
-    __hash__ = None  # type: ignore[assignment]
+    def __hash__(self) -> int:
+        return hash((self.npos, self.denom, frozenset(self.num.items()),
+                     frozenset(self.den.items())))
+
+    def split(self) -> Tuple[Fraction, "RationalFunction"]:
+        """``(q, p)`` with ``q * p == self`` and ``p`` primitive.
+
+        ``p`` keeps the profile; its numerator has integer coefficients
+        with gcd 1, a positive coefficient at the largest packed key, and
+        denominator 1.  So ``r``, ``-r`` and every rational multiple of
+        ``r`` split to one ``p``.  Zero splits as ``(0, zero)``.
+        """
+        num = self.num
+        if not num:
+            return Fraction(0), self
+        g = gcd(*num.values())
+        if num[max(num)] < 0:
+            g = -g
+        q = Fraction(g, self.denom)
+        if g == 1 and self.denom == 1:
+            return q, self
+        return q, _make(self.npos, {k: c // g for k, c in num.items()},
+                        1, self.den)
 
     def _check(self, other: "RationalFunction") -> None:
         if self.npos != other.npos:

@@ -34,10 +34,11 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _iproduct
-from math import comb
+from math import comb, lcm
 from operator import add as _tadd
+from operator import sub as _tsub
 from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
-                    Sequence, Tuple)
+                    Sequence, Tuple, Union)
 
 from .errors import ShapeMismatchError, TermBudgetError
 from .exact import RationalFunction, lam_slot, om_slot, rf_sum
@@ -273,7 +274,7 @@ class Operator:
             self._check(other)
             acc: Dict[TermKey, List[RationalFunction]] = {}
             _accumulate_product(self, other, acc)
-            return _finalize(self.space, acc)
+            return _finalize(self.space, acc.items())
         return self.scaled(other)
 
     def __rmul__(self, other) -> "Operator":
@@ -417,10 +418,11 @@ def _accumulate_product(left: Operator, right: Operator,
         _budget_check(len(acc))
 
 
-def _finalize(space: OpSpace, acc: Dict[TermKey, List[RationalFunction]]) -> Operator:
+def _finalize(space: OpSpace,
+              sums: Iterable[Tuple[TermKey, Iterable[RationalFunction]]]) -> Operator:
     npos = space.sites
     terms: Dict[TermKey, RationalFunction] = {}
-    for key, items in acc.items():
+    for key, items in sums:
         total = rf_sum(npos, items)
         if not total.is_zero:
             terms[key] = total
@@ -428,19 +430,119 @@ def _finalize(space: OpSpace, acc: Dict[TermKey, List[RationalFunction]]) -> Ope
     return Operator(space, terms)
 
 
-def _push_lower(acc: Dict[TermKey, List[RationalFunction]], alpha: Deriv,
-                coeff: RationalFunction, other: RationalFunction,
-                other_deriv: Deriv, words: List[Tuple[int, SpinWord]],
-                cache: Dict) -> None:
-    """Push the orders beta < alpha of ``coeff d^alpha . other d^other_deriv``.
+Scalar = Union[int, Fraction]
+ClassTerm = Tuple[Scalar, int]  # q * reps[i]
+ScaledTerm = Tuple[Deriv, SpinWord, int, int]  # (deriv, word, n, i)
 
-    The top order beta = alpha is always the last Leibniz entry, since
-    ``other`` is a nonzero stored coefficient.
+
+class _CoefficientClasses:
+    """The coefficients of one commutator, each as a scalar times
+    ``reps[i]``.
+
+    ``reps`` holds one primitive representative per class of coefficients
+    equal up to a rational factor (``RationalFunction.split``), and the
+    memos hold each product of two classes and each Leibniz expansion of
+    a class once.  A table lives for one call.
     """
-    expansion = _leibniz(alpha, other, cache)
-    for i in range(len(expansion) - 1):
-        beta, part = expansion[i]
-        _push(acc, tuple(map(_tadd, beta, other_deriv)), words, coeff * part)
+
+    def __init__(self) -> None:
+        self.reps: List[RationalFunction] = []
+        self._index: Dict[RationalFunction, int] = {}
+        self._products: Dict[Tuple[int, int], ClassTerm] = {}
+        self._derivatives: Dict[Tuple[int, Deriv], Optional[ClassTerm]] = {}
+        self._lower: Dict[Tuple[Deriv, int, int],
+                          List[Tuple[Deriv, Scalar, int]]] = {}
+
+    def _intern(self, r: RationalFunction) -> Tuple[Fraction, int]:
+        q, p = r.split()
+        i = self._index.get(p)
+        if i is None:
+            i = self._index[p] = len(self.reps)
+            self.reps.append(p)
+        return q, i
+
+    def _class_term(self, r: RationalFunction) -> ClassTerm:
+        # products and derivatives of representatives, whose denominator
+        # is 1, split with integer scalars
+        q, i = self._intern(r)
+        return (q.numerator if q.denominator == 1 else q), i
+
+    def terms(self, op: Operator) -> Tuple[List[ScaledTerm], int]:
+        """The terms of ``op`` as ``(deriv, word, n, i)``, and ``m``.
+
+        Every coefficient equals ``n / m * reps[i]``, with integer ``n``
+        and one common denominator ``m``.
+        """
+        split = [(deriv, word) + self._intern(coeff)
+                 for (deriv, word), coeff in op.terms.items()]
+        m = lcm(*(q.denominator for _, _, q, _ in split))
+        return [(deriv, word, q.numerator * (m // q.denominator), i)
+                for deriv, word, q, i in split], m
+
+    def product(self, i: int, j: int) -> ClassTerm:
+        key = (i, j) if i <= j else (j, i)
+        hit = self._products.get(key)
+        if hit is None:
+            hit = self._products[key] = self._class_term(
+                self.reps[i] * self.reps[j])
+        return hit
+
+    def derivative(self, i: int, gamma: Deriv) -> Optional[ClassTerm]:
+        """d^gamma reps[i] as a class term, or None when it vanishes."""
+        if not any(gamma):
+            return 1, i
+        key = (i, gamma)
+        if key in self._derivatives:
+            return self._derivatives[key]
+        out = None
+        for j, e in enumerate(gamma, start=1):
+            if e:
+                prev = self.derivative(i, gamma[:j - 1] + (e - 1,) + gamma[j:])
+                if prev is not None:
+                    d = self.reps[prev[1]].derivative(j)
+                    if not d.is_zero:
+                        q, k = self._class_term(d)
+                        out = prev[0] * q, k
+                break
+        self._derivatives[key] = out
+        return out
+
+    def lower(self, alpha: Deriv, i: int,
+              j: int) -> List[Tuple[Deriv, Scalar, int]]:
+        """The orders beta < alpha of ``reps[i] d^alpha . reps[j]``.
+
+        Each entry ``(beta, q, k)`` stands for ``q * reps[k] d^beta``.
+        """
+        key = (alpha, i, j)
+        hit = self._lower.get(key)
+        if hit is not None:
+            return hit
+        out = []
+        for beta in _iproduct(*(range(a + 1) for a in alpha)):
+            if beta == alpha:
+                continue
+            part = self.derivative(j, tuple(map(_tsub, alpha, beta)))
+            if part is None:
+                continue
+            factor = part[0]
+            for a, b in zip(alpha, beta):
+                factor *= comb(a, b)
+            q, k = self.product(i, part[1])
+            out.append((beta, factor * q, k))
+        self._lower[key] = out
+        return out
+
+
+def _push_scalar(acc: Dict[TermKey, Dict[int, Scalar]], deriv: Deriv,
+                 words: List[Tuple[int, SpinWord]], k: int,
+                 q: Scalar) -> None:
+    """Add ``q * reps[k]`` times each signed word of ``words`` at ``deriv``."""
+    for sign, word in words:
+        row = acc.get((deriv, word))
+        if row is None:
+            acc[(deriv, word)] = {k: q if sign > 0 else -q}
+        else:
+            row[k] = row.get(k, 0) + (q if sign > 0 else -q)
 
 
 def commutator(a: Operator, b: Operator) -> Operator:
@@ -452,30 +554,65 @@ def commutator(a: Operator, b: Operator) -> Operator:
     exactly and is never built.  The lower Leibniz orders of each side,
     where a derivative of one factor hits the other's coefficient, are
     formed as in a product.
+
+    Every coefficient is carried as an integer times the representative of
+    its class (_CoefficientClasses), over one common denominator per
+    operand.  So each product of two classes, each Leibniz expansion and
+    each product of two words is formed once per call, and each term of
+    the result sums integers per class before one scaled representative
+    per class goes to rf_sum.
     """
     a._check(b)
-    acc: Dict[TermKey, List[RationalFunction]] = {}
+    classes = _CoefficientClasses()
+    left, ma = classes.terms(a)
+    right, mb = classes.terms(b)
+    by_word: Dict[SpinWord, List[Tuple[Deriv, int, int]]] = {}
+    for sderiv, sword, qs, cs in left:
+        by_word.setdefault(sword, []).append((sderiv, qs, cs))
+    # per word of b: each group of a's terms with w_s w_t and w_t w_s
+    word_pairs: Dict[SpinWord, list] = {}
+    acc: Dict[TermKey, Dict[int, Scalar]] = {}
     zero_deriv = a.space.zero_deriv
     ndim = a.space.spin_dim
-    # keyed by id() of coefficients of `a` and `b`, which outlive this call
-    cache: Dict = {}
-    for (tderiv, tword), tcoeff in b.terms.items():
-        # -c_t leads the lower orders of -b.a, which exist only if alpha_t > 0
-        minus_t = -tcoeff if tderiv != zero_deriv else None
-        for (sderiv, sword), scoeff in a.terms.items():
-            st = word_mul(ndim, sword, tword)
-            ts = word_mul(ndim, tword, sword)
-            if st != ts:
-                value = scoeff * tcoeff
-                deriv = tuple(map(_tadd, sderiv, tderiv))
-                _push(acc, deriv, st, value)
-                _push(acc, deriv, ts, -value)
-            if st and sderiv != zero_deriv:
-                _push_lower(acc, sderiv, scoeff, tcoeff, tderiv, st, cache)
-            if ts and minus_t is not None:
-                _push_lower(acc, tderiv, minus_t, scoeff, sderiv, ts, cache)
+    for tderiv, tword, qt, ct in right:
+        pairs = word_pairs.get(tword)
+        if pairs is None:
+            pairs = word_pairs[tword] = [
+                (group, word_mul(ndim, sword, tword),
+                 word_mul(ndim, tword, sword))
+                for sword, group in by_word.items()]
+        t_lower = tderiv != zero_deriv
+        for group, st, ts in pairs:
+            top = st != ts
+            if not top and not st:
+                continue
+            lower_ts = ts and t_lower
+            for sderiv, qs, cs in group:
+                lower_st = st and sderiv != zero_deriv
+                if not top and not lower_st and not lower_ts:
+                    continue
+                qst = qs * qt
+                if top:
+                    q, k = classes.product(cs, ct)
+                    q *= qst
+                    deriv = tuple(map(_tadd, sderiv, tderiv))
+                    _push_scalar(acc, deriv, st, k, q)
+                    _push_scalar(acc, deriv, ts, k, -q)
+                if lower_st:
+                    for beta, q, k in classes.lower(sderiv, cs, ct):
+                        _push_scalar(acc, tuple(map(_tadd, beta, tderiv)),
+                                     st, k, qst * q)
+                if lower_ts:
+                    for beta, q, k in classes.lower(tderiv, ct, cs):
+                        _push_scalar(acc, tuple(map(_tadd, beta, sderiv)),
+                                     ts, k, -qst * q)
         _budget_check(len(acc))
-    return _finalize(a.space, acc)
+    reps = classes.reps
+    m = ma * mb
+    return _finalize(a.space, (
+        (key, [reps[k] * (q if m == 1 else Fraction(q, m))
+               for k, q in row.items() if q])
+        for key, row in acc.items()))
 
 
 def operator_sum(space: OpSpace, items: Iterable[Operator]) -> Operator:
@@ -485,7 +622,7 @@ def operator_sum(space: OpSpace, items: Iterable[Operator]) -> Operator:
             raise ShapeMismatchError("mixed operator spaces in sum")
         for key, coeff in op.terms.items():
             acc.setdefault(key, []).append(coeff)
-    return _finalize(space, acc)
+    return _finalize(space, acc.items())
 
 
 # ---------------------------------------------------------------------------

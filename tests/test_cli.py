@@ -80,7 +80,9 @@ class TestGoldenInvocations:
         cli.run(["dump-tables", "--N", "3", "--theta0", "+1", "--format",
                  "json"])
         payload = json.loads(capsys.readouterr().out)
-        assert list(payload["spec"]) == ["algebra", "N", "theta0"]
+        assert list(payload["spec"]) == ["subcommand", "algebra", "N",
+                                         "theta0"]
+        assert payload["spec"]["subcommand"] == "dump-tables"
 
 
 class TestConfigRejections:

@@ -1,11 +1,15 @@
 """Exact rational-function layer: canonical forms, arithmetic, evaluation."""
 
+import ast
 from fractions import Fraction
+from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinsym
 from spinsym.errors import (ExponentOverflowError, PoleEvaluationError,
                             ShapeMismatchError)
 from spinsym.exact import (MAX_EXPONENT, RationalFunction, lam_slot, nvars,
@@ -145,6 +149,51 @@ class TestEvaluation:
         assert inv(2, 1, 2).derivative(2) == inv(2, 1, 2, 2)
         assert inv(2, 1, 2).derivative(1) + inv(2, 1, 2).derivative(2) \
             == RationalFunction.zero(2)
+
+
+class TestSplit:
+    # (3 x1^2 - 6 x1 x2 + 9 lam) / (4 (x1-x2)^2 (x2-x3)): content 3, an
+    # integer denominator 4 and a difference profile
+    C = RationalFunction(3, {(2, 0, 0, 0, 0): 3, (1, 1, 0, 0, 0): -6,
+                             (0, 0, 0, 1, 0): 9},
+                         {(1, 2): 2, (2, 3): 1}) * F(1, 4)
+
+    @pytest.mark.parametrize("r", [C, -C, C * F(3, 2), x(2, 1), const(2, -5),
+                                   inv(2, 2, 1, 3)])
+    def test_scalar_times_primitive_is_input(self, r):
+        q, p = r.split()
+        assert q * p == r
+        # a primitive is its own representative
+        assert p.split() == (1, p)
+
+    def test_primitive_is_normalized(self):
+        q, p = self.C.split()
+        assert q == F(3, 4)
+        assert p.den == self.C.den
+        coeffs = [c for _, c in p.terms()]
+        assert all(c.denominator == 1 for c in coeffs)
+        assert gcd(*(c.numerator for c in coeffs)) == 1
+
+    def test_rational_multiples_share_one_primitive(self):
+        q, p = self.C.split()
+        for factor in (F(-1), F(3, 2), F(-2, 7)):
+            fq, fp = (self.C * factor).split()
+            assert fp == p
+            assert hash(fp) == hash(p)
+            assert fq == factor * q
+
+    def test_equal_values_hash_equal(self):
+        # the same value built by two routes, and a dict keyed by value
+        built = (x(2, 1) - x(2, 2)) * inv(2, 1, 2, 2)
+        assert built == inv(2, 1, 2)
+        assert hash(built) == hash(inv(2, 1, 2))
+        assert {built: "one"}[inv(2, 1, 2)] == "one"
+        assert hash(const(2, F(1, 2)) * 2) == hash(const(2, 1))
+
+    def test_zero(self):
+        zero = RationalFunction.zero(3)
+        assert zero.split() == (0, zero)
+        assert hash(self.C - self.C) == hash(zero)
 
 
 # strategy: small rational functions over two positions
@@ -288,3 +337,30 @@ def test_substitution_agrees_with_evaluation(a):
     bound = a.substitute({lam_slot(2): point[2], om_slot(2): point[3]})
     assert bound.evaluate(point) == a.evaluate(point)
     assert bound.evaluate((F(9), F(4), F(0), F(0))) == a.evaluate(point)
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=rationals3(), factor=coeffs)
+def test_split_is_shared_by_rational_multiples(a, factor):
+    q, p = a.split()
+    assert q * p == a
+    if a.is_zero or not factor:
+        return
+    fq, fp = (a * factor).split()
+    assert fp == p
+    assert hash(fp) == hash(p)
+    assert fq == q * factor
+
+
+def test_packed_fields_stay_in_exact():
+    # the packed numerator and denominator of a RationalFunction are read
+    # only inside exact.py; everything else goes through its methods
+    readers = []
+    for path in sorted(Path(spinsym.__file__).parent.glob("*.py")):
+        if path.name == "exact.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in ("num",
+                                                                 "denom"):
+                readers.append(f"{path.name}:{node.lineno}")
+    assert readers == []

@@ -107,6 +107,59 @@ class TestOnePassCommutator:
         assert calls == []
 
 
+# (2 x1 + lam) / (3 (x1-x2)^2): an integer denominator and a profile
+C = RationalFunction(2, {(1, 0, 0, 0): 2, (0, 0, 1, 0): 1},
+                     {(1, 2): 2}) * F(1, 3)
+
+
+def class_sum(space, parts, coeff=C):
+    """Sum of ``scalar * coeff * op`` over ``(scalar, op)`` parts."""
+    return operator_sum(space, [op.scaled(coeff * scalar)
+                                for scalar, op in parts])
+
+
+def cancelling_pair(space=SP):
+    # [c (E12 + E21), 2c (E12 + E21)] = 0: the pairs (E12, E21) and
+    # (E21, E12) put opposite scalars of the class c^2 on each key
+    flip = [(F(1), E(1, 1, 2, space)), (F(1), E(1, 2, 1, space))]
+    return (class_sum(space, flip),
+            class_sum(space, [(2 * q, op) for q, op in flip]))
+
+
+class TestCoefficientClasses:
+    def test_class_scalars_cancel_on_a_key(self):
+        a, b = cancelling_pair()
+        assert commutator(a, b).is_zero
+        assert (a * b - b * a).is_zero
+
+    def test_one_product_per_class_pair(self, monkeypatch):
+        # terms carrying rational multiples of one coefficient per class:
+        # a holds the classes of C and of x1 C, b the class of C, so two
+        # class pairs, whatever the number of term pairs
+        x_c = C * RationalFunction.position(2, 1)
+        a = (class_sum(SP, [(F(1), E(1, 1, 2)), (F(-3, 2), E(1, 2, 1)),
+                            (F(2), E(2, 1, 2))])
+             + E(2, 1, 1).scaled(x_c * F(5, 7)))
+        b = class_sum(SP, [(F(-1), E(1, 2, 1)), (F(2, 3), E(2, 2, 1)),
+                           (F(4), E(1, 1, 1))])
+        expected = a * b - b * a
+        calls = []
+        original = RationalFunction.__mul__
+
+        def counting(self, other):
+            if isinstance(other, RationalFunction):
+                calls.append(other)
+            return original(self, other)
+
+        monkeypatch.setattr(RationalFunction, "__mul__", counting)
+        for _ in range(2):
+            # the class table lives for one call, so a repeat forms the
+            # same products again
+            calls.clear()
+            assert commutator(a, b) == expected
+            assert len(calls) == 2
+
+
 class TestBookkeeping:
     def test_render_zero(self):
         assert Operator.zero(SP).render() == "0"
@@ -202,7 +255,9 @@ def small_ops(draw):
 
 
 # pool of operator pairs in one space, with same-site words that do not
-# commute, an E^{NN} atom that expands, a second derivative and spin_dim 3
+# commute, an E^{NN} atom that expands, a second derivative and spin_dim 3;
+# half the operators are sums of rational multiples of one coefficient C,
+# and some pairs cancel a class of C^2 on every key
 @st.composite
 def op_pairs(draw):
     space = draw(st.sampled_from([SP, SP3]))
@@ -216,6 +271,13 @@ def op_pairs(draw):
     ]
 
     def draw_op():
+        if draw(st.booleans()):
+            # a sum whose terms carry rational multiples of one coefficient
+            parts = draw(st.lists(
+                st.tuples(st.sampled_from([F(1), F(-1), F(3, 2), F(-2, 3)]),
+                          st.sampled_from(range(len(atoms)))),
+                min_size=1, max_size=4))
+            return class_sum(space, [(q, atoms[i]) for q, i in parts])
         picks = draw(st.lists(st.sampled_from(range(len(atoms))),
                               min_size=1, max_size=3))
         acc = Operator.identity(space)
@@ -223,6 +285,8 @@ def op_pairs(draw):
             acc = acc * atoms[i]
         return acc.scaled(draw(st.sampled_from([F(1), F(-1), F(1, 2)])))
 
+    if draw(st.integers(0, 7)) == 0:
+        return cancelling_pair(space)
     return draw_op(), draw_op()
 
 
