@@ -14,7 +14,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import permutations
+from functools import lru_cache
+from itertools import combinations, permutations, product
 from math import gcd as _integer_gcd
 from random import Random
 from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
@@ -430,32 +431,33 @@ class _ModelContext:
         return self._once(("bracket", x, w), lambda: commutator(
             self.grid(1)[x], self.grid(1)[w]))
 
-    def piece(self, x: Pair, y: Pair, z: Pair) -> Operator:
-        """``[J1^x, [J0^y, J1^z]]`` for any basis triple, from ``B`` and ``R``.
+    def piece_sum(self, triples: Iterable[Tuple[Pair, Pair, Pair]]
+                  ) -> Operator:
+        """``sum [J1^x, [J0^y, J1^z]]`` over basis triples, from ``B`` and ``R``.
 
         The inner bracket splits into its level-1 combination and the
         covariance residual ``R(y,z)``, so by bilinearity
 
             [J1^x, [J0^y, J1^z]] = sum_w f^{yz}_w B(x,w) + [J1^x, R(y,z)]
 
-        with ``B(w,x) = -B(x,w)`` and ``B(x,x) = 0``.  The identity holds
-        whether or not covariance does; where ``R`` vanishes its term costs
-        nothing.  Normal forms are unique, so every piece equals the nested
-        commutator exactly.  A Serre loop over all triples asks for each
-        piece once per cyclic rotation.
+        with ``B(w,x) = -B(x,w)`` and ``B(x,x) = 0``, whether or not
+        covariance holds.  Each triple is a row of rationals over the
+        entries ``x < w``; the rows are merged, and only an entry with a
+        nonzero net coefficient is formed.  Normal forms are unique, so the
+        sum equals the nested commutators exactly.
         """
-
-        def build() -> Operator:
+        row: Dict[Tuple[Pair, Pair], Fraction] = {}
+        parts: List[Operator] = []
+        for x, y, z in triples:
+            for w, c in structure_row(self.ms.algebra, y, z).items():
+                if w != x:
+                    key, c = ((x, w), c) if x < w else ((w, x), -c)
+                    row[key] = row.get(key, Fraction(0)) + c
             rest = self.residual(1, y, z)
-            parts = [self.bracket(x, w).scaled(c) if x < w
-                     else self.bracket(w, x).scaled(-c)
-                     for w, c in structure_row(self.ms.algebra, y, z).items()
-                     if w != x]
             if not rest.is_zero:
                 parts.append(commutator(self.grid(1)[x], rest))
-            return operator_sum(self.ms.space, parts)
-
-        return self._once(("piece", x, y, z), build)
+        return operator_sum(self.ms.space, parts + [
+            self.bracket(*key).scaled(c) for key, c in row.items() if c])
 
     def serre_scale(self) -> RationalFunction:
         return self._once("scale", lambda: _serre_rhs_scale(self.ms))
@@ -463,16 +465,17 @@ class _ModelContext:
     def cubic_sides(self, ab: Pair, cd: Pair, ef: Pair
                     ) -> Tuple[Operator, Operator]:
         """Cyclic double-bracket sum and scaled triple contraction at one
-        basis triple."""
+        basis triple; the contraction's weights fold by label multiset."""
         sym = self._once("sym", lambda: _triple_symmetrizer(
             self.ms.space, self.grid(0)))
-        space = self.ms.space
-        lhs = operator_sum(space, (self.piece(*key)
-                                   for key in _rotations(ab, cd, ef)))
-        rhs = operator_sum(space, (
-            sym(*key).scaled(c) for key, c in
-            _serre_weight(self.ms.algebra, ab, cd, ef).items()))
-        return lhs, rhs.scaled(self.serre_scale())
+        weights: Dict[Tuple[Pair, ...], Fraction] = {}
+        for key, c in _serre_weight(self.ms.algebra, ab, cd, ef).items():
+            key = tuple(sorted(key))
+            weights[key] = weights.get(key, Fraction(0)) + c
+        rhs = operator_sum(self.ms.space, (
+            sym(*key).scaled(c) for key, c in weights.items() if c))
+        return (self.piece_sum(_rotations(ab, cd, ef)),
+                rhs.scaled(self.serre_scale()))
 
 
 def _context(ms: ModelSpec, context: Optional[_ModelContext]
@@ -576,16 +579,12 @@ def _triple_symmetrizer(space: OpSpace, grid: Mapping[Pair, Operator]
                         ) -> Callable[[Pair, Pair, Pair], Operator]:
     """``models.symmetrized_triple`` of three grid entries, each distinct
     label multiset built once."""
-    cache: Dict[Tuple[Pair, ...], Operator] = {}
 
-    def sym(x: Pair, y: Pair, z: Pair) -> Operator:
-        key = tuple(sorted((x, y, z)))
-        hit = cache.get(key)
-        if hit is None:
-            hit = cache[key] = symmetrized_triple(grid[x], grid[y], grid[z])
-        return hit
+    @lru_cache(maxsize=None)
+    def build(key: Tuple[Pair, ...]) -> Operator:
+        return symmetrized_triple(*(grid[label] for label in key))
 
-    return sym
+    return lambda x, y, z: build(tuple(sorted((x, y, z))))
 
 
 def _rotations(ab: Pair, cd: Pair, ef: Pair
@@ -595,10 +594,7 @@ def _rotations(ab: Pair, cd: Pair, ef: Pair
 
 
 def _cyclic_triples(labels: Sequence[Pair]):
-    for ab in labels:
-        for cd in labels:
-            for ef in labels:
-                yield ab, cd, ef
+    return product(labels, repeat=3)
 
 
 def check_serre_halfloop(ms: ModelSpec,
@@ -606,8 +602,9 @@ def check_serre_halfloop(ms: ModelSpec,
                          ) -> CheckResult:
     """Cyclic double-bracket sum of level-1 generators vanishes.
 
-    The pieces come from the level-1 bracket table of
-    ``_ModelContext.piece``.
+    The pieces come from the level-1 bracket table through
+    ``_ModelContext.piece_sum``, once per cyclic orbit: at its minimal
+    triple, which is also its first in loop order.
     """
 
     params = _model_params(ms)
@@ -621,18 +618,20 @@ def check_serre_halfloop(ms: ModelSpec,
         space = ms.space
         nonvacuous = 0
         for ab, cd, ef in _cyclic_triples(labels):
-            pieces = [ctx.piece(*key) for key in _rotations(ab, cd, ef)]
+            cyclic = _rotations(ab, cd, ef)
+            if (ab, cd, ef) != min(cyclic):
+                continue
+            pieces = [ctx.piece_sum((key,)) for key in cyclic]
             if any(not p.is_zero for p in pieces):
-                nonvacuous += 1
+                nonvacuous += len(set(cyclic))
             total = operator_sum(space, pieces)
             if not total.is_zero:
                 return ("fail",
                         _witness_terms(total,
                                        f"cyclic sum at {ab}, {cd}, {ef}:"),
                         ())
-        notes = [f"{len(labels) ** 3} triples verified",
-                 f"triples with nonzero cyclic pieces: {nonvacuous}"]
-        return "pass", (), tuple(notes)
+        return "pass", (), (f"{len(labels) ** 3} triples verified",
+                            f"triples with nonzero cyclic pieces: {nonvacuous}")
 
     return _run("serre-halfloop", params, body)
 
@@ -647,6 +646,27 @@ def _serre_rhs_scale(ms: ModelSpec) -> RationalFunction:
     return scale.substitute(ms.bindings())
 
 
+def _zero_trap_mismatch(ctx: _ModelContext, zero: _ModelContext
+                        ) -> Optional[str]:
+    """Where substituting trap -> 0 into a Serre column of ``ctx`` differs
+    from the zero-trap context ``zero``, or None where it never does."""
+    trap_off = {om_slot(ctx.ms.sites): Fraction(0)}
+    labels = basis(ctx.ms.algebra)
+    for x, w in combinations(labels, 2):
+        if ctx.bracket(x, w).substitute(trap_off) != zero.bracket(x, w):
+            return f"zero-trap reduction mismatch at bracket {x}, {w}"
+    for x, y, z in _cyclic_triples(labels):
+        rest, rest0 = ctx.residual(1, y, z), zero.residual(1, y, z)
+        if not (rest.is_zero and rest0.is_zero) and (
+                commutator(ctx.grid(1)[x], rest).substitute(trap_off)
+                != commutator(zero.grid(1)[x], rest0)):
+            return (f"zero-trap reduction mismatch at residual term "
+                    f"{x}, {y}, {z}")
+    if not ctx.serre_scale().substitute(trap_off).is_zero:
+        return "right side survives trap -> 0"
+    return None
+
+
 def check_serre_yangian(ms: ModelSpec,
                         context: Optional[_ModelContext] = None
                         ) -> CheckResult:
@@ -657,14 +677,15 @@ def check_serre_yangian(ms: ModelSpec,
     symmetrized cube carries the 1/24 prefactor.  A failure reports how
     many triples mismatch and the residue at the first of them.
 
-    The cyclic pieces come from the level-1 bracket table of
-    ``_ModelContext.piece``; the evaluation oracle replays them through
+    The cyclic sums come from the level-1 bracket table through
+    ``_ModelContext.piece_sum``; the evaluation oracle replays them through
     nested commutators.  For the confined model with a symbolic trap
-    strength, additionally substitutes trap -> 0 into every cyclic piece
-    and requires its normal form to equal the same piece from a zero-trap
-    rebuild of the table, with the right-hand side collapsing to zero.
-    Every piece is keyed by one of the triples of the loop, so each is
-    compared once, at its own triple.
+    strength, additionally substitutes trap -> 0 into every table entry
+    ``B(x,w)``, ``x < w``, and every residual term ``[J1^x, R(y,z)]`` and
+    requires its normal form to equal the same entry of a zero-trap
+    rebuild, with the right-hand scale collapsing to zero.  Every triple's
+    cyclic sum is a fixed combination of those entries, so each triple's
+    reduction follows from theirs.
     """
 
     params = _model_params(ms)
@@ -678,14 +699,9 @@ def check_serre_yangian(ms: ModelSpec,
         labels = basis(ms.algebra)
         reduce_zero_trap = (ms.kind == "confined"
                             and ms.resolved_omega() is None)
-        if reduce_zero_trap:
-            zero_trap_ctx = ctx.variant(omega=Fraction(0))
-
-        zero_trap = {om_slot(ms.sites): Fraction(0)}
         nonvacuous = 0
         bad: List[Tuple[Pair, Pair, Pair]] = []
         first_diff: Optional[Operator] = None
-        reduction_checked = 0
         for ab, cd, ef in _cyclic_triples(labels):
             lhs, rhs = ctx.cubic_sides(ab, cd, ef)
             if not (lhs.is_zero and rhs.is_zero):
@@ -694,19 +710,9 @@ def check_serre_yangian(ms: ModelSpec,
                 bad.append((ab, cd, ef))
                 if first_diff is None:
                     first_diff = lhs - rhs
-            if reduce_zero_trap:
-                if (ctx.piece(ab, cd, ef).substitute(zero_trap)
-                        != zero_trap_ctx.piece(ab, cd, ef)):
-                    return ("fail",
-                            (f"zero-trap reduction mismatch at "
-                             f"{ab}, {cd}, {ef}",),
-                            ())
-                if not rhs.substitute(zero_trap).is_zero:
-                    return ("fail",
-                            (f"right side survives trap -> 0 at "
-                             f"{ab}, {cd}, {ef}",),
-                            ())
-                reduction_checked += 1
+        if reduce_zero_trap and (failure := _zero_trap_mismatch(
+                ctx, ctx.variant(omega=Fraction(0)))):
+            return "fail", (failure,), ()
 
         if bad:
             return ("fail",
@@ -723,7 +729,7 @@ def check_serre_yangian(ms: ModelSpec,
                          "three-dimensional algebra")
         if reduce_zero_trap:
             notes.append(f"trap -> 0 reduction matched the zero-trap rebuild "
-                         f"byte for byte on {reduction_checked} triples")
+                         f"byte for byte on {len(labels) ** 3} triples")
         return "pass", (), tuple(notes)
 
     return _run("serre-yangian", params, body)
@@ -932,13 +938,6 @@ def _dense_kron(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def _dense_generator(spec: AlgebraSpec, a: int, b: int) -> Matrix:
-    sign = theta(spec, a) * theta(spec, b)
-    mat = _dense_unit(spec.N, a, b)
-    bar = _dense_unit(spec.N, conjugate_index(spec, b), conjugate_index(spec, a))
-    return _dense_add(mat, _dense_scale(bar, Fraction(sign)), -1)
-
-
 def _constant_value(rf: RationalFunction) -> Fraction:
     if rf.den:
         raise ValueError("coefficient is not constant")
@@ -1024,7 +1023,7 @@ def check_pq_identities(spec: AlgebraSpec) -> Tuple[CheckResult, ...]:
         return generator_op(spec, space, site, a, b)
 
     def gen_dense(a: int, b: int, site: int) -> Matrix:
-        f = _dense_generator(spec, a, b)
+        f = generator_matrix(spec, a, b)
         return _dense_kron(f, _dense_eye(n)) if site == 1 \
             else _dense_kron(_dense_eye(n), f)
 
@@ -1090,8 +1089,8 @@ def check_pq_identities(spec: AlgebraSpec) -> Tuple[CheckResult, ...]:
     for a in range(1, n + 1):
         for b in range(1, n + 1):
             pair_sum_m = _dense_add(
-                pair_sum_m, _dense_kron(_dense_generator(spec, a, b),
-                                        _dense_generator(spec, b, a)))
+                pair_sum_m, _dense_kron(generator_matrix(spec, a, b),
+                                        generator_matrix(spec, b, a)))
     pair_sum_m = _dense_scale(pair_sum_m, Fraction(1, 2))
     results.append(both_routes(
         "spin-pair-difference", perm - twist, pair_sum,

@@ -195,6 +195,17 @@ class TestSerre:
         assert len(r.witness) == 1
         assert r.witness[0].startswith("zero-trap reduction mismatch at ")
 
+    def test_right_side_scale_must_vanish_at_zero_trap(self, monkeypatch):
+        # plant a right-side scale that lacks the trap factor
+        def scale(ms):
+            lam = RationalFunction.coupling(ms.sites)
+            return lam.substitute(ms.bindings())
+
+        monkeypatch.setattr(checks, "_serre_rhs_scale", scale)
+        r = check_serre_yangian(ModelSpec(SP2, 2, "confined", lam="star"))
+        assert r.status == "fail"
+        assert r.witness == ("right side survives trap -> 0",)
+
     def test_cyclic_piece_holds_without_covariance(self, monkeypatch):
         # a level-1 grid shifted by squares of level-0 generators is no
         # longer covariant, so the residual term of the table is exercised
@@ -204,7 +215,11 @@ class TestSerre:
                  for ab, op in generator_grid(ms, 1).items()}
         monkeypatch.setattr(checks, "generator_grid",
                             lambda _, level: grid1 if level else grid0)
-        piece = checks._ModelContext(ms).piece
+        ctx = checks._ModelContext(ms)
+
+        def piece(x, y, z):
+            return ctx.piece_sum(((x, y, z),))
+
         residual_seen = False
         for x, y, z in checks._cyclic_triples(basis(SP2)):
             inner = commutator(grid0[y], grid1[z])
@@ -214,6 +229,30 @@ class TestSerre:
             residual_seen = residual_seen or inner != covariant
             assert piece(x, y, z) == commutator(grid1[x], inner), (x, y, z)
         assert residual_seen
+
+    def test_yangian_keeps_no_operator_per_triple(self):
+        ms = ModelSpec(SP4, 2, "sutherland", lam="star")
+        ctx = checks._ModelContext(ms)
+        assert check_serre_yangian(ms, ctx).status == "pass"
+        triple_keyed = [key for key in ctx._cache if isinstance(key, tuple)
+                        and sum(isinstance(part, tuple) for part in key) >= 3]
+        assert triple_keyed == []
+        assert any(key[0] == "bracket" for key in ctx._cache
+                   if isinstance(key, tuple))
+
+    def test_rank_one_cubic_loop_forms_no_table_entry(self, monkeypatch):
+        # for sl2 every triple's row over the bracket table is zero
+        formed = []
+        bracket = checks._ModelContext.bracket
+
+        def counting(ctx, x, w):
+            formed.append((x, w))
+            return bracket(ctx, x, w)
+
+        monkeypatch.setattr(checks._ModelContext, "bracket", counting)
+        r = check_serre_yangian(ModelSpec(SP2, 3, "sutherland", lam="star"))
+        assert r.status == "pass"
+        assert formed == []
 
 
 class TestSolver:
