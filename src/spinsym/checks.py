@@ -14,12 +14,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import gcd as _integer_gcd
 from random import Random
-from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Set, Tuple)
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Sequence, Set, Tuple)
 
 from .errors import (DegenerateCouplingError, OracleDisagreementError,
                      SingularMetricError, TermBudgetError)
@@ -465,15 +464,13 @@ class _ModelContext:
     def cubic_sides(self, ab: Pair, cd: Pair, ef: Pair
                     ) -> Tuple[Operator, Operator]:
         """Cyclic double-bracket sum and scaled triple contraction at one
-        basis triple; the contraction's weights fold by label multiset."""
-        sym = self._once("sym", lambda: _triple_symmetrizer(
-            self.ms.space, self.grid(0)))
-        weights: Dict[Tuple[Pair, ...], Fraction] = {}
-        for key, c in _serre_weight(self.ms.algebra, ab, cd, ef).items():
-            key = tuple(sorted(key))
-            weights[key] = weights.get(key, Fraction(0)) + c
+        basis triple; each label multiset's symmetrized triple is built
+        once."""
+        grid0 = self.grid(0)
         rhs = operator_sum(self.ms.space, (
-            sym(*key).scaled(c) for key, c in weights.items() if c))
+            self._once(("sym", key), lambda key=key: symmetrized_triple(
+                *(grid0[label] for label in key))).scaled(c)
+            for key, c in _serre_weight(self.ms.algebra, ab, cd, ef).items()))
         return (self.piece_sum(_rotations(ab, cd, ef)),
                 rhs.scaled(self.serre_scale()))
 
@@ -561,7 +558,12 @@ def check_level_relations(ms: ModelSpec,
 
 def _serre_weight(spec: AlgebraSpec, ab: Pair, cd: Pair, ef: Pair
                   ) -> Dict[Tuple[Pair, Pair, Pair], Fraction]:
-    """Contract three lowered adjoint rows against the fully raised table."""
+    """Contract three lowered adjoint rows against the fully raised table.
+
+    The contraction is symmetrized on the right side, so its weights are
+    summed by sorted label multiset; multisets whose weights cancel are
+    dropped.
+    """
     low = lowered_adjoint_constants(spec)
     high = raised_constants(spec)
     out: Dict[Tuple[Pair, Pair, Pair], Fraction] = {}
@@ -570,21 +572,9 @@ def _serre_weight(spec: AlgebraSpec, ab: Pair, cd: Pair, ef: Pair
             for (third, mn), c3 in low[ef].items():
                 c4 = high.get((ij, kl, mn))
                 if c4:
-                    key = (first, second, third)
+                    key = tuple(sorted((first, second, third)))
                     out[key] = out.get(key, Fraction(0)) + c1 * c2 * c3 * c4
     return {k: v for k, v in out.items() if v}
-
-
-def _triple_symmetrizer(space: OpSpace, grid: Mapping[Pair, Operator]
-                        ) -> Callable[[Pair, Pair, Pair], Operator]:
-    """``models.symmetrized_triple`` of three grid entries, each distinct
-    label multiset built once."""
-
-    @lru_cache(maxsize=None)
-    def build(key: Tuple[Pair, ...]) -> Operator:
-        return symmetrized_triple(*(grid[label] for label in key))
-
-    return lambda x, y, z: build(tuple(sorted((x, y, z))))
 
 
 def _rotations(ab: Pair, cd: Pair, ef: Pair
@@ -593,8 +583,14 @@ def _rotations(ab: Pair, cd: Pair, ef: Pair
     return (ab, cd, ef), (ef, ab, cd), (cd, ef, ab)
 
 
-def _cyclic_triples(labels: Sequence[Pair]):
-    return product(labels, repeat=3)
+def _cyclic_orbits(labels: Sequence[Pair]
+                   ) -> Iterator[Tuple[Tuple[Pair, Pair, Pair], int]]:
+    """Each cyclic orbit of basis triples once, at its minimal triple (its
+    first in ``product`` order, as ``basis`` is sorted), with its size."""
+    for triple in product(labels, repeat=3):
+        cyclic = _rotations(*triple)
+        if triple == min(cyclic):
+            yield triple, len(set(cyclic))
 
 
 def check_serre_halfloop(ms: ModelSpec,
@@ -617,13 +613,10 @@ def check_serre_halfloop(ms: ModelSpec,
         labels = basis(ms.algebra)
         space = ms.space
         nonvacuous = 0
-        for ab, cd, ef in _cyclic_triples(labels):
-            cyclic = _rotations(ab, cd, ef)
-            if (ab, cd, ef) != min(cyclic):
-                continue
-            pieces = [ctx.piece_sum((key,)) for key in cyclic]
+        for (ab, cd, ef), size in _cyclic_orbits(labels):
+            pieces = [ctx.piece_sum((key,)) for key in _rotations(ab, cd, ef)]
             if any(not p.is_zero for p in pieces):
-                nonvacuous += len(set(cyclic))
+                nonvacuous += size
             total = operator_sum(space, pieces)
             if not total.is_zero:
                 return ("fail",
@@ -655,7 +648,7 @@ def _zero_trap_mismatch(ctx: _ModelContext, zero: _ModelContext
     for x, w in combinations(labels, 2):
         if ctx.bracket(x, w).substitute(trap_off) != zero.bracket(x, w):
             return f"zero-trap reduction mismatch at bracket {x}, {w}"
-    for x, y, z in _cyclic_triples(labels):
+    for x, y, z in product(labels, repeat=3):
         rest, rest0 = ctx.residual(1, y, z), zero.residual(1, y, z)
         if not (rest.is_zero and rest0.is_zero) and (
                 commutator(ctx.grid(1)[x], rest).substitute(trap_off)
@@ -675,7 +668,9 @@ def check_serre_yangian(ms: ModelSpec,
     The committed convention lowers the second upper pair of each adjoint
     row and fully raises the lower pair of the remaining row; the
     symmetrized cube carries the 1/24 prefactor.  A failure reports how
-    many triples mismatch and the residue at the first of them.
+    many triples mismatch and the residue at the first of them.  Both sides
+    are invariant under rotating the triple, so each cyclic orbit is
+    checked once, at its minimal triple, and counted by its size.
 
     The cyclic sums come from the level-1 bracket table through
     ``_ModelContext.piece_sum``; the evaluation oracle replays them through
@@ -699,25 +694,25 @@ def check_serre_yangian(ms: ModelSpec,
         labels = basis(ms.algebra)
         reduce_zero_trap = (ms.kind == "confined"
                             and ms.resolved_omega() is None)
-        nonvacuous = 0
-        bad: List[Tuple[Pair, Pair, Pair]] = []
-        first_diff: Optional[Operator] = None
-        for ab, cd, ef in _cyclic_triples(labels):
-            lhs, rhs = ctx.cubic_sides(ab, cd, ef)
+        nonvacuous = mismatching = 0
+        first: Optional[Tuple[Tuple[Pair, Pair, Pair], Operator]] = None
+        for triple, size in _cyclic_orbits(labels):
+            lhs, rhs = ctx.cubic_sides(*triple)
             if not (lhs.is_zero and rhs.is_zero):
-                nonvacuous += 1
+                nonvacuous += size
             if lhs != rhs:
-                bad.append((ab, cd, ef))
-                if first_diff is None:
-                    first_diff = lhs - rhs
+                mismatching += size
+                if first is None:
+                    first = triple, lhs - rhs
         if reduce_zero_trap and (failure := _zero_trap_mismatch(
                 ctx, ctx.variant(omega=Fraction(0)))):
             return "fail", (failure,), ()
 
-        if bad:
+        if first is not None:
+            triple, residue = first
             return ("fail",
-                    (f"mismatching triples: {len(bad)}/{len(labels) ** 3}",)
-                    + _witness_terms(first_diff, f"residue at {bad[0]}:"),
+                    (f"mismatching triples: {mismatching}/{len(labels) ** 3}",)
+                    + _witness_terms(residue, f"residue at {triple}:"),
                     ())
 
         notes = [f"{len(labels) ** 3} triples verified under the committed "
@@ -1230,7 +1225,7 @@ def _serre_targets(ctx: _ModelContext, rng: Random
     grid0 = ctx.grid(0)
     grid1 = ctx.grid(1)
     scale = ctx.serre_scale()
-    triples = list(_cyclic_triples(basis(spec)))
+    triples = list(product(basis(spec), repeat=3))
     if len(triples) > ORACLE_TRIPLES:
         triples = rng.sample(triples, ORACLE_TRIPLES)
     out: List[_OracleTarget] = []
@@ -1247,10 +1242,9 @@ def _serre_targets(ctx: _ModelContext, rng: Random
                 outer_right = inner(apply_operator(grid1[x], vec))
                 acc = vector_add(acc, outer_left)
                 acc = vector_add(acc, outer_right, Fraction(-1))
-            for (p1, p2, p3), c in weights.items():
-                for perm in permutations((p1, p2, p3)):
-                    chain = _apply_chain([grid0[perm[0]], grid0[perm[1]],
-                                          grid0[perm[2]]])
+            for key, c in weights.items():
+                for perm in permutations(key):
+                    chain = _apply_chain([grid0[label] for label in perm])
                     for ket, amp in chain(vec).items():
                         acc = vector_add(acc, {ket: amp * scale},
                                          -c * Fraction(1, 24))

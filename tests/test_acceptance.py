@@ -19,7 +19,8 @@ from spinsym.checks import (check_conservation, check_level_relations,
                             check_serre_yangian, oracle_crosscheck,
                             run_lie_suite, solve_lambda)
 from spinsym.lie import AlgebraSpec, basis
-from spinsym.models import ModelSpec, generator_grid, star_coupling
+from spinsym.models import (ModelSpec, generator_grid, star_coupling,
+                            symmetrized_triple)
 from spinsym.operators import commutator, operator_sum
 
 F = Fraction
@@ -154,10 +155,10 @@ def _serre_defect(ms, triple):
               commutator(grid1[ef], commutator(grid0[ab], grid1[cd])),
               commutator(grid1[cd], commutator(grid0[ef], grid1[ab])))
     weights = checks._serre_weight(ms.algebra, ab, cd, ef)
-    sym = checks._triple_symmetrizer(ms.space, grid0)
     scale = checks._serre_rhs_scale(ms)
-    rhs = operator_sum(ms.space, (sym(*key).scaled(c)
-                                  for key, c in weights.items()))
+    rhs = operator_sum(ms.space, (
+        symmetrized_triple(*(grid0[label] for label in key)).scaled(c)
+        for key, c in weights.items()))
     lhs = operator_sum(ms.space, pieces)
     return lhs, lhs - rhs.scaled(scale)
 

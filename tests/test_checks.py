@@ -3,6 +3,8 @@
 import gc
 import weakref
 from fractions import Fraction
+from itertools import product
+from random import Random
 
 import pytest
 
@@ -16,8 +18,8 @@ from spinsym.checks import (CheckReport, CheckResult, LIE_SUITE_SPECS,
                             solve_lambda)
 from spinsym.exact import RationalFunction
 from spinsym.lie import AlgebraSpec, basis, structure_row
-from spinsym.models import ModelSpec, generator_grid
-from spinsym.operators import commutator, operator_sum
+from spinsym.models import ModelSpec, generator_grid, symmetrized_triple
+from spinsym.operators import commutator, evaluate_vector, operator_sum
 
 F = Fraction
 
@@ -25,6 +27,7 @@ SP2 = AlgebraSpec(2, -1)
 SO3 = AlgebraSpec(3, 1)
 SO4 = AlgebraSpec(4, 1)
 SP4 = AlgebraSpec(4, -1)
+SO5 = AlgebraSpec(5, 1)
 
 
 def make(name="demo", status="pass", witness=(), notes=(), millis=5):
@@ -159,16 +162,15 @@ class TestSerre:
         assert detuned.notes == ()
         grid0 = generator_grid(detuned_ms, 0)
         grid1 = generator_grid(detuned_ms, 1)
-        sym = checks._triple_symmetrizer(detuned_ms.space, grid0)
         scale = checks._serre_rhs_scale(detuned_ms)
-        for triple in checks._cyclic_triples(basis(SP4)):
+        for triple in product(basis(SP4), repeat=3):
             ab, cd, ef = triple
             lhs = operator_sum(detuned_ms.space, (
                 commutator(grid1[x], commutator(grid0[y], grid1[z]))
                 for x, y, z in ((ab, cd, ef), (ef, ab, cd), (cd, ef, ab))))
             rhs = operator_sum(detuned_ms.space, (
-                sym(*key).scaled(c) for key, c in
-                checks._serre_weight(SP4, ab, cd, ef).items()))
+                symmetrized_triple(*(grid0[label] for label in key)).scaled(c)
+                for key, c in checks._serre_weight(SP4, ab, cd, ef).items()))
             residue = lhs - rhs.scaled(scale)
             if not residue.is_zero:
                 break
@@ -221,7 +223,7 @@ class TestSerre:
             return ctx.piece_sum(((x, y, z),))
 
         residual_seen = False
-        for x, y, z in checks._cyclic_triples(basis(SP2)):
+        for x, y, z in product(basis(SP2), repeat=3):
             inner = commutator(grid0[y], grid1[z])
             covariant = operator_sum(ms.space, (
                 grid1[w].scaled(c)
@@ -253,6 +255,57 @@ class TestSerre:
         r = check_serre_yangian(ModelSpec(SP2, 3, "sutherland", lam="star"))
         assert r.status == "pass"
         assert formed == []
+
+    @pytest.mark.parametrize("spec", [SP2, SO3, SP4, SO5],
+                             ids=lambda spec: spec.describe())
+    def test_folded_weights_are_rotation_invariant(self, spec):
+        # what walking one triple per cyclic orbit relies on
+        for triple in product(basis(spec), repeat=3):
+            weights = checks._serre_weight(spec, *triple)
+            assert all(list(key) == sorted(key) and c
+                       for key, c in weights.items())
+            assert weights == checks._serre_weight(
+                spec, *checks._rotations(*triple)[1]), triple
+            if spec in (SP2, SO3):
+                # rank one: the right side is empty for every triple
+                assert weights == {}, triple
+
+    def test_yangian_forms_sides_once_per_orbit(self, monkeypatch):
+        # 27 triples of sp(2) fall into 3 one-triple and 8 three-triple orbits
+        called = []
+        cubic_sides = checks._ModelContext.cubic_sides
+
+        def counting(ctx, *triple):
+            called.append(triple)
+            return cubic_sides(ctx, *triple)
+
+        monkeypatch.setattr(checks._ModelContext, "cubic_sides", counting)
+        r = check_serre_yangian(ModelSpec(SP2, 3, "sutherland", lam="star"))
+        assert r.status == "pass"
+        assert "27 triples verified under the committed convention" in r.notes
+        assert len(called) == len(set(called)) == 11
+
+    def test_oracle_cubic_defect_follows_its_flag(self):
+        # at coupling 1 the cubic relation fails at a nonvacuous triple and
+        # holds as 0 = 0 at a vacuous one; at the critical coupling it holds
+        bad = ((1, 1), (1, 2), (1, 3))
+        vacuous = ((1, 1), (1, 1), (1, 1))
+
+        class Pick:
+            def sample(self, population, k):
+                assert bad in population and vacuous in population
+                return [bad, vacuous]
+
+        for lam, flags in ((F(1), [False, True]), ("star", [True, True])):
+            ms = ModelSpec(SP4, 2, "sutherland", lam=lam)
+            targets = checks._serre_targets(checks._ModelContext(ms), Pick())
+            assert [t.symbolically_zero for t in targets] == flags
+            rng = Random(5)
+            vec = checks._random_vector(rng, ms.space)
+            point = checks._random_point(rng, ms)
+            for target in targets:
+                residue = evaluate_vector(target.defect(vec), point)
+                assert bool(residue) != target.symbolically_zero, target.label
 
 
 class TestSolver:
