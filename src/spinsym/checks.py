@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import gcd as _integer_gcd
+from math import gcd as _integer_gcd, isqrt
 from random import Random
 from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
                     Optional, Sequence, Set, Tuple)
@@ -24,8 +24,9 @@ from .errors import (DegenerateCouplingError, OracleDisagreementError,
                      SingularMetricError, TermBudgetError)
 from .exact import RationalFunction, lam_slot, om_slot
 from .lie import (AlgebraSpec, Pair, basis, conjugate_index, generator_matrix,
-                  generator_op, lowered_adjoint_constants, metric,
-                  raised_constants, structure_row, structure_table, theta)
+                  generator_op, ideal_generators, lowered_adjoint_constants,
+                  metric, raised_constants, structure_row, structure_table,
+                  theta)
 from .models import (ModelSpec, bind, coupling_weight, generator_grid,
                      hamiltonian, star_coupling, symmetrized_triple)
 from .operators import (Operator, OpSpace, SpinVector, apply_operator,
@@ -413,6 +414,43 @@ class _ModelContext:
         return self._once(("ham", level, ab), lambda: commutator(
             self.hamiltonian(), self.grid(level)[ab]))
 
+    def deciding_labels(self, level: int) -> Tuple[Pair, ...]:
+        """Labels whose brackets ``[H, J^ab]`` decide the whole level.
+
+        Write ``D(z) = [H, J^z]``.  If ``[J0^y, H] = 0`` and the level's
+        covariance residual ``R(y,z)`` vanishes for every y and z, Jacobi
+        gives ``[J0^y, D(z)] = sum_w f^{yz}_w D(w)``, so the labels with
+        ``D = 0`` span an ideal of the algebra; then ``D`` vanishes on
+        every label once it vanishes on labels that generate the whole
+        algebra as an ideal (``lie.ideal_generators``).  Both premises are
+        checked here, stopping at the first that fails; if one fails every
+        label is returned, so a caller's loop runs over all of them.
+        """
+
+        def build() -> Tuple[Pair, ...]:
+            labels = basis(self.ms.algebra)
+            if not all(_conserved(self, 0, y) for y in labels):
+                return labels
+            if not all(self.residual(level, y, z).is_zero
+                       for y in labels for z in labels):
+                return labels
+            return ideal_generators(self.ms.algebra)
+
+        return self._once(("deciding", level), build)
+
+    def level_conserved(self, level: int) -> bool:
+        """Whether ``[H, J^ab]`` vanishes for every label of the level.
+
+        The brackets of the ideal generators come first: if one of them is
+        nonzero the level is not conserved, and no premise of
+        ``deciding_labels`` is checked.  Otherwise the deciding brackets
+        settle it.
+        """
+        return (all(self.ham_bracket(level, z).is_zero
+                    for z in ideal_generators(self.ms.algebra))
+                and all(self.ham_bracket(level, z).is_zero
+                        for z in self.deciding_labels(level)))
+
     def residual(self, level: int, y: Pair, z: Pair) -> Operator:
         """``R(y,z) = [J0^y, J^z] - sum_w f^{yz}_w J^w`` at the given level."""
 
@@ -491,7 +529,12 @@ def _context(ms: ModelSpec, context: Optional[_ModelContext]
 def check_conservation(ms: ModelSpec, context: Optional[_ModelContext] = None
                        ) -> Tuple[CheckResult, CheckResult]:
     """Level-0 generators commute with the Hamiltonian for every coupling;
-    level-1 generators commute at the coupling bound in the model spec."""
+    level-1 generators commute at the coupling bound in the model spec.
+
+    Level 1 passes when ``level_conserved(1)`` holds; otherwise every
+    generator's bracket is formed, so the failing list and the witness
+    come from the full loop.
+    """
 
     labels = basis(ms.algebra)
     ctx = _context(ms, context)
@@ -508,6 +551,8 @@ def check_conservation(ms: ModelSpec, context: Optional[_ModelContext] = None
                             f"{len(labels)} generators conserved")
 
     def level1():
+        if ctx.level_conserved(1):
+            return "pass", (), (f"{len(labels)} generators conserved",)
         failing: List[Pair] = []
         first: Optional[Operator] = None
         for ab in labels:
@@ -516,11 +561,9 @@ def check_conservation(ms: ModelSpec, context: Optional[_ModelContext] = None
                 failing.append(ab)
                 if first is None:
                     first = defect
-        if failing:
-            return ("fail",
-                    _witness_terms(first, f"defect for generator {failing[0]}:"),
-                    (f"failing generators: {failing}",))
-        return "pass", (), (f"{len(labels)} generators conserved",)
+        return ("fail",
+                _witness_terms(first, f"defect for generator {failing[0]}:"),
+                (f"failing generators: {failing}",))
 
     return (_run("conservation-level0", _model_params(ms), level0),
             _run("conservation-level1", _model_params(ms), level1))
@@ -788,8 +831,10 @@ def _rational_roots(poly: Dict[int, Fraction]) -> Set[Fraction]:
     constant, leading = integral.get(0, 0), integral[max(integral)]
 
     def divisors(n: int) -> List[int]:
+        # pairs (d, n // d) up to isqrt(n), so the cost is sqrt(n), not n
         n = abs(n)
-        return [d for d in range(1, n + 1) if n % d == 0] or [1]
+        small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+        return sorted(set(small + [n // d for d in small])) or [1]
 
     for p in divisors(constant):
         for q in divisors(leading):
@@ -807,8 +852,12 @@ def solve_lambda(ms: ModelSpec, context: Optional[_ModelContext] = None
     """Couplings at which every level-1 generator is conserved.
 
     Requires a symbolic coupling.  The defect bracket of the Hamiltonian
-    with each level-1 generator is collected into univariate coupling
-    polynomials; their common roots are reduced by a running monic gcd.
+    with each deciding level-1 generator (``deciding_labels``: one per
+    generator of the algebra as an ideal when the level is covariant and
+    level 0 is conserved, else every generator) is collected into
+    univariate coupling polynomials; their common roots are reduced by a
+    running monic gcd.  Binding a root keeps both premises, so at each
+    root the deciding brackets vanish and with them all the others.
     The root 0 is shared trivially (it switches the interaction off) and
     is excluded from the result, so an empty set means no interacting
     model has the symmetry.
@@ -818,7 +867,7 @@ def solve_lambda(ms: ModelSpec, context: Optional[_ModelContext] = None
     ctx = _context(ms, context)
     slot = lam_slot(ms.sites)
     common: Optional[Dict[int, Fraction]] = None
-    for ab in basis(ms.algebra):
+    for ab in ctx.deciding_labels(1):
         for poly in _coupling_polynomials(ctx.ham_bracket(1, ab), slot):
             common = dict(poly) if common is None else _poly_gcd(common, poly)
     if common is None:
@@ -1163,14 +1212,17 @@ def _commutator_apply(a: Operator, b: Operator) -> VectorMap:
 
 
 def _conserved(ctx: _ModelContext, level: int, ab: Pair) -> bool:
-    """Whether ``[H, J^ab]`` vanishes, from the bracket its check proved.
+    """Whether ``[H, J^ab]`` vanishes, from the brackets its check proved.
 
     Level 0 is proved with the coupling free.  Binding the coupling
     commutes with products and derivatives and normal forms are unique,
     so the bound bracket is the free one with the coupling substituted.
+    Level 1 is proved from the deciding brackets: when they all vanish,
+    so does every level-1 bracket, and those never formed are left to the
+    oracle's own replay.  Otherwise the label's own bracket is formed.
     """
     if level == 1:
-        return ctx.ham_bracket(1, ab).is_zero
+        return ctx.level_conserved(1) or ctx.ham_bracket(1, ab).is_zero
     free = ctx.variant(lam="symbolic").ham_bracket(0, ab)
     return free.is_zero or bind(free, ctx.ms).is_zero
 

@@ -6,10 +6,10 @@ signs, the conjugate index, the signed generators
 
     F^{ab} = E^{ab} - theta_a theta_b E^{bar b, bar a}
 
-the admissible index set, structure constants, and the invariant metric
-with its exact inverse all live here.  Generators are provided both as
-N x N Fraction matrices (for traces, rank and closure oracles) and as
-site-local Operators.
+the admissible index set, structure constants, generated ideals, and the
+invariant metric with its exact inverse all live here.  Generators are
+provided both as N x N Fraction matrices (for traces, rank and closure
+oracles) and as site-local Operators.
 
 All tables are exact, deterministic and cached per algebra.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .errors import SingularMetricError
 from .operators import Operator, OpSpace
@@ -162,6 +162,72 @@ def structure_table(spec: AlgebraSpec) -> Dict[Tuple[Pair, Pair], Row]:
                         row[(e, f)] = weighted
             table[((a, b), (c, d))] = row
     return table
+
+
+# ---------------------------------------------------------------------------
+# ideals
+
+
+def _subtract(row: Row, c: Fraction, other: Row) -> None:
+    # row -= c * other, dropping the entries that cancel
+    for key, v in other.items():
+        total = row.get(key, Fraction(0)) - c * v
+        if total:
+            row[key] = total
+        else:
+            row.pop(key, None)
+
+
+def generated_ideal(spec: AlgebraSpec, labels: Iterable[Pair]) -> Dict[Pair, Row]:
+    """Basis of the ideal the labels generate, in reduced echelon form.
+
+    The ideal is the span of the labels closed under ``ad`` of every basis
+    label; each row is keyed by its pivot label and carries 1 there and 0
+    at every other pivot.  Exact elimination over the structure rows, so
+    nothing assumes the algebra is simple.
+    """
+    pairs = basis(spec)
+    echelon: Dict[Pair, Row] = {}
+    queue: List[Row] = [{label: Fraction(1)} for label in labels]
+    while queue:
+        row = queue.pop()
+        for pivot, base in echelon.items():
+            if row.get(pivot):
+                _subtract(row, row[pivot], base)
+        if not row:
+            continue
+        pivot = min(row)
+        lead = row[pivot]
+        row = {key: v / lead for key, v in row.items()}
+        for base in echelon.values():
+            if base.get(pivot):
+                _subtract(base, base[pivot], row)
+        echelon[pivot] = row
+        for y in pairs:
+            image: Row = {}
+            for z, c in row.items():
+                _subtract(image, -c, structure_row(spec, y, z))
+            if image:
+                queue.append(image)
+    return echelon
+
+
+def ideal_generators(spec: AlgebraSpec) -> Tuple[Pair, ...]:
+    """Basis labels, in basis order, that generate the whole algebra as an
+    ideal: each one is taken only if it enlarges the ideal generated by
+    those taken before it, and the walk stops once that ideal is all of it.
+    """
+    pairs = basis(spec)
+    chosen: List[Pair] = []
+    size = 0
+    for label in pairs:
+        if size == len(pairs):
+            break
+        grown = len(generated_ideal(spec, chosen + [label]))
+        if grown > size:
+            chosen.append(label)
+            size = grown
+    return tuple(chosen)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Verification module: result plumbing, check verdicts, oracle wiring."""
 
 import gc
+import time
 import weakref
 from fractions import Fraction
 from itertools import product
@@ -17,8 +18,9 @@ from spinsym.checks import (CheckReport, CheckResult, LIE_SUITE_SPECS,
                             oracle_crosscheck, run_lie_suite, run_model_suite,
                             solve_lambda)
 from spinsym.exact import RationalFunction
-from spinsym.lie import AlgebraSpec, basis, structure_row
-from spinsym.models import ModelSpec, generator_grid, symmetrized_triple
+from spinsym.lie import AlgebraSpec, basis, generator_op, structure_row
+from spinsym.models import (ModelSpec, generator_grid, star_coupling,
+                            symmetrized_triple)
 from spinsym.operators import commutator, evaluate_vector, operator_sum
 
 F = Fraction
@@ -332,10 +334,158 @@ class TestSolver:
         assert "trivial non-interacting root 0 excluded" in r.notes
         assert "roots: 1/3" in r.notes
 
+    def test_rational_roots_with_large_constants(self):
+        # divisor pairs up to isqrt: a constant near 2^40 stays instant
+        start = time.perf_counter()
+        assert checks._rational_roots({0: F(-2 ** 40), 1: F(1)}) == {
+            F(2 ** 40)}
+        assert checks._rational_roots({0: F(-2 ** 31), 1: F(3)}) == {
+            F(2 ** 31, 3)}
+        assert time.perf_counter() - start < 1
+
+    def test_rational_roots_of_a_product(self):
+        # lam (3 lam - 2)(4 lam + 9)(lam - 6)
+        poly = {1: F(108), 2: F(-132), 3: F(-53), 4: F(12)}
+        assert checks._rational_roots(poly) == {F(0), F(2, 3), F(-9, 4),
+                                                F(6)}
+
     def test_weak_site_count_flagged(self):
         ms = ModelSpec(SP2, 2, "calogero", lam="symbolic")
         r = check_lambda_solver(ms)
         assert any("weak run" in n for n in r.notes)
+
+
+class TestDecidingLabels:
+    """Level-1 conservation from one bracket per generator of the ideal."""
+
+    @staticmethod
+    def counting_level1(monkeypatch):
+        formed = []
+        ham_bracket = checks._ModelContext.ham_bracket
+
+        def counting(ctx, level, ab):
+            if level == 1:
+                formed.append(ab)
+            return ham_bracket(ctx, level, ab)
+
+        monkeypatch.setattr(checks._ModelContext, "ham_bracket", counting)
+        return formed
+
+    @staticmethod
+    def full_loop_roots(ctx):
+        # the solver's gcd taken over every label, as before the shortcut
+        slot = checks.lam_slot(ctx.ms.sites)
+        common = None
+        for ab in basis(ctx.ms.algebra):
+            for poly in checks._coupling_polynomials(ctx.ham_bracket(1, ab),
+                                                     slot):
+                common = poly if common is None else checks._poly_gcd(
+                    common, poly)
+        if common is None:
+            return set()
+        return {r for r in checks._rational_roots(common) if r != 0}
+
+    @staticmethod
+    def noncovariant(lam):
+        # a spin-only term on one site of J1^(1,2) breaks R(y, (1,2)) = 0
+        # and, being no conserved quantity, the critical coupling as well
+        ms = ModelSpec(SP2, 3, "sutherland", lam=lam)
+        ctx = checks._ModelContext(ms)
+        grid = dict(ctx.grid(1))
+        grid[(1, 2)] = grid[(1, 2)] + generator_op(SP2, ms.space, 1, 1, 1)
+        ctx._cache[("grid", 1)] = grid
+        return ms, ctx
+
+    @pytest.mark.parametrize("spec", [SO3, SP2, SP4],
+                             ids=lambda spec: spec.describe())
+    def test_solver_forms_one_level1_bracket(self, spec, monkeypatch):
+        formed = self.counting_level1(monkeypatch)
+        ms = ModelSpec(spec, 3, "sutherland", lam="symbolic")
+        assert solve_lambda(ms) == {star_coupling(spec)}
+        assert formed == [(1, 1)]
+
+    def test_planted_noncovariant_generator_decides_on_every_label(
+            self, monkeypatch):
+        ms, ctx = self.noncovariant("symbolic")
+        assert any(not ctx.residual(1, y, z).is_zero
+                   for y in basis(SP2) for z in basis(SP2))
+        assert ctx.deciding_labels(1) == basis(SP2)
+        formed = self.counting_level1(monkeypatch)
+        roots = solve_lambda(ms, ctx)
+        assert formed == list(basis(SP2))
+        assert roots == self.full_loop_roots(ctx)
+        # the one bracket the covariant model needs would decide wrongly
+        one = checks._coupling_polynomials(ctx.ham_bracket(1, (1, 1)),
+                                           checks.lam_slot(ms.sites))
+        star = star_coupling(SP2)
+        assert star not in roots
+        assert all(sum(c * star ** e for e, c in p.items()) == 0
+                   for p in one)
+        # at the critical coupling [H, J1^(1,1)] vanishes, yet the level fails
+        ms, ctx = self.noncovariant("star")
+        assert ctx.ham_bracket(1, (1, 1)).is_zero
+        _, level1 = check_conservation(ms, ctx)
+        assert level1.status == "fail"
+        assert level1.notes == ("failing generators: [(1, 2)]",)
+
+    def test_planted_nonconserved_hamiltonian_decides_on_every_label(
+            self, monkeypatch):
+        # a one-site spin term in H breaks [J0^y, H] = 0 while every
+        # level-1 residual still vanishes
+        ms = ModelSpec(SP2, 3, "sutherland", lam="symbolic")
+        ctx = checks._ModelContext(ms)
+        ctx._cache["hamiltonian"] = ctx.hamiltonian() + generator_op(
+            SP2, ms.space, 1, 1, 2)
+        assert all(ctx.residual(1, y, z).is_zero
+                   for y in basis(SP2) for z in basis(SP2))
+        assert not all(ctx.ham_bracket(0, y).is_zero for y in basis(SP2))
+        assert ctx.deciding_labels(1) == basis(SP2)
+        formed = self.counting_level1(monkeypatch)
+        roots = solve_lambda(ms, ctx)
+        assert formed == list(basis(SP2))
+        assert roots == self.full_loop_roots(ctx)
+
+    def test_conservation_pass_forms_one_bracket(self, monkeypatch):
+        formed = self.counting_level1(monkeypatch)
+        ms = ModelSpec(SP4, 2, "sutherland", lam="star")
+        _, level1 = check_conservation(ms)
+        assert level1.status == "pass"
+        assert level1.notes == ("10 generators conserved",)
+        assert set(formed) == {(1, 1)}
+
+    def test_conservation_failure_lists_every_generator(self, monkeypatch):
+        # a refutation needs no premise: [H, J1^(1,1)] != 0 already fails
+        formed = self.counting_level1(monkeypatch)
+        ms = ModelSpec(SO3, 3, "calogero", lam=F(1))
+        ctx = checks._ModelContext(ms)
+        _, level1 = check_conservation(ms, ctx)
+        assert level1.status == "fail"
+        assert level1.notes == (
+            f"failing generators: {list(basis(SO3))}",)
+        assert level1.witness[0] == "defect for generator (1, 1):"
+        assert formed[0] == (1, 1)
+        assert sorted(set(formed)) == sorted(basis(SO3))
+        assert not any(key[0] in ("residual", "deciding")
+                       for key in ctx._cache if isinstance(key, tuple))
+
+    def test_oracle_replays_the_brackets_never_formed(self):
+        # (1, 2) lies outside the deciding set: at the critical coupling its
+        # flag comes from [H, J1^(1,1)] alone and its defect evaluates to 0;
+        # at coupling 1 it is formed, flagged nonzero and evaluates nonzero
+        label = "conservation level 1 generator (1, 2)"
+        for lam, zero in (("star", True), (F(1), False)):
+            ms = ModelSpec(SP4, 2, "sutherland", lam=lam)
+            ctx = checks._ModelContext(ms)
+            (target,) = [t for t in checks._conservation_targets(ctx)
+                         if t.label == label]
+            assert (1, 2) not in ctx.deciding_labels(1)
+            assert target.symbolically_zero == zero
+            assert (("ham", 1, (1, 2)) in ctx._cache) != zero
+            rng = Random(5)
+            vec = checks._random_vector(rng, ms.space)
+            point = checks._random_point(rng, ms)
+            residue = evaluate_vector(target.defect(vec), point)
+            assert bool(residue) != zero, lam
 
 
 class TestSpinIdentityChecks:

@@ -222,14 +222,14 @@ class TestExecution:
     def test_oracle_over_ceiling_reports_error(self, capsys):
         code = cli.run(["model", "--model", "calogero", "--N", "2",
                         "--theta0", "-1", "--L", "2", "--checks", "oracle",
-                        "--format", "json", "--term-ceiling", "10"])
+                        "--format", "json", "--term-ceiling", "9"])
         payload = json.loads(capsys.readouterr().out)
         assert code == 1
         (check,) = payload["checks"]
         assert check["name"] == "oracle-crosscheck"
         assert check["status"] == "error"
         assert check["notes"] == [
-            "operator exceeded the term ceiling (12 > 10); raise it via "
+            "operator exceeded the term ceiling (10 > 9); raise it via "
             "term_ceiling or the --term-ceiling flag"]
 
     def test_oracle_banner(self, capsys, monkeypatch):

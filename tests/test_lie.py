@@ -10,9 +10,10 @@ import pytest
 
 from spinsym.errors import DegenerateCouplingError
 from spinsym.lie import (AlgebraSpec, basis, conjugate_index,
-                         generator_matrix, generator_op, lowered_adjoint_constants,
-                         metric, raised_constants, structure_row,
-                         structure_table, theta)
+                         generated_ideal, generator_matrix, generator_op,
+                         ideal_generators, lowered_adjoint_constants, metric,
+                         raised_constants, structure_row, structure_table,
+                         theta)
 from spinsym.operators import OpSpace, commutator, operator_sum, Operator
 
 F = Fraction
@@ -128,6 +129,58 @@ class TestStructureConstants:
         for (ab, cd), row in table.items():
             flipped = table[(cd, ab)]
             assert flipped == {k: -v for k, v in row.items()}
+
+
+def _dense_ideal_dimension(spec, labels):
+    # span of the generator matrices closed under commutators with every
+    # generator matrix, ranked by elimination on the flattened entries
+    gens = [generator_matrix(spec, *ab) for ab in basis(spec)]
+    n = spec.N
+    rows = []
+    queue = [generator_matrix(spec, *ab) for ab in labels]
+    while queue and len(rows) < len(gens):
+        m = queue.pop()
+        vec = [m[i][j] for i in range(n) for j in range(n)]
+        for row in rows:
+            lead = next(k for k, v in enumerate(row) if v)
+            if vec[lead]:
+                factor = vec[lead] / row[lead]
+                vec = [v - factor * w for v, w in zip(vec, row)]
+        if not any(vec):
+            continue
+        rows.append(vec)
+        for g in gens:
+            queue.append([[sum(g[i][k] * m[k][j] - m[i][k] * g[k][j]
+                               for k in range(n)) for j in range(n)]
+                          for i in range(n)])
+    return len(rows)
+
+
+class TestIdeals:
+    @pytest.mark.parametrize("spec", ALL_SPECS + [AlgebraSpec(2, 1)],
+                             ids=lambda s: s.describe())
+    def test_generators_give_the_whole_algebra_on_dense_matrices(self, spec):
+        chosen = ideal_generators(spec)
+        assert chosen == ((1, 1),)
+        assert _dense_ideal_dimension(spec, chosen) == len(basis(spec))
+
+    @pytest.mark.parametrize("spec", ALL_SPECS[:5], ids=lambda s: s.describe())
+    def test_single_label_ideals_match_dense_matrices(self, spec):
+        # so(4) = sl2 + sl2 is not simple: a root vector there generates
+        # one three-dimensional factor only (the dense route takes seconds
+        # per algebra past dimension 10, so so(6) and sp(6) are left out)
+        dims = [len(generated_ideal(spec, [ab])) for ab in basis(spec)]
+        assert dims == [_dense_ideal_dimension(spec, [ab])
+                        for ab in basis(spec)]
+        if spec == AlgebraSpec(4, 1):
+            assert dims == [6, 3, 3, 3, 6, 3]
+
+    def test_echelon_rows_are_reduced(self):
+        spec = AlgebraSpec(4, 1)
+        ideal = generated_ideal(spec, [(1, 2)])
+        for pivot, row in ideal.items():
+            assert row[pivot] == 1
+            assert all(other not in row for other in ideal if other != pivot)
 
 
 class TestMetric:
