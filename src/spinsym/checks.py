@@ -14,11 +14,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache, partial, reduce
 from itertools import combinations, permutations, product
 from math import gcd as _integer_gcd, isqrt
+from operator import mul
 from random import Random
 from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
-                    Optional, Sequence, Set, Tuple)
+                    Optional, Sequence, Set, Tuple, Union)
 
 from .errors import (DegenerateCouplingError, OracleDisagreementError,
                      SingularMetricError, TermBudgetError)
@@ -38,6 +40,8 @@ from .version import __version__
 WITNESS_LIMIT = 10
 
 Matrix = List[List[Fraction]]
+Atom = Union[str, Tuple[int, int, int]]     # "P", "Q" or (site, a, b)
+Side = List[Tuple[Fraction, Tuple[Atom, ...]]]
 VectorMap = Callable[[SpinVector], SpinVector]
 
 
@@ -923,7 +927,8 @@ def run_lambda_solver(ms: ModelSpec, context: Optional[_ModelContext] = None
 
 
 # ---------------------------------------------------------------------------
-# two-site spin identities, engine route and dense-matrix route
+# two-site spin identities: one table, read by the engine route and the
+# dense-matrix route here and by the oracle's spin targets
 
 
 def _dense_zero(n: int) -> Matrix:
@@ -943,12 +948,10 @@ def _dense_eye(n: int) -> Matrix:
     return m
 
 
-def _dense_add(a: Matrix, b: Matrix, sign: int = 1) -> Matrix:
-    return [[x + sign * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _dense_scale(a: Matrix, c: Fraction) -> Matrix:
-    return [[x * c for x in row] for row in a]
+def _dense_add(a: Matrix, b: Matrix, c: Fraction = Fraction(1)) -> Matrix:
+    """``a + c * b``."""
+    return [[x + c * y if y else x for x, y in zip(ra, rb)]
+            for ra, rb in zip(a, b)]
 
 
 def _dense_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -1032,149 +1035,144 @@ def _dense_diff_witness(name: str, got: Matrix, want: Matrix
     return tuple(lines)
 
 
+def _spin_identities(spec: AlgebraSpec
+                     ) -> Tuple[Tuple[str, Optional[Tuple[Pair, ...]],
+                                      Tuple[Tuple[Side, Side], ...]], ...]:
+    """The two-site exchange and twist identities, each stated once.
+
+    An entry is ``(name, pairs, sides)``.  A side is a list of
+    ``(coefficient, word)``; a word is a product of atoms, ``"P"`` for the
+    exchange, ``"Q"`` for the twist and ``(site, a, b)`` for ``F^{ab}`` on
+    that site, and the empty word is the identity.  ``pairs`` is None for
+    a single identity with ``sides == ((lhs, rhs),)``; otherwise the
+    identity holds at every index pair and ``sides`` has one
+    ``(lhs, rhs)`` per pair, in the same order.
+    """
+    n = spec.N
+    one = Fraction(1)
+    theta0 = Fraction(spec.theta0)
+    pairs = tuple(product(range(1, n + 1), repeat=2))
+    return (
+        ("exchange square", None,
+         (([(one, ("P", "P"))], [(one, ())]),)),
+        ("twist square", None,
+         (([(one, ("Q", "Q"))], [(Fraction(n), ("Q",))]),)),
+        ("exchange twist product", None,
+         (([(one, ("P", "Q"))], [(theta0, ("Q",))]),)),
+        ("twist exchange product", None,
+         (([(one, ("Q", "P"))], [(theta0, ("Q",))]),)),
+        # P - Q = 1/2 sum_ab F_1^{ab} F_2^{ba}
+        ("pair difference", None,
+         (([(one, ("P",)), (-one, ("Q",))],
+           [(Fraction(1, 2), ((1, a, b), (2, b, a))) for a, b in pairs]),)),
+        # the exchange carries F from site 1 to site 2; the twist flips
+        # its sign on the way
+        ("exchange swap", pairs,
+         tuple(([(one, ("P", (1, a, b)))], [(one, ((2, a, b), "P"))])
+               for a, b in pairs)),
+        ("twist swap", pairs,
+         tuple(([(one, ("Q", (1, a, b)))], [(-one, ("Q", (2, a, b)))])
+               for a, b in pairs)),
+    )
+
+
+def _engine_atom(spec: AlgebraSpec, space: OpSpace, atom: Atom) -> Operator:
+    if atom == "P":
+        return permutation_op(spec, space, 1, 2)
+    if atom == "Q":
+        return twist_op(spec, space, 1, 2)
+    site, a, b = atom
+    return generator_op(spec, space, site, a, b)
+
+
+def _dense_atom(spec: AlgebraSpec, atom: Atom) -> Matrix:
+    """The atoms rebuilt as N^2 x N^2 matrices, independently of the engine."""
+    n = spec.N
+    if atom in ("P", "Q"):
+        # P = sum_ab E^{ab} x E^{ba},
+        # Q = sum_ab th_a th_b E^{ab} x E^{bar a, bar b}
+        out = _dense_zero(n * n)
+        for a, b in product(range(1, n + 1), repeat=2):
+            c, d, sign = (b, a, 1) if atom == "P" else (
+                conjugate_index(spec, a), conjugate_index(spec, b),
+                theta(spec, a) * theta(spec, b))
+            out = _dense_add(out, _dense_kron(_dense_unit(n, a, b),
+                                              _dense_unit(n, c, d)),
+                             Fraction(sign))
+        return out
+    site, a, b = atom
+    f = generator_matrix(spec, a, b)
+    return _dense_kron(f, _dense_eye(n)) if site == 1 \
+        else _dense_kron(_dense_eye(n), f)
+
+
+def _engine_side(space: OpSpace, side: Side,
+                 atom: Callable[[Atom], Operator]) -> Operator:
+    return operator_sum(space, (
+        (reduce(mul, map(atom, word)) if word else Operator.identity(space)
+         ).scaled(c) for c, word in side))
+
+
+def _dense_side(n: int, side: Side, atom: Callable[[Atom], Matrix]) -> Matrix:
+    out = _dense_zero(n * n)
+    for c, word in side:
+        m = reduce(_dense_mul, map(atom, word)) if word else _dense_eye(n * n)
+        out = _dense_add(out, m, c)
+    return out
+
+
 def check_pq_identities(spec: AlgebraSpec) -> Tuple[CheckResult, ...]:
     """Exchange and twist identities on two sites, proved twice.
 
-    The engine route compares canonical operators; the dense route rebuilds
-    everything as explicit N^2 x N^2 rational matrices with independent
-    code and compares entrywise.
+    Both routes read the one statement in ``_spin_identities``.  The engine
+    route compares canonical operators; the dense route rebuilds every atom
+    as an explicit N^2 x N^2 rational matrix with independent code and
+    compares entrywise.  The bridge check ties the two atom maps together.
     """
     n = spec.N
-    theta0 = spec.theta0
     space = OpSpace(n, 2)
     params = _algebra_params(spec)
-
-    perm = permutation_op(spec, space, 1, 2)
-    twist = twist_op(spec, space, 1, 2)
-    identity_op = Operator.identity(space)
-
-    perm_m = _dense_zero(n * n)
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            perm_m = _dense_add(perm_m, _dense_kron(_dense_unit(n, a, b),
-                                                    _dense_unit(n, b, a)))
-    twist_m = _dense_zero(n * n)
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            c = Fraction(theta(spec, a) * theta(spec, b))
-            block = _dense_kron(_dense_unit(n, a, b),
-                                _dense_unit(n, conjugate_index(spec, a),
-                                            conjugate_index(spec, b)))
-            twist_m = _dense_add(twist_m, _dense_scale(block, c))
-    eye = _dense_eye(n * n)
-
-    def gen_site(a: int, b: int, site: int) -> Operator:
-        return generator_op(spec, space, site, a, b)
-
-    def gen_dense(a: int, b: int, site: int) -> Matrix:
-        f = generator_matrix(spec, a, b)
-        return _dense_kron(f, _dense_eye(n)) if site == 1 \
-            else _dense_kron(_dense_eye(n), f)
+    engine = lru_cache(maxsize=None)(partial(_engine_atom, spec, space))
+    dense = lru_cache(maxsize=None)(partial(_dense_atom, spec))
 
     def bridge_body():
-        for op, mat, tag in ((perm, perm_m, "exchange"),
-                             (twist, twist_m, "twist")):
-            got = _operator_to_dense(spec, op)
-            if got != mat:
-                return ("fail",
-                        _dense_diff_witness(f"engine {tag} vs dense {tag}:",
-                                            got, mat),
-                        ())
-        for a in range(1, n + 1):
-            for b in range(1, n + 1):
-                got = _operator_to_dense(spec, gen_site(a, b, 1))
-                if got != gen_dense(a, b, 1):
-                    return ("fail",
-                            _dense_diff_witness(
-                                f"engine generator ({a},{b}) vs dense:",
-                                got, gen_dense(a, b, 1)),
-                            ())
+        tags = {"P": "exchange", "Q": "twist"}
+        for atom in ("P", "Q") + tuple((1, a, b) for a in range(1, n + 1)
+                                       for b in range(1, n + 1)):
+            got = _operator_to_dense(spec, engine(atom))
+            if got != dense(atom):
+                label = (f"engine {tags[atom]} vs dense {tags[atom]}:"
+                         if atom in tags else
+                         f"engine generator ({atom[1]},{atom[2]}) vs dense:")
+                return "fail", _dense_diff_witness(label, got, dense(atom)), ()
         return "pass", (), (f"{2 + n * n} operators agree with the dense "
                             f"rebuild",)
 
-    def both_routes(tag: str, engine_lhs: Operator, engine_rhs: Operator,
-                    dense_lhs: Matrix, dense_rhs: Matrix):
+    def identity_body(pairs, sides):
         def body():
-            diff = engine_lhs - engine_rhs
-            if not diff.is_zero:
-                return ("fail",
-                        _witness_terms(diff, "engine-route residue:"),
-                        ())
-            if dense_lhs != dense_rhs:
-                return ("fail",
-                        _dense_diff_witness("dense-route residue:",
-                                            dense_lhs, dense_rhs),
-                        ())
-            return "pass", (), ("engine and dense routes agree",)
-        return _run(tag, params, body)
+            for ab, (lhs, rhs) in zip(pairs or (None,), sides):
+                def label(route: str) -> str:
+                    return (f"{route}-route residue:" if ab is None else
+                            f"{route} residue at pair ({ab[0]},{ab[1]}):")
+                diff = _engine_side(space, lhs, engine) \
+                    - _engine_side(space, rhs, engine)
+                if not diff.is_zero:
+                    return "fail", _witness_terms(diff, label("engine")), ()
+                dl = _dense_side(n, lhs, dense)
+                dr = _dense_side(n, rhs, dense)
+                if dl != dr:
+                    return ("fail",
+                            _dense_diff_witness(label("dense"), dl, dr), ())
+            if pairs is None:
+                return "pass", (), ("engine and dense routes agree",)
+            return "pass", (), (f"{len(pairs)} generator pairs verified on "
+                                f"both routes",)
+        return body
 
     results = [_run("spin-dense-bridge", params, bridge_body)]
-
-    results.append(both_routes(
-        "spin-exchange-square", perm * perm, identity_op,
-        _dense_mul(perm_m, perm_m), eye))
-    results.append(both_routes(
-        "spin-twist-square", twist * twist, twist.scaled(Fraction(n)),
-        _dense_mul(twist_m, twist_m), _dense_scale(twist_m, Fraction(n))))
-    results.append(both_routes(
-        "spin-exchange-twist-product", perm * twist,
-        twist.scaled(Fraction(theta0)),
-        _dense_mul(perm_m, twist_m), _dense_scale(twist_m, Fraction(theta0))))
-    results.append(both_routes(
-        "spin-twist-exchange-product", twist * perm,
-        twist.scaled(Fraction(theta0)),
-        _dense_mul(twist_m, perm_m), _dense_scale(twist_m, Fraction(theta0))))
-
-    pair_sum = operator_sum(
-        space, (gen_site(a, b, 1) * gen_site(b, a, 2)
-                for a in range(1, n + 1) for b in range(1, n + 1)))
-    pair_sum = pair_sum.scaled(Fraction(1, 2))
-    pair_sum_m = _dense_zero(n * n)
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            pair_sum_m = _dense_add(
-                pair_sum_m, _dense_kron(generator_matrix(spec, a, b),
-                                        generator_matrix(spec, b, a)))
-    pair_sum_m = _dense_scale(pair_sum_m, Fraction(1, 2))
-    results.append(both_routes(
-        "spin-pair-difference", perm - twist, pair_sum,
-        _dense_add(perm_m, twist_m, -1), pair_sum_m))
-
-    def swap_body(swap_tag: str, carrier: Operator, carrier_m: Matrix,
-                  sign: int):
-        # carrier * F_site1 == sign * (F_site2 for exchange, carrier-side
-        # twist flips the site with a minus)
-        def body():
-            for a in range(1, n + 1):
-                for b in range(1, n + 1):
-                    lhs = carrier * gen_site(a, b, 1)
-                    rhs = (gen_site(a, b, 2) * carrier).scaled(Fraction(sign)) \
-                        if sign > 0 else \
-                        (carrier * gen_site(a, b, 2)).scaled(Fraction(sign))
-                    diff = lhs - rhs
-                    if not diff.is_zero:
-                        return ("fail",
-                                _witness_terms(
-                                    diff, f"engine residue at pair ({a},{b}):"),
-                                ())
-                    dl = _dense_mul(carrier_m, gen_dense(a, b, 1))
-                    dr = _dense_scale(
-                        _dense_mul(gen_dense(a, b, 2), carrier_m)
-                        if sign > 0 else
-                        _dense_mul(carrier_m, gen_dense(a, b, 2)),
-                        Fraction(sign))
-                    if dl != dr:
-                        return ("fail",
-                                _dense_diff_witness(
-                                    f"dense residue at pair ({a},{b}):",
-                                    dl, dr),
-                                ())
-            return "pass", (), (f"{n * n} generator pairs verified on both "
-                                f"routes",)
-        return _run(swap_tag, params, body)
-
-    results.append(swap_body("spin-exchange-swap", perm, perm_m, 1))
-    results.append(swap_body("spin-twist-swap", twist, twist_m, -1))
+    for name, pairs, sides in _spin_identities(spec):
+        results.append(_run("spin-" + name.replace(" ", "-"), params,
+                            identity_body(pairs, sides)))
     return tuple(results)
 
 
@@ -1308,62 +1306,37 @@ def _serre_targets(ctx: _ModelContext, rng: Random
 
 
 def _spin_targets(spec: AlgebraSpec) -> List[_OracleTarget]:
-    n = spec.N
-    space = OpSpace(n, 2)
-    perm = permutation_op(spec, space, 1, 2)
-    twist = twist_op(spec, space, 1, 2)
-    gens1 = {(a, b): generator_op(spec, space, 1, a, b)
-             for a in range(1, n + 1) for b in range(1, n + 1)}
-    gens2 = {(a, b): generator_op(spec, space, 2, a, b)
-             for a in range(1, n + 1) for b in range(1, n + 1)}
+    """The two-site identities of ``_spin_identities`` as vector maps.
 
-    def square_defect(vec: SpinVector) -> SpinVector:
-        return vector_add(apply_operator(perm, apply_operator(perm, vec)),
-                          vec, Fraction(-1))
+    A per-pair identity becomes one target, ``sum_k k * (lhs - rhs)`` over
+    the basis labels with weights 1..d: the basis generators are linearly
+    independent, so no relation among the ``F^{ab}`` (``sum_ab F^{ab} = 0``
+    for so(N)) can cancel the combination.  The twist-exchange product is
+    left out, so every seeded draw keeps its six targets.
+    """
+    space = OpSpace(spec.N, 2)
+    atom = lru_cache(maxsize=None)(partial(_engine_atom, spec, space))
+    weight = {ab: Fraction(k) for k, ab in enumerate(basis(spec), 1)}
+    out: List[_OracleTarget] = []
+    for name, pairs, sides in _spin_identities(spec):
+        if name == "twist exchange product":
+            continue
+        weighted = [(Fraction(1), sides[0])] if pairs is None else [
+            (weight[ab], side) for ab, side in zip(pairs, sides)
+            if ab in weight]
+        terms = [(w * sign * c, _apply_chain([atom(x) for x in word]))
+                 for w, (lhs, rhs) in weighted
+                 for sign, side in ((1, lhs), (-1, rhs))
+                 for c, word in side]
 
-    def twist_square_defect(vec: SpinVector) -> SpinVector:
-        qv = apply_operator(twist, vec)
-        return vector_add(apply_operator(twist, qv), qv, Fraction(-n))
+        def defect(vec: SpinVector, terms=terms) -> SpinVector:
+            acc: SpinVector = {}
+            for c, chain in terms:
+                acc = vector_add(acc, chain(vec), c)
+            return acc
 
-    def product_defect(vec: SpinVector) -> SpinVector:
-        qv = apply_operator(twist, vec)
-        return vector_add(apply_operator(perm, qv), qv,
-                          Fraction(-spec.theta0))
-
-    def difference_defect(vec: SpinVector) -> SpinVector:
-        acc = vector_add(apply_operator(perm, vec),
-                         apply_operator(twist, vec), Fraction(-1))
-        for a in range(1, n + 1):
-            for b in range(1, n + 1):
-                part = apply_operator(gens1[(a, b)],
-                                      apply_operator(gens2[(b, a)], vec))
-                acc = vector_add(acc, part, Fraction(-1, 2))
-        return acc
-
-    def exchange_swap_defect(vec: SpinVector) -> SpinVector:
-        acc: SpinVector = {}
-        for ab, gen in gens1.items():
-            left = apply_operator(perm, apply_operator(gen, vec))
-            right = apply_operator(gens2[ab], apply_operator(perm, vec))
-            acc = vector_add(acc, vector_add(left, right, Fraction(-1)))
-        return acc
-
-    def twist_swap_defect(vec: SpinVector) -> SpinVector:
-        acc: SpinVector = {}
-        for ab, gen in gens1.items():
-            left = apply_operator(twist, apply_operator(gen, vec))
-            right = apply_operator(twist, apply_operator(gens2[ab], vec))
-            acc = vector_add(acc, vector_add(left, right))
-        return acc
-
-    return [
-        _OracleTarget("exchange square", square_defect, True),
-        _OracleTarget("twist square", twist_square_defect, True),
-        _OracleTarget("exchange-twist product", product_defect, True),
-        _OracleTarget("pair difference", difference_defect, True),
-        _OracleTarget("exchange swap", exchange_swap_defect, True),
-        _OracleTarget("twist swap", twist_swap_defect, True),
-    ]
+        out.append(_OracleTarget(name, defect, True))
+    return out
 
 
 def _random_amplitude(rng: Random, npos: int) -> RationalFunction:

@@ -252,16 +252,6 @@ class MetricTensor:
         return self.inverse[self.index(ab)][self.index(cd)]
 
 
-def _mat_mul(a, b):
-    n = len(a)
-    return [[sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0))
-             for j in range(n)] for i in range(n)]
-
-
-def _trace(m) -> Fraction:
-    return sum((m[i][i] for i in range(len(m))), Fraction(0))
-
-
 def invert_matrix(matrix: List[List[Fraction]]) -> List[List[Fraction]]:
     """Exact inverse by Gauss-Jordan elimination over the rationals."""
     n = len(matrix)
@@ -285,9 +275,11 @@ def invert_matrix(matrix: List[List[Fraction]]) -> List[List[Fraction]]:
 def metric(spec: AlgebraSpec) -> MetricTensor:
     labels = basis(spec)
     mats = [generator_matrix(spec, a, b) for (a, b) in labels]
-    size = len(labels)
-    g = [[_trace(_mat_mul(mats[i], mats[j])) * _HALF for j in range(size)]
-         for i in range(size)]
+    n = spec.N
+    # (1/2) tr(f h) read off as (1/2) sum_ik f_ik h_ki; f h is never formed
+    g = [[sum((f[i][k] * h[k][i] for i in range(n) for k in range(n)),
+              Fraction(0)) * _HALF for h in mats]
+         for f in mats]
     inverse = invert_matrix(g)
     return MetricTensor(labels,
                         tuple(tuple(row) for row in g),

@@ -21,7 +21,8 @@ from spinsym.exact import RationalFunction
 from spinsym.lie import AlgebraSpec, basis, generator_op, structure_row
 from spinsym.models import (ModelSpec, generator_grid, star_coupling,
                             symmetrized_triple)
-from spinsym.operators import commutator, evaluate_vector, operator_sum
+from spinsym.operators import (Operator, OpSpace, commutator, evaluate_vector,
+                               operator_sum)
 
 F = Fraction
 
@@ -496,6 +497,89 @@ class TestSpinIdentityChecks:
             "spin-exchange-twist-product", "spin-twist-exchange-product",
             "spin-pair-difference", "spin-exchange-swap", "spin-twist-swap"}
         assert all(r.status == "pass" for r in results)
+
+    @pytest.mark.parametrize("n,theta0", ((2, 1),) + LIE_SUITE_SPECS,
+                             ids=lambda v: str(v))
+    def test_names_and_notes_pinned(self, n, theta0):
+        both = ("engine and dense routes agree",)
+        pairs = (f"{n * n} generator pairs verified on both routes",)
+        results = check_pq_identities(AlgebraSpec(n, theta0))
+        assert [(r.name, r.status, r.witness, r.notes) for r in results] == [
+            ("spin-dense-bridge", "pass", (),
+             (f"{2 + n * n} operators agree with the dense rebuild",)),
+            ("spin-exchange-square", "pass", (), both),
+            ("spin-twist-square", "pass", (), both),
+            ("spin-exchange-twist-product", "pass", (), both),
+            ("spin-twist-exchange-product", "pass", (), both),
+            ("spin-pair-difference", "pass", (), both),
+            ("spin-exchange-swap", "pass", (), pairs),
+            ("spin-twist-swap", "pass", (), pairs)]
+
+    def test_planted_false_entry_fails_engine_route(self, monkeypatch):
+        stated = checks._spin_identities
+
+        def planted(spec):
+            out = []
+            for name, pairs, sides in stated(spec):
+                if name == "twist square":
+                    ((lhs, _),) = sides
+                    sides = ((lhs, [(F(spec.N + 1), ("Q",))]),)
+                out.append((name, pairs, sides))
+            return tuple(out)
+
+        monkeypatch.setattr(checks, "_spin_identities", planted)
+        results = {r.name: r for r in check_pq_identities(SO3)}
+        bad = results.pop("spin-twist-square")
+        assert bad.status == "fail"
+        assert bad.witness[0] == "engine-route residue:"
+        assert all(r.status == "pass" for r in results.values())
+
+    def test_corrupted_dense_twist_fails_bridge_and_dense_route(
+            self, monkeypatch):
+        built = checks._dense_atom
+
+        def doubled_twist(spec, atom):
+            m = built(spec, atom)
+            return checks._dense_add(m, m) if atom == "Q" else m
+
+        monkeypatch.setattr(checks, "_dense_atom", doubled_twist)
+        results = {r.name: r for r in check_pq_identities(SP2)}
+        assert results["spin-dense-bridge"].status == "fail"
+        assert results["spin-dense-bridge"].witness[0] == \
+            "engine twist vs dense twist:"
+        assert results["spin-twist-square"].status == "fail"
+        assert results["spin-twist-square"].witness[0] == \
+            "dense-route residue:"
+        assert results["spin-exchange-square"].status == "pass"
+
+    def test_oracle_targets_in_pinned_order(self):
+        for spec in (SP2, SO3, SP4):
+            targets = checks._spin_targets(spec)
+            assert [t.label for t in targets] == [
+                "exchange square", "twist square", "exchange twist product",
+                "pair difference", "exchange swap", "twist swap"]
+            assert all(t.symbolically_zero for t in targets)
+
+    @pytest.mark.parametrize("label,builder",
+                             (("exchange swap", "permutation_op"),
+                              ("twist swap", "twist_op")))
+    def test_oracle_swap_targets_not_vacuous_for_so3(self, monkeypatch,
+                                                     label, builder):
+        # with X + 1 in place of X, each swap defect is F_1 -+ F_2 summed
+        # over the generators; sum_ab F^{ab} = 0 for so(N), so an unweighted
+        # sum would miss the fault on every vector
+        built = getattr(checks, builder)
+        monkeypatch.setattr(checks, builder, lambda spec, space, j, k: (
+            built(spec, space, j, k) + Operator.identity(space)))
+        (target,) = [t for t in checks._spin_targets(SO3) if t.label == label]
+        ms = ModelSpec(SO3, 2, "calogero", lam="star")
+        rng = Random(3)
+        nonzero = 0
+        for _ in range(20):
+            vec = checks._random_vector(rng, OpSpace(3, 2))
+            point = checks._random_point(rng, ms)
+            nonzero += bool(evaluate_vector(target.defect(vec), point))
+        assert nonzero == 20
 
 
 class TestOracle:
