@@ -32,8 +32,8 @@ from .lie import (AlgebraSpec, Pair, basis, conjugate_index, generator_matrix,
 from .models import (ModelSpec, bind, coupling_weight, generator_grid,
                      hamiltonian, star_coupling, symmetrized_triple)
 from .operators import (Operator, OpSpace, SpinVector, apply_operator,
-                        commutator, evaluate_vector, operator_sum,
-                        vector_add)
+                        commutator, evaluate_vector, operator_combination,
+                        operator_sum, vector_combination)
 from .spin_ops import permutation_op, twist_op
 from .version import __version__
 
@@ -460,8 +460,8 @@ class _ModelContext:
 
         def build() -> Operator:
             grid = self.grid(level)
-            want = operator_sum(self.ms.space, (
-                grid[w].scaled(c)
+            want = operator_combination(self.ms.space, (
+                (c, grid[w])
                 for w, c in structure_row(self.ms.algebra, y, z).items()))
             return commutator(self.grid(0)[y], grid[z]) - want
 
@@ -488,7 +488,7 @@ class _ModelContext:
         sum equals the nested commutators exactly.
         """
         row: Dict[Tuple[Pair, Pair], Fraction] = {}
-        parts: List[Operator] = []
+        parts: List[Tuple[Fraction, Operator]] = []
         for x, y, z in triples:
             for w, c in structure_row(self.ms.algebra, y, z).items():
                 if w != x:
@@ -496,9 +496,9 @@ class _ModelContext:
                     row[key] = row.get(key, Fraction(0)) + c
             rest = self.residual(1, y, z)
             if not rest.is_zero:
-                parts.append(commutator(self.grid(1)[x], rest))
-        return operator_sum(self.ms.space, parts + [
-            self.bracket(*key).scaled(c) for key, c in row.items() if c])
+                parts.append((Fraction(1), commutator(self.grid(1)[x], rest)))
+        return operator_combination(self.ms.space, parts + [
+            (c, self.bracket(*key)) for key, c in row.items() if c])
 
     def serre_scale(self) -> RationalFunction:
         return self._once("scale", lambda: _serre_rhs_scale(self.ms))
@@ -509,9 +509,9 @@ class _ModelContext:
         basis triple; each label multiset's symmetrized triple is built
         once."""
         grid0 = self.grid(0)
-        rhs = operator_sum(self.ms.space, (
-            self._once(("sym", key), lambda key=key: symmetrized_triple(
-                *(grid0[label] for label in key))).scaled(c)
+        rhs = operator_combination(self.ms.space, (
+            (c, self._once(("sym", key), lambda key=key: symmetrized_triple(
+                *(grid0[label] for label in key))))
             for key, c in _serre_weight(self.ms.algebra, ab, cd, ef).items()))
         return (self.piece_sum(_rotations(ab, cd, ef)),
                 rhs.scaled(self.serre_scale()))
@@ -1193,20 +1193,60 @@ class _OracleTarget:
     symbolically_zero: bool
 
 
-def _apply_chain(ops: Sequence[Operator]) -> VectorMap:
-    def chain(vec: SpinVector) -> SpinVector:
-        for op in reversed(ops):
-            vec = apply_operator(op, vec)
-        return vec
-    return chain
+# an oracle target is a signed list of words over named operators: "H",
+# "S" (the Serre scale), (level, label) for a generator, or a spin atom
+Name = Union[str, Tuple[int, Pair], Atom]
+Word = Tuple[Name, ...]         # leading operator first: word[-1] acts first
+Words = List[Tuple[Fraction, Word]]
 
 
-def _commutator_apply(a: Operator, b: Operator) -> VectorMap:
-    def apply_comm(vec: SpinVector) -> SpinVector:
-        left = apply_operator(a, apply_operator(b, vec))
-        right = apply_operator(b, apply_operator(a, vec))
-        return vector_add(left, right, Fraction(-1))
-    return apply_comm
+def _op(name: Name) -> Words:
+    return [(Fraction(1), (name,))]
+
+
+def _bracket(a: Words, b: Words) -> Words:
+    """``[a, b] = ab - ba`` on signed word lists."""
+    return ([(c * d, u + v) for c, u in a for d, v in b]
+            + [(-c * d, v + u) for c, u in a for d, v in b])
+
+
+def _word_map(space: OpSpace, ops: Mapping[Name, Operator],
+              words: Words) -> VectorMap:
+    """``vec -> sum c * w(vec)`` over signed words of named operators.
+
+    Equal words are merged first.  Within one call, every distinct suffix
+    (the operators applied first) is applied once, and a leading operator
+    shared by several words is applied once, to the combination of their
+    rests.  Every step is ``apply_operator``; no product is ever formed.
+    """
+    merged: Dict[Word, Fraction] = {}
+    for c, word in words:
+        merged[word] = merged.get(word, 0) + c
+    groups: Dict[Optional[Name], Words] = {}
+    for word, c in merged.items():
+        if c:
+            groups.setdefault(word[0] if word else None, []).append(
+                (c, word[1:]))
+    npos = space.sites
+
+    def defect(vec: SpinVector) -> SpinVector:
+        memo: Dict[Word, SpinVector] = {(): vec}
+
+        def suffix(word: Word) -> SpinVector:
+            out = memo.get(word)
+            if out is None:
+                out = memo[word] = apply_operator(ops[word[0]],
+                                                  suffix(word[1:]))
+            return out
+
+        parts = []
+        for lead, rests in groups.items():
+            rest = vector_combination(npos, [(c, suffix(w)) for c, w in rests])
+            parts.append((1, rest if lead is None
+                          else apply_operator(ops[lead], rest)))
+        return vector_combination(npos, parts)
+
+    return defect
 
 
 def _conserved(ctx: _ModelContext, level: int, ab: Pair) -> bool:
@@ -1231,35 +1271,37 @@ def _conservation_targets(ctx: _ModelContext) -> List[_OracleTarget]:
     for level in (0, 1):
         grid = ctx.grid(level)
         for ab in basis(ctx.ms.algebra):
+            gen = (level, ab)
             out.append(_OracleTarget(
                 f"conservation level {level} generator {ab}",
-                _commutator_apply(ham, grid[ab]),
+                _word_map(ctx.ms.space, {"H": ham, gen: grid[ab]},
+                          _bracket(_op("H"), _op(gen))),
                 _conserved(ctx, level, ab)))
     return out
+
+
+def _grid_ops(ctx: _ModelContext) -> Dict[Name, Operator]:
+    """The generators of both levels, named ``(level, label)``."""
+    return {(level, ab): op for level in (0, 1)
+            for ab, op in ctx.grid(level).items()}
 
 
 def _level_relation_targets(ctx: _ModelContext, rng: Random
                             ) -> List[_OracleTarget]:
     ms = ctx.ms
     labels = basis(ms.algebra)
-    grid0 = ctx.grid(0)
-    grid1 = ctx.grid(1)
+    ops = _grid_ops(ctx)
     pairs = [(ab, cd) for ab in labels for cd in labels]
     if len(pairs) > ORACLE_PAIRS:
         pairs = rng.sample(pairs, ORACLE_PAIRS)
     out: List[_OracleTarget] = []
     for ab, cd in pairs:
         row = structure_row(ms.algebra, ab, cd)
-        zero = ctx.residual(1, ab, cd).is_zero
-        comm = _commutator_apply(grid0[ab], grid1[cd])
-
-        def defect(vec: SpinVector, comm=comm, row=row) -> SpinVector:
-            acc = comm(vec)
-            for ef, c in row.items():
-                acc = vector_add(acc, apply_operator(grid1[ef], vec), -c)
-            return acc
-
-        out.append(_OracleTarget(f"level relation {ab} x {cd}", defect, zero))
+        words = _bracket(_op((0, ab)), _op((1, cd))) + [
+            (-c, ((1, ef),)) for ef, c in row.items()]
+        out.append(_OracleTarget(f"level relation {ab} x {cd}",
+                                 _word_map(ms.space, ops, words),
+                                 ctx.residual(1, ab, cd).is_zero))
     return out
 
 
@@ -1268,40 +1310,28 @@ def _serre_targets(ctx: _ModelContext, rng: Random
     """Cubic relations at sampled triples.
 
     The flag comes from the table route the Serre check proves with; the
-    defect is the independent nested-commutator route, applied to vectors.
+    defect is the independent nested-commutator route, applied to vectors:
+    the cyclic sum of ``[J1^x, [J0^y, J1^z]]`` less the Serre scale times
+    the weighted symmetrized triples of level-0 generators.
     """
     ms = ctx.ms
     spec = ms.algebra
-    grid0 = ctx.grid(0)
-    grid1 = ctx.grid(1)
-    scale = ctx.serre_scale()
+    ops = _grid_ops(ctx)
+    ops["S"] = Operator.from_coefficient(ms.space, ctx.serre_scale())
     triples = list(product(basis(spec), repeat=3))
     if len(triples) > ORACLE_TRIPLES:
         triples = rng.sample(triples, ORACLE_TRIPLES)
     out: List[_OracleTarget] = []
     for ab, cd, ef in triples:
-        weights = _serre_weight(spec, ab, cd, ef)
         lhs, rhs = ctx.cubic_sides(ab, cd, ef)
-        cyclic = _rotations(ab, cd, ef)
-
-        def defect(vec: SpinVector, cyclic=cyclic, weights=weights) -> SpinVector:
-            acc: SpinVector = {}
-            for x, y, z in cyclic:
-                inner = _commutator_apply(grid0[y], grid1[z])
-                outer_left = apply_operator(grid1[x], inner(vec))
-                outer_right = inner(apply_operator(grid1[x], vec))
-                acc = vector_add(acc, outer_left)
-                acc = vector_add(acc, outer_right, Fraction(-1))
-            for key, c in weights.items():
-                for perm in permutations(key):
-                    chain = _apply_chain([grid0[label] for label in perm])
-                    for ket, amp in chain(vec).items():
-                        acc = vector_add(acc, {ket: amp * scale},
-                                         -c * Fraction(1, 24))
-            return acc
-
+        words: Words = []
+        for x, y, z in _rotations(ab, cd, ef):
+            words += _bracket(_op((1, x)), _bracket(_op((0, y)), _op((1, z))))
+        for key, c in _serre_weight(spec, ab, cd, ef).items():
+            words += [(-c / 24, ("S",) + tuple((0, label) for label in perm))
+                      for perm in permutations(key)]
         out.append(_OracleTarget(f"cubic relation {ab}, {cd}, {ef}",
-                                 defect, lhs == rhs))
+                                 _word_map(ms.space, ops, words), lhs == rhs))
     return out
 
 
@@ -1315,8 +1345,8 @@ def _spin_targets(spec: AlgebraSpec) -> List[_OracleTarget]:
     left out, so every seeded draw keeps its six targets.
     """
     space = OpSpace(spec.N, 2)
-    atom = lru_cache(maxsize=None)(partial(_engine_atom, spec, space))
     weight = {ab: Fraction(k) for k, ab in enumerate(basis(spec), 1)}
+    atoms: Dict[Name, Operator] = {}
     out: List[_OracleTarget] = []
     for name, pairs, sides in _spin_identities(spec):
         if name == "twist exchange product":
@@ -1324,18 +1354,15 @@ def _spin_targets(spec: AlgebraSpec) -> List[_OracleTarget]:
         weighted = [(Fraction(1), sides[0])] if pairs is None else [
             (weight[ab], side) for ab, side in zip(pairs, sides)
             if ab in weight]
-        terms = [(w * sign * c, _apply_chain([atom(x) for x in word]))
+        words = [(w * sign * c, word)
                  for w, (lhs, rhs) in weighted
                  for sign, side in ((1, lhs), (-1, rhs))
                  for c, word in side]
-
-        def defect(vec: SpinVector, terms=terms) -> SpinVector:
-            acc: SpinVector = {}
-            for c, chain in terms:
-                acc = vector_add(acc, chain(vec), c)
-            return acc
-
-        out.append(_OracleTarget(name, defect, True))
+        for _, word in words:
+            for atom in word:
+                if atom not in atoms:
+                    atoms[atom] = _engine_atom(spec, space, atom)
+        out.append(_OracleTarget(name, _word_map(space, atoms, words), True))
     return out
 
 

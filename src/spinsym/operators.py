@@ -41,7 +41,8 @@ from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
                     Sequence, Tuple, Union)
 
 from .errors import ShapeMismatchError, TermBudgetError
-from .exact import RationalFunction, lam_slot, om_slot, rf_sum
+from .exact import (RationalFunction, lam_slot, om_slot, rf_combination,
+                    rf_sum)
 
 Deriv = Tuple[int, ...]
 SpinAtom = Tuple[int, int, int]
@@ -164,7 +165,7 @@ def word_mul(spin_dim: int, left: SpinWord,
 class Operator:
     """Normal-form operator over an OpSpace."""
 
-    __slots__ = ("space", "terms", "__weakref__")
+    __slots__ = ("space", "terms", "_rows", "__weakref__")
 
     def __init__(self, space: OpSpace, terms: Dict[TermKey, RationalFunction]):
         """Wrap terms that are already in normal form: reduced spin words,
@@ -172,6 +173,9 @@ class Operator:
         positions.  The dict is kept, not copied, and never mutated."""
         self.space = space
         self.terms = terms
+        # the action rows of apply_operator, one per source ket, built on
+        # first use from ``terms`` alone
+        self._rows: Optional[Dict[SpinBasis, ActionRow]] = None
 
     # constructors -----------------------------------------------------------
 
@@ -337,20 +341,20 @@ class Operator:
 
 
 def _multi_derivative(r: RationalFunction, gamma: Deriv,
-                      cache: Dict) -> RationalFunction:
+                      memo: Dict[Deriv, RationalFunction]) -> RationalFunction:
+    """d^gamma r; ``memo`` holds the derivatives of this one ``r``."""
     if not any(gamma):
         return r
-    key = (id(r), gamma)
-    hit = cache.get(key)
+    hit = memo.get(gamma)
     if hit is not None:
         return hit
     for j, e in enumerate(gamma, start=1):
         if e:
             lower = gamma[:j - 1] + (e - 1,) + gamma[j:]
-            prev = _multi_derivative(r, lower, cache)
+            prev = _multi_derivative(r, lower, memo)
             out = prev.derivative(j)
             break
-    cache[key] = out
+    memo[gamma] = out
     return out
 
 
@@ -362,9 +366,10 @@ def _leibniz(alpha: Deriv, r: RationalFunction,
     if hit is not None:
         return hit
     out: List[Tuple[Deriv, RationalFunction]] = []
+    memo = cache.setdefault(("D", id(r)), {})
     for beta in _iproduct(*(range(a + 1) for a in alpha)):
         gamma = tuple(a - b for a, b in zip(alpha, beta))
-        rg = _multi_derivative(r, gamma, cache)
+        rg = _multi_derivative(r, gamma, memo)
         if rg.is_zero:
             continue
         factor = 1
@@ -625,11 +630,30 @@ def operator_sum(space: OpSpace, items: Iterable[Operator]) -> Operator:
     return _finalize(space, acc.items())
 
 
+def operator_combination(space: OpSpace,
+                         items: Iterable[Tuple[Scalar, Operator]]) -> Operator:
+    """``sum c * op`` over ``(c, op)`` with rational ``c``.
+
+    No operand is scaled as a whole: each term key gathers its
+    ``(c, coeff)`` pairs and is summed once by ``rf_combination``.
+    """
+    acc: Dict[TermKey, List[Tuple[Scalar, RationalFunction]]] = {}
+    for c, op in items:
+        if op.space != space:
+            raise ShapeMismatchError("mixed operator spaces in sum")
+        for key, coeff in op.terms.items():
+            acc.setdefault(key, []).append((c, coeff))
+    npos = space.sites
+    return _finalize(space, ((key, [rf_combination(npos, pairs)])
+                             for key, pairs in acc.items()))
+
+
 # ---------------------------------------------------------------------------
 # application to spin vectors (the evaluation oracle)
 
 SpinBasis = Tuple[int, ...]
 SpinVector = Dict[SpinBasis, RationalFunction]
+ActionRow = List[Tuple[Deriv, SpinBasis, RationalFunction]]
 
 
 def word_apply(word: SpinWord, basis: SpinBasis) -> Optional[SpinBasis]:
@@ -642,21 +666,48 @@ def word_apply(word: SpinWord, basis: SpinBasis) -> Optional[SpinBasis]:
     return tuple(state)
 
 
+def _action_row(op: Operator, ket: SpinBasis) -> ActionRow:
+    """How ``op`` acts on one basis ket: ``(deriv, target, coeff)`` entries.
+
+    The coefficients of all terms with the same derivative that send the
+    ket to the same target are summed once; zero sums are dropped.  Rows
+    are kept on the operator, built on first use, one ket at a time.
+    """
+    rows = op._rows
+    if rows is None:
+        rows = op._rows = {}
+    row = rows.get(ket)
+    if row is None:
+        acc: Dict[Tuple[Deriv, SpinBasis], List[RationalFunction]] = {}
+        for (deriv, word), coeff in op.terms.items():
+            target = word_apply(word, ket)
+            if target is not None:
+                acc.setdefault((deriv, target), []).append(coeff)
+        npos = op.space.sites
+        row = rows[ket] = []
+        for (deriv, target), items in acc.items():
+            total = rf_sum(npos, items)
+            if not total.is_zero:
+                row.append((deriv, target, total))
+    return row
+
+
 def apply_operator(op: Operator, vec: SpinVector) -> SpinVector:
-    """Apply an operator to a spin vector with rational-function amplitudes."""
-    npos = op.space.sites
+    """Apply an operator to a spin vector with rational-function amplitudes.
+
+    Each ket reads its action row (``_action_row``); each derivative of
+    its amplitude is formed once per call.
+    """
+    zero_deriv = op.space.zero_deriv
     acc: Dict[SpinBasis, List[RationalFunction]] = {}
-    # keyed by id() of amplitudes of `vec`, which outlives this call
-    cache: Dict = {}
-    for (deriv, word), coeff in op.terms.items():
-        for basis, amp in vec.items():
-            target = word_apply(word, basis)
-            if target is None:
-                continue
-            value = _multi_derivative(amp, deriv, cache)
-            if value.is_zero:
-                continue
-            acc.setdefault(target, []).append(coeff * value)
+    for ket, amp in vec.items():
+        memo: Dict[Deriv, RationalFunction] = {}
+        for deriv, target, coeff in _action_row(op, ket):
+            value = amp if deriv == zero_deriv else \
+                _multi_derivative(amp, deriv, memo)
+            if not value.is_zero:
+                acc.setdefault(target, []).append(coeff * value)
+    npos = op.space.sites
     out: SpinVector = {}
     for basis, items in acc.items():
         total = rf_sum(npos, items)
@@ -665,18 +716,18 @@ def apply_operator(op: Operator, vec: SpinVector) -> SpinVector:
     return out
 
 
-def vector_add(a: SpinVector, b: SpinVector,
-               scale: Optional[Fraction] = None) -> SpinVector:
-    """``a + scale * b`` (``a + b`` without a scale), dropping zero amplitudes."""
-    out: SpinVector = dict(a)
-    for basis, amp in b.items():
-        term = amp if scale is None else amp * scale
-        prev = out.get(basis)
-        total = term if prev is None else prev + term
-        if total.is_zero:
-            out.pop(basis, None)
-        else:
-            out[basis] = total
+def vector_combination(npos: int, items: Iterable[Tuple[Scalar, SpinVector]]
+                       ) -> SpinVector:
+    """``sum c * v`` over ``(c, v)``, one ``rf_combination`` per ket."""
+    acc: Dict[SpinBasis, List[Tuple[Scalar, RationalFunction]]] = {}
+    for c, vec in items:
+        for ket, amp in vec.items():
+            acc.setdefault(ket, []).append((c, amp))
+    out: SpinVector = {}
+    for ket, pairs in acc.items():
+        total = rf_combination(npos, pairs)
+        if not total.is_zero:
+            out[ket] = total
     return out
 
 

@@ -4,7 +4,7 @@ import gc
 import time
 import weakref
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from random import Random
 
 import pytest
@@ -21,8 +21,8 @@ from spinsym.exact import RationalFunction
 from spinsym.lie import AlgebraSpec, basis, generator_op, structure_row
 from spinsym.models import (ModelSpec, generator_grid, star_coupling,
                             symmetrized_triple)
-from spinsym.operators import (Operator, OpSpace, commutator, evaluate_vector,
-                               operator_sum)
+from spinsym.operators import (Operator, OpSpace, apply_operator, commutator,
+                               evaluate_vector, operator_sum)
 
 F = Fraction
 
@@ -244,6 +244,20 @@ class TestSerre:
         assert triple_keyed == []
         assert any(key[0] == "bracket" for key in ctx._cache
                    if isinstance(key, tuple))
+
+    def test_single_entry_piece_sum_is_the_scaled_bracket(self):
+        # [J1^x, [J0^11, J1^12]] = 2 B(x, 12) on sp(2), residual 0 at star
+        ctx = checks._ModelContext(ModelSpec(SP2, 2, "sutherland",
+                                             lam="star"))
+        for x, key, c in (((1, 1), ((1, 1), (1, 2)), F(2)),
+                          ((2, 1), ((1, 2), (2, 1)), F(-2))):
+            got = ctx.piece_sum([(x, (1, 1), (1, 2))])
+            want = ctx.bracket(*key).scaled(c)
+            assert not want.is_zero
+            assert list(got.terms) == list(want.terms)
+            for term, coeff in got.terms.items():
+                assert coeff.render() == want.terms[term].render()
+                assert coeff == want.terms[term]
 
     def test_rank_one_cubic_loop_forms_no_table_entry(self, monkeypatch):
         # for sl2 every triple's row over the bracket table is zero
@@ -626,6 +640,163 @@ class TestOracle:
         assert r.notes[0].startswith("ORACLE DISAGREEMENT")
         assert "planted inconsistency" in r.witness[0]
         assert CheckReport.build([r]).oracle_alarm
+
+
+def nested(ops, vec):
+    """Apply a product of operators to a vector, the last one first."""
+    for op in reversed(ops):
+        vec = apply_operator(op, vec)
+    return vec
+
+
+def linear(npos, parts):
+    """``sum c * vec`` over ``(c, vec)``, one amplitude at a time."""
+    out = {}
+    for c, vec in parts:
+        for ket, amp in vec.items():
+            out[ket] = out.get(ket, RationalFunction.zero(npos)) + amp * c
+    return {ket: amp for ket, amp in out.items() if not amp.is_zero}
+
+
+def nested_commutator(a, b, vec):
+    return linear(a.space.sites, [(F(1), nested([a, b], vec)),
+                                  (F(-1), nested([b, a], vec))])
+
+
+class Pick:
+    """A stand-in random generator whose samples are fixed."""
+
+    def __init__(self, items):
+        self.items = list(items)
+
+    def sample(self, population, k):
+        assert all(item in population for item in self.items)
+        return self.items
+
+
+class TestOracleWords:
+    """Every oracle defect against the nested ``apply_operator`` route."""
+
+    MODELS = [ModelSpec(SP4, 2, "sutherland", lam=F(1)),
+              ModelSpec(SP4, 2, "sutherland", lam="star"),
+              ModelSpec(SP2, 2, "confined")]
+    IDS = ["sutherland-sp4-coupling-1", "sutherland-sp4-star",
+           "confined-sp2"]
+
+    @staticmethod
+    def vectors(space, count=3):
+        """Vectors with a random amplitude on every ket."""
+        rng = Random(17)
+        kets = list(product(range(1, space.spin_dim + 1), repeat=space.sites))
+        return [{ket: checks._random_amplitude(rng, space.sites)
+                 for ket in kets} for _ in range(count)]
+
+    @pytest.mark.parametrize("ms", MODELS, ids=IDS)
+    def test_conservation_defects(self, ms):
+        ctx = checks._ModelContext(ms)
+        targets = checks._conservation_targets(ctx)
+        ham = ctx.hamiltonian()
+        wants = [(level, ab) for level in (0, 1) for ab in basis(ms.algebra)]
+        assert len(targets) == len(wants)
+        for target, (level, ab) in zip(targets, wants):
+            assert target.label == f"conservation level {level} generator {ab}"
+            for vec in self.vectors(ms.space, 2):
+                want = nested_commutator(ham, ctx.grid(level)[ab], vec)
+                assert target.defect(vec) == want, target.label
+
+    @pytest.mark.parametrize("ms", MODELS, ids=IDS)
+    def test_level_relation_defects(self, ms):
+        ctx = checks._ModelContext(ms)
+        labels = basis(ms.algebra)
+        pairs = [(labels[0], labels[1]), (labels[1], labels[-1]),
+                 (labels[2], labels[2])]
+        targets = checks._level_relation_targets(ctx, Pick(pairs))
+        assert len(targets) == len(pairs)
+        grid0, grid1 = ctx.grid(0), ctx.grid(1)
+        for target, (ab, cd) in zip(targets, pairs):
+            for vec in self.vectors(ms.space):
+                want = linear(ms.sites, [(F(1), nested_commutator(
+                    grid0[ab], grid1[cd], vec))] + [
+                    (-c, nested([grid1[ef]], vec))
+                    for ef, c in structure_row(ms.algebra, ab, cd).items()])
+                assert target.defect(vec) == want, target.label
+
+    @pytest.mark.parametrize("ms", MODELS, ids=IDS)
+    def test_cubic_defects(self, ms):
+        ctx = checks._ModelContext(ms)
+        labels = basis(ms.algebra)
+        triples = [(labels[0], labels[1], labels[2]),
+                   (labels[1], labels[0], labels[1])]
+        targets = checks._serre_targets(ctx, Pick(triples))
+        assert len(targets) == len(triples)
+        grid0, grid1 = ctx.grid(0), ctx.grid(1)
+        scale = checks._serre_rhs_scale(ms)
+        weights = [checks._serre_weight(ms.algebra, *t) for t in triples]
+        # sp(4) carries symmetrizer words; sp(2) has none
+        assert any(weights) == (ms.algebra == SP4)
+        for target, triple, weight in zip(targets, triples, weights):
+            for vec in self.vectors(ms.space):
+                parts = []
+                for x, y, z in ((triple[0], triple[1], triple[2]),
+                                (triple[2], triple[0], triple[1]),
+                                (triple[1], triple[2], triple[0])):
+                    inner = nested_commutator(grid0[y], grid1[z], vec)
+                    parts.append((F(1), nested([grid1[x]], inner)))
+                    parts.append((F(-1), nested_commutator(
+                        grid0[y], grid1[z], nested([grid1[x]], vec))))
+                for key, c in weight.items():
+                    for perm in permutations(key):
+                        chain = nested([grid0[label] for label in perm], vec)
+                        parts.append((-c / 24, {ket: amp * scale for ket, amp
+                                                in chain.items()}))
+                want = linear(ms.sites, parts)
+                assert target.defect(vec) == want, target.label
+
+    @pytest.mark.parametrize("spec", [SP2, SO3, SP4])
+    def test_spin_defects(self, spec):
+        space = OpSpace(spec.N, 2)
+        weight = {ab: F(k) for k, ab in enumerate(basis(spec), 1)}
+        wants = []
+        for name, pairs, sides in checks._spin_identities(spec):
+            if name == "twist exchange product":
+                continue
+            weighted = [(F(1), sides[0])] if pairs is None else [
+                (weight[ab], side) for ab, side in zip(pairs, sides)
+                if ab in weight]
+            wants.append((name, weighted))
+        targets = checks._spin_targets(spec)
+        assert [t.label for t in targets] == [name for name, _ in wants]
+        for target, (_, weighted) in zip(targets, wants):
+            for vec in self.vectors(space, 2):
+                parts = [(w * sign * c, nested(
+                    [checks._engine_atom(spec, space, atom) for atom in word],
+                    vec))
+                    for w, (lhs, rhs) in weighted
+                    for sign, side in ((1, lhs), (-1, rhs))
+                    for c, word in side]
+                assert target.defect(vec) == linear(2, parts), target.label
+
+    @pytest.mark.parametrize("triple, count", [
+        (((1, 1), (1, 2), (2, 1)), 24),
+        (((1, 1), (1, 1), (1, 2)), 17)])
+    def test_cubic_application_counts(self, monkeypatch, triple, count):
+        # the nested route makes 3 rotations x (4 + 4 + 2) = 30 applications;
+        # the word map applies each distinct suffix once and each shared
+        # leading operator once, on every call
+        ms = ModelSpec(SP2, 2, "confined")
+        (target,) = checks._serre_targets(checks._ModelContext(ms),
+                                          Pick([triple]))
+        calls = []
+
+        def counting(op, vec):
+            calls.append(op)
+            return apply_operator(op, vec)
+
+        monkeypatch.setattr(checks, "apply_operator", counting)
+        for vec in self.vectors(ms.space, 2):
+            calls.clear()
+            target.defect(vec)
+            assert len(calls) == count
 
 
 class TestModelSuite:

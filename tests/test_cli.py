@@ -57,6 +57,37 @@ class TestGoldenInvocations:
         expected = (GOLDEN / "solve_lambda_sp2.json").read_text()
         assert json.dumps(payload, indent=2) + "\n" == expected
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_confined_sp2_suite_json(self, capsys, seed):
+        # the default suite, oracle included, at each seed of the
+        # benchmark's oracle panel
+        code = cli.run(["model", "--model", "confined", "--N", "2",
+                        "--theta0", "-1", "--L", "2", "--seed", str(seed),
+                        "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        for check in payload["checks"]:
+            check["millis"] = 0
+        expected = (GOLDEN / f"confined_sp2_L2_seed{seed}.json").read_text()
+        assert json.dumps(payload, indent=2) + "\n" == expected
+
+    def test_oracle_disagreement_witness(self, capsys, monkeypatch):
+        # a false "conserved" flag at coupling 1, where [H, J1] is not zero:
+        # the first replay of a falsely flagged target raises the alarm
+        monkeypatch.setattr(checks, "_conserved", lambda ctx, level, ab: True)
+        code = cli.run(["model", "--model", "sutherland", "--N", "4",
+                        "--theta0", "-1", "--L", "2", "--lambda", "1",
+                        "--checks", "oracle", "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 1
+        (check,) = payload["checks"]
+        assert check["status"] == "fail"
+        assert check["witness"] == [
+            "trial 0 on 'conservation level 1 generator (2, 2)': residue "
+            "5487237/332750 on ket (1, 4) at point "
+            "['9/2', '-14/3', '1', '2']"]
+        assert check["notes"][0].startswith("ORACLE DISAGREEMENT")
+
     def test_schema_key_order(self, capsys):
         cli.run(["solve-lambda", "--model", "sutherland", "--N", "2",
                  "--theta0", "-1", "--L", "3", "--format", "json"])

@@ -10,7 +10,7 @@ from spinsym.errors import ShapeMismatchError, TermBudgetError
 from spinsym.exact import RationalFunction, lam_slot, om_slot
 from spinsym.operators import (Operator, OpSpace, apply_operator, commutator,
                                evaluate_vector, operator_sum, term_ceiling,
-                               vector_add, word_apply)
+                               vector_combination, word_apply)
 
 F = Fraction
 SP = OpSpace(spin_dim=2, sites=2)
@@ -227,13 +227,90 @@ class TestVectorRoute:
         x1 = RationalFunction.position(2, 1)
         assert out == {(1, 1): x1}
 
+    @staticmethod
+    def term_by_term(op, vec):
+        """``sum coeff * d^gamma amp`` over every term and ket, one by one."""
+        out = {}
+        for (deriv, word), coeff in op.terms.items():
+            for ket, amp in vec.items():
+                target = word_apply(word, ket)
+                if target is None:
+                    continue
+                value = amp
+                for j, order in enumerate(deriv, start=1):
+                    for _ in range(order):
+                        value = value.derivative(j)
+                prev = out.get(target, RationalFunction.zero(2))
+                out[target] = prev + coeff * value
+        return {ket: amp for ket, amp in out.items() if not amp.is_zero}
+
+    @staticmethod
+    def sample_vector():
+        x1 = RationalFunction.position(2, 1)
+        x2 = RationalFunction.position(2, 2)
+        return {(1, 1): x1 * x1 * x2 + x2, (1, 2): x1 * x2 * x2,
+                (2, 1): RationalFunction.const(2, F(3, 2)),
+                (2, 2): x1 * x1 * x1 * x2 * x2}
+
+    def test_coinciding_diagonal_words_are_summed_once(self):
+        # 1, E1[1,1], E2[1,1] and E1[2,2] = 1 - E1[1,1] all fix |1,1>
+        op = (X(1) * E(1, 1, 1) + X(2) * E(2, 1, 1) + E(1, 2, 2)
+              + Operator.identity(SP).scaled(F(2)))
+        vec = self.sample_vector()
+        assert apply_operator(op, vec) == self.term_by_term(op, vec)
+        # one entry for |1,1> -> |1,1>, whose coefficient is the sum
+        row = [(deriv, target) for deriv, target, _ in op._rows[(1, 1)]]
+        assert row == [((0, 0), (1, 1))]
+
+    def test_cancelling_terms_leave_no_entry(self):
+        # x1 E1[1,1] - x1 E2[1,1] vanishes on |1,1> and |2,2> only
+        op = X(1) * E(1, 1, 1) - X(1) * E(2, 1, 1)
+        vec = self.sample_vector()
+        got = apply_operator(op, vec)
+        assert got == self.term_by_term(op, vec)
+        assert set(got) == {(1, 2), (2, 1)}
+        assert op._rows[(1, 1)] == [] and op._rows[(2, 2)] == []
+
+    def test_higher_derivative_orders(self):
+        op = (X(1, 2) * D(1, 2) * E(1, 1, 2) + D(1) * D(2) * E(2, 2, 1)
+              + X(2) * D(2, 3) + D(1, 2) * D(2, 2))
+        vec = self.sample_vector()
+        assert apply_operator(op, vec) == self.term_by_term(op, vec)
+
+    def test_empty_vector(self):
+        op = X(1) * D(1) * E(1, 1, 2)
+        assert apply_operator(op, {}) == {}
+        assert apply_operator(Operator.zero(SP), self.sample_vector()) == {}
+
+    def test_operators_never_share_rows(self):
+        # equal words with different coefficients, and an equal operator
+        # built apart: each keeps its own rows, filled on first use
+        a = X(1) * E(1, 1, 2)
+        b = X(2) * E(1, 1, 2)
+        twin = Operator(SP, dict(a.terms))
+        vec = {(2, 1): RationalFunction.const(2, 1)}
+        x1 = RationalFunction.position(2, 1)
+        x2 = RationalFunction.position(2, 2)
+        assert a._rows is None
+        assert apply_operator(a, vec) == {(1, 1): x1}
+        assert apply_operator(b, vec) == {(1, 1): x2}
+        assert twin._rows is None
+        assert apply_operator(twin, vec) == apply_operator(a, vec)
+        assert len({id(a._rows), id(b._rows), id(twin._rows)}) == 3
+        # a new operator, possibly at a freed address, starts without rows
+        del b
+        for power in (2, 3):
+            c = X(2, power) * E(1, 1, 2)
+            assert apply_operator(c, vec) == {
+                (1, 1): RationalFunction.position(2, 2, power)}
+
     def test_vector_difference_and_evaluation(self):
         one = RationalFunction.const(2, 1)
         a = {(1, 2): one, (2, 1): one}
         b = {(2, 1): one}
-        diff = vector_add(a, b, F(-1))
+        diff = vector_combination(2, [(F(1), a), (F(-1), b)])
         assert diff == {(1, 2): one}
-        assert vector_add(diff, b) == a
+        assert vector_combination(2, [(F(1), diff), (F(1), b)]) == a
         point = (F(3), F(5), F(0), F(0))
         assert evaluate_vector(diff, point) == {(1, 2): F(1)}
 
@@ -331,3 +408,11 @@ def test_vector_route_agrees_with_symbolic_route(a):
     staged = apply_operator(a, apply_operator(E(1, 1, 2), vec))
     # derivative operators act on amplitudes only, so staging must agree
     assert symbolic == staged
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=small_ops(), b=small_ops())
+def test_action_rows_match_term_by_term_application(a, b):
+    op = a + b * E(2, 2, 2)
+    vec = TestVectorRoute.sample_vector()
+    assert apply_operator(op, vec) == TestVectorRoute.term_by_term(op, vec)
