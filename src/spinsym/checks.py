@@ -198,8 +198,9 @@ def check_lie_closure(spec: AlgebraSpec) -> CheckResult:
         ops = {ab: generator_op(spec, space, 1, *ab) for ab in labels}
         for ab in labels:
             for cd in labels:
-                want = operator_sum(space, (ops[ef].scaled(c) for ef, c in
-                                            structure_row(spec, ab, cd).items()))
+                want = operator_combination(space, (
+                    (c, ops[ef])
+                    for ef, c in structure_row(spec, ab, cd).items()))
                 diff = commutator(ops[ab], ops[cd]) - want
                 if not diff.is_zero:
                     return ("fail",
@@ -1108,9 +1109,9 @@ def _dense_atom(spec: AlgebraSpec, atom: Atom) -> Matrix:
 
 def _engine_side(space: OpSpace, side: Side,
                  atom: Callable[[Atom], Operator]) -> Operator:
-    return operator_sum(space, (
-        (reduce(mul, map(atom, word)) if word else Operator.identity(space)
-         ).scaled(c) for c, word in side))
+    return operator_combination(space, (
+        (c, reduce(mul, map(atom, word)) if word else Operator.identity(space))
+        for c, word in side))
 
 
 def _dense_side(n: int, side: Side, atom: Callable[[Atom], Matrix]) -> Matrix:
@@ -1346,7 +1347,7 @@ def _spin_targets(spec: AlgebraSpec) -> List[_OracleTarget]:
     """
     space = OpSpace(spec.N, 2)
     weight = {ab: Fraction(k) for k, ab in enumerate(basis(spec), 1)}
-    atoms: Dict[Name, Operator] = {}
+    engine = lru_cache(maxsize=None)(partial(_engine_atom, spec, space))
     out: List[_OracleTarget] = []
     for name, pairs, sides in _spin_identities(spec):
         if name == "twist exchange product":
@@ -1358,10 +1359,7 @@ def _spin_targets(spec: AlgebraSpec) -> List[_OracleTarget]:
                  for w, (lhs, rhs) in weighted
                  for sign, side in ((1, lhs), (-1, rhs))
                  for c, word in side]
-        for _, word in words:
-            for atom in word:
-                if atom not in atoms:
-                    atoms[atom] = _engine_atom(spec, space, atom)
+        atoms = {atom: engine(atom) for _, word in words for atom in word}
         out.append(_OracleTarget(name, _word_map(space, atoms, words), True))
     return out
 

@@ -467,6 +467,8 @@ class RationalFunction:
                 p, q = scalar.numerator, scalar.denominator
             if not p or not self.num:
                 return _make(npos, {}, 1, {})
+            if p == q == 1:
+                return self
             num = self.num if p == 1 else {k: c * p for k, c in self.num.items()}
             # a scalar changes the content but not divisibility
             num, denom = _strip_content(num, self.denom * q)
@@ -735,22 +737,3 @@ def rf_sum(npos: int, items: Iterable[RationalFunction]) -> RationalFunction:
         return _make(npos, {}, 1, {})
     return _reduce(npos, total, denom, den)
 
-
-def rf_combination(npos: int,
-                   items: Iterable[Tuple[Fraction, RationalFunction]]
-                   ) -> RationalFunction:
-    """``sum c * r`` over ``(c, r)`` with a single canonicalization pass.
-
-    Two or more items reach rf_sum with their scalars folded into the
-    numerator and denominator, uncanonicalized; a lone item is scaled as
-    usual, since rf_sum would return it as it is.
-    """
-    live = [(c, r) for c, r in items if c and r.num]
-    if len(live) == 1:
-        c, r = live[0]
-        return r if c == 1 else r * c
-    return rf_sum(npos, [
-        r if c == 1 else _make(
-            npos, {k: v * c.numerator for k, v in r.num.items()},
-            r.denom * c.denominator, r.den)
-        for c, r in live])

@@ -41,8 +41,7 @@ from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
                     Sequence, Tuple, Union)
 
 from .errors import ShapeMismatchError, TermBudgetError
-from .exact import (RationalFunction, lam_slot, om_slot, rf_combination,
-                    rf_sum)
+from .exact import RationalFunction, lam_slot, om_slot, rf_sum
 
 Deriv = Tuple[int, ...]
 SpinAtom = Tuple[int, int, int]
@@ -620,32 +619,24 @@ def commutator(a: Operator, b: Operator) -> Operator:
         for key, row in acc.items()))
 
 
-def operator_sum(space: OpSpace, items: Iterable[Operator]) -> Operator:
-    acc: Dict[TermKey, List[RationalFunction]] = {}
-    for op in items:
-        if op.space != space:
-            raise ShapeMismatchError("mixed operator spaces in sum")
-        for key, coeff in op.terms.items():
-            acc.setdefault(key, []).append(coeff)
-    return _finalize(space, acc.items())
-
-
 def operator_combination(space: OpSpace,
                          items: Iterable[Tuple[Scalar, Operator]]) -> Operator:
     """``sum c * op`` over ``(c, op)`` with rational ``c``.
 
-    No operand is scaled as a whole: each term key gathers its
-    ``(c, coeff)`` pairs and is summed once by ``rf_combination``.
+    No operand is scaled as a whole: each coefficient is scaled as it is
+    gathered under its term key, and each key is summed once.
     """
-    acc: Dict[TermKey, List[Tuple[Scalar, RationalFunction]]] = {}
+    acc: Dict[TermKey, List[RationalFunction]] = {}
     for c, op in items:
         if op.space != space:
             raise ShapeMismatchError("mixed operator spaces in sum")
         for key, coeff in op.terms.items():
-            acc.setdefault(key, []).append((c, coeff))
-    npos = space.sites
-    return _finalize(space, ((key, [rf_combination(npos, pairs)])
-                             for key, pairs in acc.items()))
+            acc.setdefault(key, []).append(coeff * c)
+    return _finalize(space, acc.items())
+
+
+def operator_sum(space: OpSpace, items: Iterable[Operator]) -> Operator:
+    return operator_combination(space, ((1, op) for op in items))
 
 
 # ---------------------------------------------------------------------------
@@ -698,13 +689,11 @@ def apply_operator(op: Operator, vec: SpinVector) -> SpinVector:
     Each ket reads its action row (``_action_row``); each derivative of
     its amplitude is formed once per call.
     """
-    zero_deriv = op.space.zero_deriv
     acc: Dict[SpinBasis, List[RationalFunction]] = {}
     for ket, amp in vec.items():
         memo: Dict[Deriv, RationalFunction] = {}
         for deriv, target, coeff in _action_row(op, ket):
-            value = amp if deriv == zero_deriv else \
-                _multi_derivative(amp, deriv, memo)
+            value = _multi_derivative(amp, deriv, memo)
             if not value.is_zero:
                 acc.setdefault(target, []).append(coeff * value)
     npos = op.space.sites
@@ -718,14 +707,14 @@ def apply_operator(op: Operator, vec: SpinVector) -> SpinVector:
 
 def vector_combination(npos: int, items: Iterable[Tuple[Scalar, SpinVector]]
                        ) -> SpinVector:
-    """``sum c * v`` over ``(c, v)``, one ``rf_combination`` per ket."""
-    acc: Dict[SpinBasis, List[Tuple[Scalar, RationalFunction]]] = {}
+    """``sum c * v`` over ``(c, v)``, one ``rf_sum`` per ket."""
+    acc: Dict[SpinBasis, List[RationalFunction]] = {}
     for c, vec in items:
         for ket, amp in vec.items():
-            acc.setdefault(ket, []).append((c, amp))
+            acc.setdefault(ket, []).append(amp * c)
     out: SpinVector = {}
-    for ket, pairs in acc.items():
-        total = rf_combination(npos, pairs)
+    for ket, amps in acc.items():
+        total = rf_sum(npos, amps)
         if not total.is_zero:
             out[ket] = total
     return out

@@ -13,7 +13,7 @@ import spinsym
 from spinsym.errors import (ExponentOverflowError, PoleEvaluationError,
                             ShapeMismatchError)
 from spinsym.exact import (MAX_EXPONENT, RationalFunction, lam_slot, nvars,
-                           om_slot, rf_combination, rf_sum)
+                           om_slot, rf_sum)
 
 F = Fraction
 
@@ -340,16 +340,11 @@ def test_substitution_agrees_with_evaluation(a):
 
 
 @settings(max_examples=40, deadline=None)
-@given(a=rationals3(), b=rationals3(), c=rationals3(), fa=coeffs, fb=coeffs,
-       fc=coeffs)
-def test_combination_matches_scaled_sum(a, b, c, fa, fb, fc):
-    got = rf_combination(3, [(fa, a), (fb, b), (fc, c), (F(1), a)])
-    assert got == rf_sum(3, [a * fa, b * fb, c * fc, a])
-    # a lone live item is scaled, not handed to rf_sum as it is
-    lone = rf_combination(3, [(F(0), b), (fa, a)])
-    assert lone == a * fa
-    for r in (got, lone):
-        assert RationalFunction(3, dict(r.terms()), dict(r.den)) == r
+@given(a=rationals3())
+def test_scaling_by_one_returns_the_function(a):
+    for one in (1, F(1)):
+        assert a * one == a
+        assert a.is_zero or a * one is a
 
 
 @settings(max_examples=80, deadline=None)

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from spinsym.errors import ShapeMismatchError, TermBudgetError
 from spinsym.exact import RationalFunction, lam_slot, om_slot
 from spinsym.operators import (Operator, OpSpace, apply_operator, commutator,
-                               evaluate_vector, operator_sum, term_ceiling,
+                               evaluate_vector, operator_combination,
+                               operator_sum, term_ceiling,
                                vector_combination, word_apply)
 
 F = Fraction
@@ -190,6 +191,17 @@ class TestBookkeeping:
         for p in parts:
             acc = acc + p
         assert operator_sum(SP, parts) == acc
+
+    def test_operator_combination_matches_scaled_sum(self):
+        scalars = [F(3), F(-1, 2), F(1), F(2, 7)]
+        parts = [D(1), X(1) * D(2), E(1, 2, 1), D(1) + X(2)]
+        acc = Operator.zero(SP)
+        for c, p in zip(scalars, parts):
+            acc = acc + p.scaled(c)
+        assert operator_combination(SP, zip(scalars, parts)).terms == acc.terms
+        # a cancelling combination leaves no term
+        assert operator_combination(SP, [(F(2), D(1)), (F(-1), D(1).scaled(2))]
+                                    ).is_zero
 
     @staticmethod
     def over_three_terms():
