@@ -690,19 +690,34 @@ def _serre_rhs_scale(ms: ModelSpec) -> RationalFunction:
 def _zero_trap_mismatch(ctx: _ModelContext, zero: _ModelContext
                         ) -> Optional[str]:
     """Where substituting trap -> 0 into a Serre column of ``ctx`` differs
-    from the zero-trap context ``zero``, or None where it never does."""
+    from the zero-trap context ``zero``, or None where it never does.
+
+    The premise is the generator grids: every ``J0`` and ``J1`` of ``ctx``
+    with trap -> 0 substituted must equal the same generator of ``zero``.
+    No coefficient has the trap strength in its denominator (a denominator
+    is an integer times factors ``x_j - x_k``), so the substitution is a
+    ring homomorphism that commutes with every ``d/dx_j``; it therefore
+    commutes with products and commutators, and as normal forms are unique,
+    every table entry ``B(x,w)`` and every residual term ``[J1^x, R(y,z)]``
+    then agrees too, with no commutator formed.  Only if a grid entry
+    differs are the table entries and residual terms compared one by one,
+    to name the first that differs.  The right-hand scale must vanish in
+    either case.
+    """
     trap_off = {om_slot(ctx.ms.sites): Fraction(0)}
     labels = basis(ctx.ms.algebra)
-    for x, w in combinations(labels, 2):
-        if ctx.bracket(x, w).substitute(trap_off) != zero.bracket(x, w):
-            return f"zero-trap reduction mismatch at bracket {x}, {w}"
-    for x, y, z in product(labels, repeat=3):
-        rest, rest0 = ctx.residual(1, y, z), zero.residual(1, y, z)
-        if not (rest.is_zero and rest0.is_zero) and (
-                commutator(ctx.grid(1)[x], rest).substitute(trap_off)
-                != commutator(zero.grid(1)[x], rest0)):
-            return (f"zero-trap reduction mismatch at residual term "
-                    f"{x}, {y}, {z}")
+    if not all(ctx.grid(level)[x].substitute(trap_off) == zero.grid(level)[x]
+               for level in (0, 1) for x in labels):
+        for x, w in combinations(labels, 2):
+            if ctx.bracket(x, w).substitute(trap_off) != zero.bracket(x, w):
+                return f"zero-trap reduction mismatch at bracket {x}, {w}"
+        for x, y, z in product(labels, repeat=3):
+            rest, rest0 = ctx.residual(1, y, z), zero.residual(1, y, z)
+            if not (rest.is_zero and rest0.is_zero) and (
+                    commutator(ctx.grid(1)[x], rest).substitute(trap_off)
+                    != commutator(zero.grid(1)[x], rest0)):
+                return (f"zero-trap reduction mismatch at residual term "
+                        f"{x}, {y}, {z}")
     if not ctx.serre_scale().substitute(trap_off).is_zero:
         return "right side survives trap -> 0"
     return None
@@ -723,12 +738,15 @@ def check_serre_yangian(ms: ModelSpec,
     The cyclic sums come from the level-1 bracket table through
     ``_ModelContext.piece_sum``; the evaluation oracle replays them through
     nested commutators.  For the confined model with a symbolic trap
-    strength, additionally substitutes trap -> 0 into every table entry
-    ``B(x,w)``, ``x < w``, and every residual term ``[J1^x, R(y,z)]`` and
-    requires its normal form to equal the same entry of a zero-trap
-    rebuild, with the right-hand scale collapsing to zero.  Every triple's
-    cyclic sum is a fixed combination of those entries, so each triple's
-    reduction follows from theirs.
+    strength, additionally requires the proof to reduce to a zero-trap
+    rebuild (``_zero_trap_mismatch``): each ``J0`` and ``J1`` with trap -> 0
+    substituted must equal the rebuild's, and the right-hand scale must
+    collapse to zero.  The substitution is a ring homomorphism that
+    commutes with ``d/dx_j``, since no denominator holds the trap strength,
+    so every table entry ``B(x,w)`` and residual term ``[J1^x, R(y,z)]``,
+    and with them every triple's cyclic sum, then reduces to the rebuild's
+    as well.  Only where a generator differs are those entries compared
+    one by one, to name the first that differs.
     """
 
     params = _model_params(ms)

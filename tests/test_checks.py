@@ -198,7 +198,32 @@ class TestSerre:
         r = check_serre_yangian(ModelSpec(SP2, 2, "confined", lam="star"))
         assert r.status == "fail"
         assert len(r.witness) == 1
-        assert r.witness[0].startswith("zero-trap reduction mismatch at ")
+        assert r.witness[0].startswith(
+            "zero-trap reduction mismatch at bracket ")
+
+    def test_zero_trap_replay_forms_no_commutator(self, monkeypatch):
+        # the grids agree at trap 0, so no table entry or residual is formed
+        ms = ModelSpec(SP2, 2, "confined", lam="star")
+        ctx = checks._ModelContext(ms)
+        zero = ctx.variant(omega=F(0))
+        formed = []
+
+        def counting(a, b):
+            formed.append((a, b))
+            return commutator(a, b)
+
+        def zero_entries():
+            return [key for key in zero._cache if isinstance(key, tuple)
+                    and key[0] in ("bracket", "residual")]
+
+        monkeypatch.setattr(checks, "commutator", counting)
+        assert checks._zero_trap_mismatch(ctx, zero) is None
+        assert formed == [] and zero_entries() == []
+        r = check_serre_yangian(ms, ctx)
+        assert r.status == "pass"
+        assert ("trap -> 0 reduction matched the zero-trap rebuild byte for "
+                "byte on 27 triples") in r.notes
+        assert zero_entries() == []
 
     def test_right_side_scale_must_vanish_at_zero_trap(self, monkeypatch):
         # plant a right-side scale that lacks the trap factor

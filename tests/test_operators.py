@@ -343,6 +343,23 @@ def small_ops(draw):
     return acc.scaled(scale)
 
 
+# the small_ops pool with coefficients that carry the coupling and the
+# trap strength, alone and over a denominator x1 - x2
+@st.composite
+def parameter_ops(draw):
+    lam, om = RationalFunction.coupling(2), RationalFunction.trap(2)
+    inv = RationalFunction.inverse_difference(2, 1, 2)
+    coefficients = [om, lam, om * om + lam, lam * inv, om * inv * inv,
+                    (om - RationalFunction.const(2, 2))
+                    * RationalFunction.position(2, 1)]
+    acc = draw(small_ops())
+    for i in draw(st.lists(st.sampled_from(range(len(coefficients))),
+                           min_size=1, max_size=2)):
+        atom = Operator.from_coefficient(SP, coefficients[i])
+        acc = atom * acc if draw(st.booleans()) else acc * atom
+    return acc + draw(small_ops())
+
+
 # pool of operator pairs in one space, with same-site words that do not
 # commute, an E^{NN} atom that expands, a second derivative and spin_dim 3;
 # half the operators are sums of rational multiples of one coefficient C,
@@ -428,3 +445,16 @@ def test_action_rows_match_term_by_term_application(a, b):
     op = a + b * E(2, 2, 2)
     vec = TestVectorRoute.sample_vector()
     assert apply_operator(op, vec) == TestVectorRoute.term_by_term(op, vec)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=parameter_ops(), b=parameter_ops(),
+       slot=st.sampled_from([lam_slot(2), om_slot(2)]),
+       value=st.sampled_from([F(0), F(1, 2), F(-3)]))
+def test_parameter_substitution_is_a_homomorphism(a, b, slot, value):
+    # no denominator holds a parameter, so fixing one commutes with d/dx_j,
+    # with products and with commutators; the trap -> 0 replay relies on it
+    at = {slot: value}
+    assert (a * b).substitute(at) == a.substitute(at) * b.substitute(at)
+    assert (commutator(a, b).substitute(at)
+            == commutator(a.substitute(at), b.substitute(at)))
