@@ -10,7 +10,7 @@ class ShapeMismatchError(EngineError):
 
 
 class PoleEvaluationError(EngineError):
-    """A substitution or evaluation annihilates a denominator factor."""
+    """An evaluation point annihilates a denominator factor."""
 
 
 class DegenerateCouplingError(EngineError):

@@ -400,6 +400,9 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return not self.num
 
+    def __bool__(self) -> bool:
+        return bool(self.num)
+
     def __eq__(self, other) -> bool:
         return (isinstance(other, RationalFunction)
                 and self.npos == other.npos
@@ -444,14 +447,6 @@ class RationalFunction:
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
         self._check(other)
-        if not self.num:
-            return other
-        if not other.num:
-            return self
-        if self.den == other.den:
-            total = dict(self.num)
-            denom = _accumulate(total, self.denom, other.num, other.denom)
-            return _reduce(self.npos, total, denom, self.den)
         return rf_sum(self.npos, (self, other))
 
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
@@ -460,8 +455,8 @@ class RationalFunction:
     def __mul__(self, other) -> "RationalFunction":
         npos = self.npos
         if not isinstance(other, RationalFunction):
-            if isinstance(other, int):
-                p, q = other, 1
+            if isinstance(other, (int, Fraction)):
+                p, q = other.numerator, other.denominator
             else:
                 scalar = Fraction(other)
                 p, q = scalar.numerator, scalar.denominator
@@ -533,32 +528,20 @@ class RationalFunction:
         return rf_sum(npos, pieces)
 
     def substitute(self, bindings: Mapping[int, Fraction]) -> "RationalFunction":
-        """Bind variables (by slot) to exact rationals.
+        """Bind the coupling and/or trap slot to exact rationals.
 
-        Every denominator factor must be either fully bound or fully free;
-        a bound factor that evaluates to zero raises PoleEvaluationError.
+        Positions stay symbolic: they are bound only by ``evaluate``.  So
+        the profile is kept, and no binding can meet a pole.
         """
+        npos = self.npos
+        for slot in bindings:
+            if slot not in (lam_slot(npos), om_slot(npos)):
+                raise ValueError(f"slot {slot} is not a parameter slot; "
+                                 "positions stay symbolic")
         if not bindings:
             return self
-        scalar = Fraction(1)
-        den: Profile = {}
-        for (j, k), e in self.den.items():
-            jb = j - 1 in bindings
-            kb = k - 1 in bindings
-            if jb and kb:
-                value = Fraction(bindings[j - 1]) - Fraction(bindings[k - 1])
-                if not value:
-                    raise PoleEvaluationError(
-                        f"binding makes (x{j}-x{k}) vanish")
-                scalar *= value ** e
-            elif jb or kb:
-                raise ValueError(
-                    f"difference factor (x{j}-x{k}) only partially bound")
-            else:
-                den[(j, k)] = e
         num, denom = self.num, self.denom
         for slot, v in bindings.items():
-            _unit(slot)  # rejects a slot outside the packed fields
             v = Fraction(v)
             p, q = v.numerator, v.denominator
             shift = FIELD_BITS * slot
@@ -580,14 +563,7 @@ class RationalFunction:
             if 0 in out.values():
                 out = {k: c for k, c in out.items() if c}
             num, denom = out, denom * q ** top
-        if scalar != 1:
-            # divide by the value of the bound difference factors
-            p, q = scalar.numerator, scalar.denominator
-            if p < 0:
-                p, q = -p, -q
-            num = {k: c * q for k, c in num.items()}
-            denom *= p
-        return _reduce(self.npos, num, denom, den)
+        return _reduce(npos, num, denom, self.den)
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         """Exact value at a full point (positions, lam, om)."""

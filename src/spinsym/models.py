@@ -10,15 +10,16 @@ builders keep nothing between calls: a caller that needs one operator at
 several couplings builds the symbolic spec once and binds it for each.
 
 Pair sums run over ordered pairs j != k and triple sums over pairwise
-distinct (j, k, l), matching the displayed conventions; odd reorderings
-of a difference factor push their sign into the numerator.
+distinct (j, k, l), matching the displayed conventions, except where a
+summand is symmetric under j <-> k; odd reorderings of a difference
+factor push their sign into the numerator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Dict, Tuple, Union
 
 from .errors import DegenerateCouplingError
@@ -154,8 +155,10 @@ def hamiltonian(ms: ModelSpec) -> Operator:
     for j in range(1, ms.sites + 1):
         kinetic = _kinetic(kind, space, j)
         parts.append((kinetic * kinetic).scaled(Fraction(-1)))
-    for j, k in permutations(range(1, ms.sites + 1), 2):
-        weight = _pair_weight(kind, space, j, k)
+    # w_jk, P_jk and Q_jk are symmetric under j <-> k: each unordered pair
+    # is summed once, with the weight doubled
+    for j, k in combinations(range(1, ms.sites + 1), 2):
+        weight = _pair_weight(kind, space, j, k) * 2
         parts.append(Operator.from_coefficient(space, lam * lam * weight)
                      - permutation_op(spec, space, j, k).scaled(lam * weight)
                      + twist_op(spec, space, j, k).scaled(lam * weight))

@@ -38,15 +38,16 @@ from math import comb, lcm
 from operator import add as _tadd
 from operator import sub as _tsub
 from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
-                    Sequence, Tuple, Union)
+                    Sequence, Tuple, TypeVar, Union)
 
 from .errors import ShapeMismatchError, TermBudgetError
-from .exact import RationalFunction, lam_slot, om_slot, rf_sum
+from .exact import RationalFunction, rf_sum
 
 Deriv = Tuple[int, ...]
 SpinAtom = Tuple[int, int, int]
 SpinWord = Tuple[SpinAtom, ...]
 TermKey = Tuple[Deriv, SpinWord]
+Key = TypeVar("Key")
 
 DEFAULT_TERM_CEILING = 500_000
 _term_ceiling: ContextVar[int] = ContextVar("term_ceiling",
@@ -250,34 +251,18 @@ class Operator:
         return Operator(self.space, {k: -v for k, v in self.terms.items()})
 
     def __add__(self, other: "Operator") -> "Operator":
-        self._check(other)
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            prev = out.get(key)
-            if prev is None:
-                out[key] = coeff
-            else:
-                s = prev + coeff
-                if s.is_zero:
-                    del out[key]
-                else:
-                    out[key] = s
-        _budget_check(len(out))
-        return Operator(self.space, out)
+        return operator_combination(self.space, ((1, self), (1, other)))
 
     def __sub__(self, other: "Operator") -> "Operator":
-        return self + (-other)
+        return operator_combination(self.space, ((1, self), (-1, other)))
 
     def __mul__(self, other) -> "Operator":
         if isinstance(other, Operator):
             self._check(other)
             acc: Dict[TermKey, List[RationalFunction]] = {}
             _accumulate_product(self, other, acc)
-            return _finalize(self.space, acc.items())
+            return _finalize(self.space, _key_sums(self.space.sites,
+                                                   acc.items()))
         return self.scaled(other)
 
     def __rmul__(self, other) -> "Operator":
@@ -285,32 +270,19 @@ class Operator:
 
     def scaled(self, scalar) -> "Operator":
         """Multiply every coefficient by a Fraction or RationalFunction."""
-        if isinstance(scalar, RationalFunction):
-            if scalar.is_zero:
-                return Operator.zero(self.space)
-            out = {k: v * scalar for k, v in self.terms.items()}
-            return Operator(self.space,
-                            {k: v for k, v in out.items() if not v.is_zero})
-        c = Fraction(scalar)
-        if not c:
-            return Operator.zero(self.space)
-        return Operator(self.space, {k: v * c for k, v in self.terms.items()})
+        return operator_combination(self.space, ((scalar, self),))
 
     # substitution and rendering ----------------------------------------------
 
     def substitute(self, bindings: Mapping[int, Fraction]) -> "Operator":
-        """Bind the coupling and/or trap slot to exact rationals."""
-        npos = self.space.sites
-        for slot in bindings:
-            if slot not in (lam_slot(npos), om_slot(npos)):
-                raise ValueError(f"slot {slot} is not a parameter slot; "
-                                 "positions stay symbolic in operators")
+        """Bind the coupling and/or trap slot to exact rationals; any other
+        slot raises ValueError (``RationalFunction.substitute``)."""
         if not bindings:
             return self
         out: Dict[TermKey, RationalFunction] = {}
         for key, coeff in self.terms.items():
             c = coeff.substitute(bindings)
-            if not c.is_zero:
+            if c:
                 out[key] = c
         return Operator(self.space, out)
 
@@ -422,14 +394,24 @@ def _accumulate_product(left: Operator, right: Operator,
         _budget_check(len(acc))
 
 
-def _finalize(space: OpSpace,
-              sums: Iterable[Tuple[TermKey, Iterable[RationalFunction]]]) -> Operator:
-    npos = space.sites
-    terms: Dict[TermKey, RationalFunction] = {}
+def _key_sums(npos: int, sums: Iterable[Tuple[Key, Iterable[RationalFunction]]],
+              out: Optional[Dict[Key, RationalFunction]] = None
+              ) -> Dict[Key, RationalFunction]:
+    """One ``rf_sum`` per key of ``sums``, written into ``out`` (by default
+    a new dict): a nonzero sum replaces the key's entry, a zero sum removes
+    it."""
+    out = {} if out is None else out
     for key, items in sums:
         total = rf_sum(npos, items)
-        if not total.is_zero:
-            terms[key] = total
+        if total:
+            out[key] = total
+        else:
+            out.pop(key, None)
+    return out
+
+
+def _finalize(space: OpSpace, terms: Dict[TermKey, RationalFunction]
+              ) -> Operator:
     _budget_check(len(terms))
     return Operator(space, terms)
 
@@ -613,26 +595,57 @@ def commutator(a: Operator, b: Operator) -> Operator:
         _budget_check(len(acc))
     reps = classes.reps
     m = ma * mb
-    return _finalize(a.space, (
+    return _finalize(a.space, _key_sums(a.space.sites, (
         (key, [reps[k] * (q if m == 1 else Fraction(q, m))
                for k, q in row.items() if q])
-        for key, row in acc.items()))
+        for key, row in acc.items())))
 
 
-def operator_combination(space: OpSpace,
-                         items: Iterable[Tuple[Scalar, Operator]]) -> Operator:
-    """``sum c * op`` over ``(c, op)`` with rational ``c``.
+def _combine(npos: int,
+             items: Iterable[Tuple[Union[Scalar, RationalFunction],
+                                   Mapping[Key, RationalFunction]]]
+             ) -> Dict[Key, RationalFunction]:
+    """``sum c * terms`` over ``(c, terms)``, key by key.
 
-    No operand is scaled as a whole: each coefficient is scaled as it is
-    gathered under its term key, and each key is summed once.
+    Each coefficient is scaled once (``c = 1`` takes it as it is, and an
+    item with ``c = 0`` is skipped) and gathered under its key.  A key met
+    once keeps its one value, which is nonzero as a product of nonzero
+    factors; the values of a key met more than once go to one ``rf_sum``.
     """
-    acc: Dict[TermKey, List[RationalFunction]] = {}
+    out: Dict[Key, RationalFunction] = {}
+    more: Dict[Key, List[RationalFunction]] = {}
+    for c, terms in items:
+        if not c:
+            continue
+        if c == -1:
+            # negation keeps the content: no gcd, unlike value * -1
+            terms = {key: -value for key, value in terms.items()}
+        elif c != 1:
+            terms = {key: value * c for key, value in terms.items()}
+        if not out:
+            out = dict(terms)
+            continue
+        for key, value in terms.items():
+            if key in out:
+                more.setdefault(key, [out[key]]).append(value)
+            else:
+                out[key] = value
+    return _key_sums(npos, more.items(), out)
+
+
+def operator_combination(
+        space: OpSpace,
+        items: Iterable[Tuple[Union[Scalar, RationalFunction], Operator]]
+) -> Operator:
+    """``sum c * op`` over ``(c, op)``, with ``c`` a rational or a
+    RationalFunction; every sum, difference and scaling of operators."""
+    parts = []
     for c, op in items:
         if op.space != space:
-            raise ShapeMismatchError("mixed operator spaces in sum")
-        for key, coeff in op.terms.items():
-            acc.setdefault(key, []).append(coeff * c)
-    return _finalize(space, acc.items())
+            raise ShapeMismatchError(
+                f"mixed operator spaces: {space} and {op.space}")
+        parts.append((c, op.terms))
+    return _finalize(space, _combine(space.sites, parts))
 
 
 def operator_sum(space: OpSpace, items: Iterable[Operator]) -> Operator:
@@ -674,12 +687,9 @@ def _action_row(op: Operator, ket: SpinBasis) -> ActionRow:
             target = word_apply(word, ket)
             if target is not None:
                 acc.setdefault((deriv, target), []).append(coeff)
-        npos = op.space.sites
-        row = rows[ket] = []
-        for (deriv, target), items in acc.items():
-            total = rf_sum(npos, items)
-            if not total.is_zero:
-                row.append((deriv, target, total))
+        row = rows[ket] = [
+            (deriv, target, total) for (deriv, target), total
+            in _key_sums(op.space.sites, acc.items()).items()]
     return row
 
 
@@ -696,28 +706,13 @@ def apply_operator(op: Operator, vec: SpinVector) -> SpinVector:
             value = _multi_derivative(amp, deriv, memo)
             if not value.is_zero:
                 acc.setdefault(target, []).append(coeff * value)
-    npos = op.space.sites
-    out: SpinVector = {}
-    for basis, items in acc.items():
-        total = rf_sum(npos, items)
-        if not total.is_zero:
-            out[basis] = total
-    return out
+    return _key_sums(op.space.sites, acc.items())
 
 
 def vector_combination(npos: int, items: Iterable[Tuple[Scalar, SpinVector]]
                        ) -> SpinVector:
-    """``sum c * v`` over ``(c, v)``, one ``rf_sum`` per ket."""
-    acc: Dict[SpinBasis, List[RationalFunction]] = {}
-    for c, vec in items:
-        for ket, amp in vec.items():
-            acc.setdefault(ket, []).append(amp * c)
-    out: SpinVector = {}
-    for ket, amps in acc.items():
-        total = rf_sum(npos, amps)
-        if not total.is_zero:
-            out[ket] = total
-    return out
+    """``sum c * v`` over ``(c, v)``, as operator_combination sums terms."""
+    return _combine(npos, items)
 
 
 def evaluate_vector(vec: SpinVector,

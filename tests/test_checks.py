@@ -485,6 +485,18 @@ class TestDecidingLabels:
         assert formed == list(basis(SP2))
         assert roots == self.full_loop_roots(ctx)
 
+    def test_level_conserved_is_decided_once_per_context(self, monkeypatch):
+        calls = []
+        generators = checks.ideal_generators
+        monkeypatch.setattr(checks, "ideal_generators",
+                            lambda spec: calls.append(spec) or generators(spec))
+        ctx = checks._ModelContext(ModelSpec(SP2, 3, "sutherland", lam="star"))
+        checks._conservation_targets(ctx)
+        # one call for level_conserved and one for deciding_labels
+        assert len(calls) == 2
+        assert ctx.level_conserved(1) and ctx.level_conserved(1)
+        assert len(calls) == 2
+
     def test_conservation_pass_forms_one_bracket(self, monkeypatch):
         formed = self.counting_level1(monkeypatch)
         ms = ModelSpec(SP4, 2, "sutherland", lam="star")

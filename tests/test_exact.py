@@ -139,9 +139,11 @@ class TestEvaluation:
         bound = r.substitute({lam_slot(2): F(1, 3)})
         assert bound == inv(2, 1, 2) * F(1, 3)
 
-    def test_substitute_position_pole(self):
-        with pytest.raises(PoleEvaluationError):
-            inv(2, 1, 2).substitute({0: F(1), 1: F(1)})
+    def test_substitute_rejects_position_slots(self):
+        # positions are bound only by evaluate, so no binding meets a pole
+        for slot in (0, 1):
+            with pytest.raises(ValueError, match="not a parameter slot"):
+                inv(2, 1, 2).substitute({slot: F(1)})
 
     def test_derivative_of_inverse_difference(self):
         # d/dx1 (x1-x2)^-1 = -(x1-x2)^-2

@@ -1,11 +1,14 @@
 """Normal-form operator algebra: products, commutators, the word quotient."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinsym.operators
 from spinsym.errors import ShapeMismatchError, TermBudgetError
 from spinsym.exact import RationalFunction, lam_slot, om_slot
 from spinsym.operators import (Operator, OpSpace, apply_operator, commutator,
@@ -458,3 +461,82 @@ def test_parameter_substitution_is_a_homomorphism(a, b, slot, value):
     assert (a * b).substitute(at) == a.substitute(at) * b.substitute(at)
     assert (commutator(a, b).substitute(at)
             == commutator(a.substitute(at), b.substitute(at)))
+
+
+def test_rf_sum_has_one_caller():
+    # every sum of operator coefficients or vector amplitudes, key by key,
+    # goes through one helper
+    tree = ast.parse(Path(spinsym.operators.__file__).read_text())
+    callers = {fn.name for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Name) and node.func.id == "rf_sum"}
+    assert callers == {"_key_sums"}
+
+
+# a point off the pole x1 = x2, with values for the coupling and the trap
+@st.composite
+def points(draw):
+    value = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    x1, x2 = draw(value), draw(value)
+    if x1 == x2:
+        x2 += 1
+    return (x1, x2, draw(value), draw(value))
+
+
+# spin vectors over two sites, with amplitudes that cancel in pairs
+@st.composite
+def spin_vectors(draw):
+    x1, lam = RationalFunction.position(2, 1), RationalFunction.coupling(2)
+    inv = RationalFunction.inverse_difference(2, 1, 2)
+    amplitudes = [x1, -x1, lam * inv, inv * F(-1, 2), RationalFunction.const(2, 3),
+                  RationalFunction.trap(2) * x1 + lam]
+    kets = [(1, 1), (1, 2), (2, 1), (2, 2)]
+    return draw(st.dictionaries(st.sampled_from(kets),
+                                st.sampled_from(amplitudes), max_size=4))
+
+
+SCALARS = [F(0), F(1), F(-1), F(1, 2), F(-3)]
+
+
+def assert_key_sums(result, parts, point):
+    """Each value of ``result`` at ``point`` is the sum of ``c * value`` over
+    ``(c, terms)`` in ``parts``; no zero is stored, and a key that is absent
+    sums to zero there."""
+    def at(r):
+        return r.evaluate(point) if isinstance(r, RationalFunction) else r
+
+    want = {}
+    for c, terms in parts:
+        for key, coeff in terms.items():
+            want[key] = want.get(key, 0) + at(c) * coeff.evaluate(point)
+    assert set(result) <= set(want)
+    assert all(not coeff.is_zero for coeff in result.values())
+    for key, total in want.items():
+        assert (result[key].evaluate(point) if key in result else 0) == total
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=parameter_ops(), b=parameter_ops(), point=points(),
+       c=st.sampled_from(SCALARS + [
+           RationalFunction.coupling(2), RationalFunction.zero(2),
+           RationalFunction.trap(2) * RationalFunction.inverse_difference(2, 1, 2)]))
+def test_linear_combinations_sum_coefficients_key_by_key(a, b, point, c):
+    for result, parts in ((a + b, [(1, a), (1, b)]),
+                          (a - b, [(1, a), (-1, b)]),
+                          (a - a, [(1, a), (-1, a)]),
+                          (a.scaled(c), [(c, a)]),
+                          (a.scaled(c) + b, [(c, a), (1, b)])):
+        assert_key_sums(result.terms, [(s, op.terms) for s, op in parts], point)
+    assert (a - a).is_zero
+
+
+@settings(max_examples=60, deadline=None)
+@given(vectors=st.lists(st.tuples(st.sampled_from(SCALARS), spin_vectors()),
+                        min_size=1, max_size=4),
+       point=points())
+def test_vector_combination_sums_amplitudes_key_by_key(vectors, point):
+    assert_key_sums(vector_combination(2, vectors), vectors, point)
+    c, vec = vectors[0]
+    assert not vector_combination(2, [(c, vec), (-c, vec)])
