@@ -39,7 +39,14 @@ Difference factors are irreducible, so canonical form never needs a
 general multivariate GCD: divisibility by the monic linear factor
 (x_j - x_k) is decided exactly by the substitution x_j -> x_k, and the
 quotient falls out of synthetic division, which keeps integer
-coefficients and, by Gauss's lemma, the content.
+coefficients and, by Gauss's lemma, the content.  Two exact rules
+exclude a factor before any division is tried.  Every x_j - x_k vanishes
+where all variables are 1, so a numerator with a nonzero coefficient
+sum has no difference factor (`_cancel`).  And a derivative by x_j,
+written over the profile with each factor containing x_j raised by one,
+is prime to those factors, because modulo such a factor only a nonzero
+multiple of the canonical numerator times the other factors is left
+(`RationalFunction.derivative`).
 
 Polynomial dicts and profiles are shared freely between values and are
 never changed once stored; only `_accumulate` writes into a dict, and
@@ -496,36 +503,52 @@ class RationalFunction:
     # calculus and evaluation ----------------------------------------------
 
     def derivative(self, j: int) -> "RationalFunction":
-        """Partial derivative with respect to the position x_j (1-based)."""
+        """Partial derivative with respect to the position x_j (1-based).
+
+        The result is written directly over the profile in which each
+        factor f that contains x_j has its exponent e_f raised by one:
+        the numerator is dN * P + N * S, with P the product of those
+        factors and S the sum over them of s_f e_f times the product of
+        the others, where s_f is -1 when x_j is the first site of f and
+        +1 when it is the second.  A raised factor never cancels: modulo
+        f only s_f e_f N times the other factors is left, and that is
+        nonzero because a canonical N is prime to f and distinct
+        difference factors are coprime.  So only factors without x_j are
+        tried, and on two sites no division is tried at all.
+        """
         if not 1 <= j <= self.npos:
             raise ValueError(f"position index {j} out of range")
         npos, num, denom = self.npos, self.num, self.denom
         shift = FIELD_BITS * (j - 1)
         unit = 1 << shift
-        pieces: List[RationalFunction] = []
         dnum = {}
         for k, c in num.items():
             e = (k >> shift) & _FIELD
             if e:
                 dnum[k - unit] = c * e
+        raised = {f: e for f, e in self.den.items() if j in f}
+        if not raised:
+            return _reduce(npos, dnum, denom, self.den)
+        # P and S over the raised factors met so far
+        prod: Poly = {0: 1}
+        weights: Poly = {}
+        for (a, b), e in raised.items():
+            f = diff_power(a, b, 1)
+            step = {k: c * (e if b == j else -e) for k, c in prod.items()}
+            if weights:
+                _accumulate(step, 1, poly_mul(weights, f), 1)
+            weights, prod = step, poly_mul(prod, f)
+        total = poly_mul(num, weights)
         if dnum:
-            pieces.append(_make(npos, dnum, denom, self.den))
-        for (a, b), e in self.den.items():
-            if a == j:
-                factor = -e
-            elif b == j:
-                factor = e
-            else:
-                continue
-            den = dict(self.den)
-            den[(a, b)] = e + 1
-            pieces.append(_make(
-                npos, {k: c * factor for k, c in num.items()}, denom, den))
-        if len(pieces) == 1:
-            (piece,) = pieces
-            return _reduce(npos, piece.num, denom, piece.den)
-        # rf_sum canonicalizes a sum of two or more pieces in any form
-        return rf_sum(npos, pieces)
+            total = dict(total)
+            _accumulate(total, 1, poly_mul(dnum, prod), 1)
+        total, denom = _strip_content(total, denom)
+        den = dict(self.den)
+        for f in raised:
+            den[f] += 1
+        if len(raised) < len(den):
+            total, den = _cancel(total, den, raised)
+        return _make(npos, total, denom, den)
 
     def substitute(self, bindings: Mapping[int, Fraction]) -> "RationalFunction":
         """Bind the coupling and/or trap slot to exact rationals.
@@ -602,7 +625,7 @@ class RationalFunction:
 def _make(npos: int, num: Poly, denom: int, den: Profile) -> RationalFunction:
     """A RationalFunction from its parts, taken as they are.
 
-    Callers pass canonical parts, or pieces that only rf_sum will see.
+    Callers pass canonical parts.
     """
     r = object.__new__(RationalFunction)
     r.npos = npos
@@ -641,9 +664,16 @@ def _cancel(num: Poly, factors: Profile, prime: Profile) -> Tuple[Poly, Profile]
 
     `prime` lists factors already known not to divide `num`.  Returns the
     quotient and the factors left over; `factors` itself is not changed.
+
+    Every x_j - x_k vanishes where all variables are 1, so a numerator
+    whose coefficient sum is nonzero is divisible by no difference
+    factor.  That sum is taken just before the first trial division and
+    again after each division that succeeds; while it is nonzero, no
+    further division is tried.
     """
     left = factors
     occupied = reduce(or_, num, 0)
+    weight = None  # coefficient sum of `num`, once taken
     for factor, e in factors.items():
         if factor in prime:
             continue
@@ -652,11 +682,16 @@ def _cancel(num: Poly, factors: Profile, prime: Profile) -> Tuple[Poly, Profile]
         # a numerator free of x_j or of x_k is not divisible by x_j - x_k
         while (cut < e and (occupied >> sj) & _FIELD
                and (occupied >> sk) & _FIELD):
+            if weight is None:
+                weight = sum(num.values())
+            if weight:
+                break
             q = poly_divexact_diff(num, factor[0] - 1, factor[1] - 1)
             if q is None:
                 break
             num = q
             occupied = reduce(or_, num, 0)
+            weight = None
             cut += 1
         if cut:
             if left is factors:
@@ -665,6 +700,8 @@ def _cancel(num: Poly, factors: Profile, prime: Profile) -> Tuple[Poly, Profile]
                 del left[factor]
             else:
                 left[factor] = e - cut
+        if weight:
+            break
     return num, left
 
 
@@ -674,7 +711,8 @@ def rf_sum(npos: int, items: Iterable[RationalFunction]) -> RationalFunction:
     Numerators that share a profile are summed first; the partial sums
     are then lifted to the least common multiple of the profiles.  Two or
     more items may be in any form, since the sum is canonicalized; a
-    single item is returned as it is.
+    single item is returned as it is.  `RationalFunction.derivative`
+    feeds it no raw pieces: it writes its result in closed form.
     """
     live = [r for r in items if r.num]
     if not live:

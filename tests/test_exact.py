@@ -1,6 +1,7 @@
 """Exact rational-function layer: canonical forms, arithmetic, evaluation."""
 
 import ast
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinsym
+from spinsym import exact
 from spinsym.errors import (ExponentOverflowError, PoleEvaluationError,
                             ShapeMismatchError)
 from spinsym.exact import (MAX_EXPONENT, RationalFunction, lam_slot, nvars,
@@ -282,6 +284,47 @@ def ref_lift(rf, profile):
     return num
 
 
+def ref_diff(p, j):
+    """d/dx_j of a reference polynomial."""
+    out = {}
+    for mono, c in p.items():
+        if mono[j - 1]:
+            lower = mono[:j - 1] + (mono[j - 1] - 1,) + mono[j:]
+            out[lower] = c * mono[j - 1]
+    return out
+
+
+def quotient_rule_holds(rf, d, j):
+    """d == d/dx_j rf, checked by the quotient rule without division.
+
+    With rf = N / P and R the profile of P with each factor containing x_j
+    raised by one, d/dx_j rf = (N' P - N P') / P**2.  So the numerator of
+    `d` lifted over R, times P**2, must equal (N' P - N P') times R.
+    """
+    one = RationalFunction.const(rf.npos, 1)
+    raised = {f: e + (j in f) for f, e in rf.den.items()}
+    num, p = dict(rf.terms()), ref_lift(one, rf.den)
+    top = ref_add(ref_mul(ref_diff(num, j), p),
+                  {m: -c for m, c in ref_mul(num, ref_diff(p, j)).items()})
+    return (ref_mul(ref_lift(d, raised), ref_mul(p, p))
+            == ref_mul(top, ref_lift(one, raised)))
+
+
+def piecewise_derivative(rf, j):
+    """d/dx_j (N / P) as one rf_sum of the pieces N' / P and, for each
+    factor f = x_a - x_b of P that contains x_j, -e_f (df/dx_j) N / (P f)."""
+    pieces = [RationalFunction(rf.npos, ref_diff(dict(rf.terms()), j),
+                               dict(rf.den))]
+    for (a, b), e in rf.den.items():
+        if j in (a, b):
+            den = dict(rf.den)
+            den[(a, b)] = e + 1
+            sign = e if b == j else -e
+            pieces.append(RationalFunction(
+                rf.npos, {m: c * sign for m, c in rf.terms()}, den))
+    return rf_sum(rf.npos, pieces)
+
+
 @st.composite
 def rationals3(draw):
     """Rational functions over three positions, several profiles."""
@@ -310,10 +353,109 @@ def test_kernel_matches_fraction_reference(a, b, c):
     for r in (a, b, c, a):
         want = ref_add(want, ref_lift(r, lcm))
     assert ref_lift(total, lcm) == want
+    derivatives = [a.derivative(j) for j in (1, 2, 3)]
+    for j, d in enumerate(derivatives, 1):
+        assert quotient_rule_holds(a, d, j)
+        assert d == piecewise_derivative(a, j)
     # results are canonical: rebuilding one from its public parts, which
     # strips content afresh, reproduces it field for field
-    for r in (prod, total):
+    for r in (prod, total, *derivatives):
         assert RationalFunction(3, dict(r.terms()), dict(r.den)) == r
+
+
+@contextmanager
+def counted_tries():
+    """Record the factor (j, k) of every divisibility try made inside."""
+    made = []
+    divide = exact.poly_divexact_diff
+
+    def counted(a, vj, vk):
+        made.append((vj + 1, vk + 1))
+        return divide(a, vj, vk)
+
+    exact.poly_divexact_diff = counted
+    try:
+        yield made
+    finally:
+        exact.poly_divexact_diff = divide
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=rationals())
+def test_two_site_derivative_tries_nothing(a):
+    # every factor of a two-site profile contains both variables, so a
+    # derivative raises it, and a raised factor never cancels
+    with counted_tries() as made:
+        for j in (1, 2):
+            a.derivative(j)
+    assert made == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=rationals3())
+def test_derivative_tries_no_factor_it_raised(a):
+    with counted_tries() as made:
+        a.derivative(1)
+    assert set(made) <= {(2, 3)}
+
+
+def test_derivative_sums_no_pieces(monkeypatch):
+    def refuse(npos, items):
+        raise AssertionError("rf_sum called")
+
+    monkeypatch.setattr(exact, "rf_sum", refuse)
+    r = RationalFunction(3, {(1, 1, 0, 1, 0): 3, (0, 2, 1, 0, 0): -1},
+                         {(1, 2): 2, (1, 3): 1, (2, 3): 1})
+    for j in (1, 2, 3):
+        assert quotient_rule_holds(r, r.derivative(j), j)
+
+
+class TestTrialDivision:
+    """Which divisibility tries canonical form makes: a numerator with a
+    nonzero coefficient sum (its value where every variable is 1) is tried
+    against no factor, and a zero sum is no proof of divisibility."""
+
+    def test_derivative_tries_only_the_factor_without_x1(self):
+        r = RationalFunction(3, {(1, 1, 0, 0, 0): 1, (0, 0, 1, 1, 0): 2},
+                             {(1, 2): 2, (1, 3): 1, (2, 3): 1})
+        with counted_tries() as made:
+            d = r.derivative(1)
+        assert made == [(2, 3)]
+        assert d == piecewise_derivative(r, 1)
+
+    def test_nonzero_coefficient_sum_tries_nothing(self):
+        # x1 + x2 is 2 where x1 = x2 = 1, so no x_j - x_k divides it
+        with counted_tries() as made:
+            r = (x(2, 1) + x(2, 2)) * inv(2, 1, 2)
+            built = RationalFunction(2, {(1, 0, 0, 0): 1, (0, 1, 0, 0): 1},
+                                     {(1, 2): 1})
+        assert r == built
+        assert made == []
+
+    @pytest.mark.parametrize("site, text", [
+        (3, "(x1 + 2*x3) / ((x1-x2))"), (2, "(x1 + 2*x2) / ((x1-x2))")])
+    def test_division_stops_once_the_sum_is_nonzero(self, site, text):
+        # (x1-x2)^2 (x1 + 2 x_s) / (x1-x2)^3: two divisions leave x1 + 2 x_s,
+        # whose coefficient sum 3 rules out a third
+        diff = x(3, 1) - x(3, 2)
+        num = diff * diff * (x(3, 1) + 2 * x(3, site))
+        with counted_tries() as made:
+            r = RationalFunction(3, dict(num.terms()), {(1, 2): 3})
+        assert r.render() == text
+        assert made == [(1, 2), (1, 2)]
+
+    @pytest.mark.parametrize("num, text, tries", [
+        # free of x2, so the occupancy test rules it out first
+        (x(3, 1) - x(3, 3), "(x1 - x3) / ((x1-x2))", []),
+        (x(3, 1) + x(3, 2) - 2 * x(3, 3), "(x1 + x2 - 2*x3) / ((x1-x2))",
+         [(1, 2)])])
+    def test_zero_sum_without_the_factor_keeps_it(self, num, text, tries):
+        # the numerator vanishes at all ones but x1 - x2 does not divide it
+        with counted_tries() as made:
+            r = num * inv(3, 1, 2)
+        assert r.den == {(1, 2): 1}
+        assert r.render() == text
+        assert made == tries
 
 
 def test_exponent_past_field_width_raises():
