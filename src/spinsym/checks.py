@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 from math import gcd as _integer_gcd, isqrt
 from operator import mul
 from random import Random
@@ -690,20 +690,15 @@ def _serre_rhs_scale(ms: ModelSpec) -> RationalFunction:
 
 def _zero_trap_mismatch(ctx: _ModelContext, zero: _ModelContext
                         ) -> Optional[str]:
-    """Where substituting trap -> 0 into a Serre column of ``ctx`` differs
+    """Where substituting trap -> 0 into the Serre proof of ``ctx`` differs
     from the zero-trap context ``zero``, or None where it never does.
 
-    The premise is the generator grids: every ``J0`` and ``J1`` of ``ctx``
-    with trap -> 0 substituted must equal the same generator of ``zero``.
-    No coefficient has the trap strength in its denominator (a denominator
-    is an integer times factors ``x_j - x_k``), so the substitution is a
-    ring homomorphism that commutes with every ``d/dx_j``; it therefore
-    commutes with products and commutators, and as normal forms are unique,
-    every table entry ``B(x,w)`` and every residual term ``[J1^x, R(y,z)]``
-    then agrees too, with no commutator formed.  Only if a grid entry
-    differs are the table entries and residual terms compared one by one,
-    to name the first that differs.  The right-hand scale must vanish in
-    either case.
+    Each ``J0`` and ``J1`` of ``ctx`` at trap -> 0 must equal that of
+    ``zero``, and the right-hand scale must vanish.  No denominator holds
+    the trap strength (it is an integer times factors ``x_j - x_k``), so
+    the substitution is a ring homomorphism that commutes with ``d/dx_j``,
+    products and commutators; as normal forms are unique, every table
+    entry and residual term then agrees too, and none is formed.
 
     ``zero`` is a variant of ``ctx``: it binds trap 0 into the same
     symbolic build, and nothing is rebuilt.  So the grid comparison checks
@@ -712,19 +707,11 @@ def _zero_trap_mismatch(ctx: _ModelContext, zero: _ModelContext
     symbolic-trap proof.
     """
     trap_off = {om_slot(ctx.ms.sites): Fraction(0)}
-    labels = basis(ctx.ms.algebra)
-    if not all(ctx.grid(level)[x].substitute(trap_off) == zero.grid(level)[x]
-               for level in (0, 1) for x in labels):
-        for x, w in combinations(labels, 2):
-            if ctx.bracket(x, w).substitute(trap_off) != zero.bracket(x, w):
-                return f"zero-trap reduction mismatch at bracket {x}, {w}"
-        for x, y, z in product(labels, repeat=3):
-            rest, rest0 = ctx.residual(1, y, z), zero.residual(1, y, z)
-            if not (rest.is_zero and rest0.is_zero) and (
-                    commutator(ctx.grid(1)[x], rest).substitute(trap_off)
-                    != commutator(zero.grid(1)[x], rest0)):
-                return (f"zero-trap reduction mismatch at residual term "
-                        f"{x}, {y}, {z}")
+    for level in (0, 1):
+        for x in basis(ctx.ms.algebra):
+            if ctx.grid(level)[x].substitute(trap_off) != zero.grid(level)[x]:
+                return (f"zero-trap reduction mismatch at level-{level} "
+                        f"generator {x}")
     if not ctx.serre_scale().substitute(trap_off).is_zero:
         return "right side survives trap -> 0"
     return None
@@ -745,20 +732,10 @@ def check_serre_yangian(ms: ModelSpec,
     The cyclic sums come from the level-1 bracket table through
     ``_ModelContext.piece_sum``; the evaluation oracle replays them through
     nested commutators.  For the confined model with a symbolic trap
-    strength, additionally requires the proof to reduce to the zero-trap
-    variant (``_zero_trap_mismatch``): each ``J0`` and ``J1`` with trap -> 0
-    substituted must equal the variant's, and the right-hand scale must
-    collapse to zero.  The substitution is a ring homomorphism that
-    commutes with ``d/dx_j``, since no denominator holds the trap strength,
-    so every table entry ``B(x,w)`` and residual term ``[J1^x, R(y,z)]``,
-    and with them every triple's cyclic sum, then reduces to the variant's
-    as well.  Only where a generator differs are those entries compared
-    one by one, to name the first that differs.  The variant binds trap 0
-    into the same symbolic build rather than rebuilding the model, so the
-    replay checks only that substitution composes and that the right side
-    carries the trap factor: the reduction follows from the symbolic-trap
-    proof.  The note keeps its wording, "the zero-trap rebuild", because
-    the golden reports pin it.
+    strength, the proof must also reduce to the zero-trap variant, as
+    ``_zero_trap_mismatch`` checks on the generator grids and the
+    right-hand scale.  The note keeps its wording, "the zero-trap
+    rebuild", because the golden reports pin it.
     """
 
     params = _model_params(ms)
@@ -1436,11 +1413,12 @@ def oracle_crosscheck(ms: ModelSpec, trials: int = 20, seed: int = 1,
     Every target identity is applied compositionally (operator application
     to random polynomial spin functions, commutators expanded as nested
     applications, never symbolic products) and evaluated at random rational
-    points with pairwise distinct coordinates.  Any nonzero value for an
-    identity the symbolic engine proved is an engine bug and is reported
-    with an alarm note, never downgraded to an ordinary failure.  Which
-    identities count as proved is read from the same context objects the
-    checks proved them with.
+    points with pairwise distinct coordinates.  Any nonzero defect for an
+    identity the symbolic engine proved, even one that vanishes at the
+    drawn point, is an engine bug and is reported with an alarm note,
+    never downgraded to an ordinary failure.  Which identities count as
+    proved is read from the same context objects the checks proved them
+    with.
     """
     if trials < 1:
         raise ValueError("oracle needs at least one trial")
@@ -1484,10 +1462,13 @@ def oracle_crosscheck(ms: ModelSpec, trials: int = 20, seed: int = 1,
                 else:
                     vec = _random_vector(rng, space)
                     point = _random_point(rng, ms)
-                residue = evaluate_vector(target.defect(vec), point)
+                defect = target.defect(vec)
+                residue = evaluate_vector(defect, point)
                 evaluations += 1
-                if residue:
-                    ket, value = next(iter(sorted(residue.items())))
+                if any(defect.values()):
+                    # a defect vanishing at the point names its amplitude
+                    ket, value = min(residue.items()) if residue else min(
+                        (k, amp.render()) for k, amp in defect.items() if amp)
                     raise OracleDisagreementError(
                         f"trial {trial} on '{target.label}': residue "
                         f"{value} on ket {ket} at point "

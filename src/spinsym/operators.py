@@ -313,41 +313,41 @@ class Operator:
 
 def _multi_derivative(r: RationalFunction, gamma: Deriv,
                       memo: Dict[Deriv, RationalFunction]) -> RationalFunction:
-    """d^gamma r; ``memo`` holds the derivatives of this one ``r``."""
+    """d^gamma r; ``memo`` holds the derivatives of this one ``r``.  Products,
+    commutators and ``apply_operator`` share this recursion, which returns a
+    zero lower derivative as it is."""
     if not any(gamma):
         return r
     hit = memo.get(gamma)
-    if hit is not None:
-        return hit
-    for j, e in enumerate(gamma, start=1):
-        if e:
-            lower = gamma[:j - 1] + (e - 1,) + gamma[j:]
-            prev = _multi_derivative(r, lower, memo)
-            out = prev.derivative(j)
-            break
-    memo[gamma] = out
-    return out
+    if hit is None:
+        j = next(j for j, e in enumerate(gamma) if e)
+        prev = _multi_derivative(
+            r, gamma[:j] + (gamma[j] - 1,) + gamma[j + 1:], memo)
+        hit = memo[gamma] = prev.derivative(j + 1) if prev else prev
+    return hit
 
 
-def _leibniz(alpha: Deriv, r: RationalFunction,
-             cache: Dict) -> List[Tuple[Deriv, RationalFunction]]:
-    """Expand d^alpha . r into sum of coeff(beta) * d^beta with beta <= alpha."""
-    key = ("L", id(r), alpha)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    out: List[Tuple[Deriv, RationalFunction]] = []
-    memo = cache.setdefault(("D", id(r)), {})
+def _leibniz_orders(alpha: Deriv) -> Iterator[Tuple[Deriv, Deriv, int]]:
+    """``(beta, alpha - beta, prod_j C(alpha_j, beta_j))`` for every
+    ``beta <= alpha``: the orders of ``d^alpha . r = sum C d^(alpha-beta) r
+    d^beta``."""
     for beta in _iproduct(*(range(a + 1) for a in alpha)):
-        gamma = tuple(a - b for a, b in zip(alpha, beta))
-        rg = _multi_derivative(r, gamma, memo)
-        if rg.is_zero:
-            continue
         factor = 1
         for a, b in zip(alpha, beta):
             factor *= comb(a, b)
-        out.append((beta, rg if factor == 1 else rg * factor))
-    cache[key] = out
+        yield beta, tuple(map(_tsub, alpha, beta)), factor
+
+
+def _leibniz(alpha: Deriv, r: RationalFunction,
+             memo: Dict[Deriv, RationalFunction]
+             ) -> List[Tuple[Deriv, RationalFunction]]:
+    """Expand d^alpha . r into sum of coeff(beta) * d^beta with beta <= alpha;
+    ``memo`` holds the derivatives of this one ``r``."""
+    out: List[Tuple[Deriv, RationalFunction]] = []
+    for beta, gamma, factor in _leibniz_orders(alpha):
+        rg = _multi_derivative(r, gamma, memo)
+        if rg:
+            out.append((beta, rg if factor == 1 else rg * factor))
     return out
 
 
@@ -373,14 +373,13 @@ def _accumulate_product(left: Operator, right: Operator,
     by_deriv: Dict[Deriv, List[Tuple[SpinWord, RationalFunction]]] = {}
     for (deriv, word), coeff in left.terms.items():
         by_deriv.setdefault(deriv, []).append((word, coeff))
-    # keyed by id() of coefficients of `right`, which outlives this call
-    cache: Dict = {}
     for (rderiv, rword), rcoeff in right.terms.items():
+        memo: Dict[Deriv, RationalFunction] = {}
         for alpha, group in by_deriv.items():
             if alpha == zero_deriv:
                 expansion = ((zero_deriv, rcoeff),)
             else:
-                expansion = _leibniz(alpha, rcoeff, cache)
+                expansion = _leibniz(alpha, rcoeff, memo)
             for lword, lcoeff in group:
                 words = word_mul(ndim, lword, rword)
                 if not words:
@@ -427,8 +426,9 @@ class _CoefficientClasses:
 
     ``reps`` holds one primitive representative per class of coefficients
     equal up to a rational factor (``RationalFunction.split``), and the
-    memos hold each product of two classes and each Leibniz expansion of
-    a class once.  A table lives for one call.
+    memos hold each product of two classes, each derivative of a class
+    (through ``_multi_derivative``) and each Leibniz expansion once.  A
+    table lives for one call.
     """
 
     def __init__(self) -> None:
@@ -436,6 +436,7 @@ class _CoefficientClasses:
         self._index: Dict[RationalFunction, int] = {}
         self._products: Dict[Tuple[int, int], ClassTerm] = {}
         self._derivatives: Dict[Tuple[int, Deriv], Optional[ClassTerm]] = {}
+        self._memos: Dict[int, Dict[Deriv, RationalFunction]] = {}
         self._lower: Dict[Tuple[Deriv, int, int],
                           List[Tuple[Deriv, Scalar, int]]] = {}
 
@@ -475,23 +476,12 @@ class _CoefficientClasses:
 
     def derivative(self, i: int, gamma: Deriv) -> Optional[ClassTerm]:
         """d^gamma reps[i] as a class term, or None when it vanishes."""
-        if not any(gamma):
-            return 1, i
         key = (i, gamma)
-        if key in self._derivatives:
-            return self._derivatives[key]
-        out = None
-        for j, e in enumerate(gamma, start=1):
-            if e:
-                prev = self.derivative(i, gamma[:j - 1] + (e - 1,) + gamma[j:])
-                if prev is not None:
-                    d = self.reps[prev[1]].derivative(j)
-                    if not d.is_zero:
-                        q, k = self._class_term(d)
-                        out = prev[0] * q, k
-                break
-        self._derivatives[key] = out
-        return out
+        if key not in self._derivatives:
+            d = _multi_derivative(self.reps[i], gamma,
+                                  self._memos.setdefault(i, {}))
+            self._derivatives[key] = self._class_term(d) if d else None
+        return self._derivatives[key]
 
     def lower(self, alpha: Deriv, i: int,
               j: int) -> List[Tuple[Deriv, Scalar, int]]:
@@ -504,17 +494,10 @@ class _CoefficientClasses:
         if hit is not None:
             return hit
         out = []
-        for beta in _iproduct(*(range(a + 1) for a in alpha)):
-            if beta == alpha:
-                continue
-            part = self.derivative(j, tuple(map(_tsub, alpha, beta)))
-            if part is None:
-                continue
-            factor = part[0]
-            for a, b in zip(alpha, beta):
-                factor *= comb(a, b)
-            q, k = self.product(i, part[1])
-            out.append((beta, factor * q, k))
+        for beta, gamma, factor in _leibniz_orders(alpha):
+            if beta != alpha and (part := self.derivative(j, gamma)):
+                q, k = self.product(i, part[1])
+                out.append((beta, factor * part[0] * q, k))
         self._lower[key] = out
         return out
 

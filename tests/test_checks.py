@@ -197,9 +197,8 @@ class TestSerre:
         monkeypatch.setattr(checks._ModelContext, "variant", wrong_trap)
         r = check_serre_yangian(ModelSpec(SP2, 2, "confined", lam="star"))
         assert r.status == "fail"
-        assert len(r.witness) == 1
-        assert r.witness[0].startswith(
-            "zero-trap reduction mismatch at bracket ")
+        assert r.witness == (
+            "zero-trap reduction mismatch at level-1 generator (1, 1)",)
 
     def test_zero_trap_replay_forms_no_commutator(self, monkeypatch):
         # the grids agree at trap 0, so no table entry or residual is formed
@@ -219,6 +218,10 @@ class TestSerre:
         monkeypatch.setattr(checks, "commutator", counting)
         assert checks._zero_trap_mismatch(ctx, zero) is None
         assert formed == [] and zero_entries() == []
+        # a mismatch is named from the grids alone as well
+        assert checks._zero_trap_mismatch(ctx, ctx.variant(omega=F(1))) == (
+            "zero-trap reduction mismatch at level-1 generator (1, 1)")
+        assert formed == []
         r = check_serre_yangian(ms, ctx)
         assert r.status == "pass"
         assert ("trap -> 0 reduction matched the zero-trap rebuild byte for "
@@ -675,8 +678,30 @@ class TestOracle:
         r = oracle_crosscheck(ms, trials=2, seed=1)
         assert r.status == "fail"
         assert r.notes[0].startswith("ORACLE DISAGREEMENT")
-        assert "planted inconsistency" in r.witness[0]
+        assert r.witness[0].startswith(
+            "trial 0 on 'planted inconsistency': residue 1 on ket (1, 1) "
+            "at point [")
         assert CheckReport.build([r]).oracle_alarm
+
+    def test_defect_vanishing_at_the_point_raises_alarm(self, monkeypatch):
+        # a nonzero defect whose every amplitude vanishes at the drawn point
+        amp = RationalFunction.position(2, 1) - RationalFunction.const(2, 3)
+
+        def planted_targets(spec):
+            return [checks._OracleTarget("planted vanishing defect",
+                                         lambda vec: {(1, 1): amp}, True)]
+
+        draw = checks._random_point
+        monkeypatch.setattr(checks, "_spin_targets", planted_targets)
+        monkeypatch.setattr(checks, "_random_point",
+                            lambda rng, ms: [F(3)] + draw(rng, ms)[1:])
+        ms = ModelSpec(SP2, 2, "calogero", lam="star")
+        r = oracle_crosscheck(ms, trials=2, seed=1)
+        assert r.status == "fail"
+        assert r.notes[0].startswith("ORACLE DISAGREEMENT")
+        assert r.witness[0].startswith(
+            f"trial 0 on 'planted vanishing defect': residue {amp.render()} "
+            f"on ket (1, 1) at point ['3', ")
 
 
 def nested(ops, vec):

@@ -1,7 +1,10 @@
 """Normal-form operator algebra: products, commutators, the word quotient."""
 
 import ast
+import re
 from fractions import Fraction
+from itertools import permutations, product
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -11,10 +14,10 @@ from hypothesis import strategies as st
 import spinsym.operators
 from spinsym.errors import ShapeMismatchError, TermBudgetError
 from spinsym.exact import RationalFunction, lam_slot, om_slot
-from spinsym.operators import (Operator, OpSpace, apply_operator, commutator,
-                               evaluate_vector, operator_combination,
-                               operator_sum, term_ceiling,
-                               vector_combination, word_apply)
+from spinsym.operators import (Operator, OpSpace, _leibniz, _multi_derivative,
+                               apply_operator, commutator, evaluate_vector,
+                               operator_combination, operator_sum,
+                               term_ceiling, vector_combination, word_apply)
 
 F = Fraction
 SP = OpSpace(spin_dim=2, sites=2)
@@ -473,6 +476,79 @@ def test_rf_sum_has_one_caller():
                if isinstance(node, ast.Call)
                and isinstance(node.func, ast.Name) and node.func.id == "rf_sum"}
     assert callers == {"_key_sums"}
+
+
+def test_no_id_keyed_tables():
+    # a memo keyed by id() can hit for a new object at a dead one's address
+    call = re.compile(r"(?<![\w.])id\(")
+    for path in sorted(Path(spinsym.operators.__file__).parent.glob("*.py")):
+        assert not call.search(path.read_text()), path.name
+
+
+# rational functions over three positions: a low-degree numerator, with a
+# trap factor in some terms, over some difference factors
+@st.composite
+def rationals3(draw):
+    exponents = st.tuples(*[st.integers(0, 2)] * 3, st.just(0),
+                          st.integers(0, 1))
+    terms = draw(st.dictionaries(
+        exponents, st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        max_size=3))
+    den = draw(st.dictionaries(st.sampled_from([(1, 2), (1, 3), (2, 3)]),
+                               st.integers(0, 2)))
+    return RationalFunction(3, terms, den)
+
+
+DERIVS3 = st.tuples(*[st.integers(0, 2)] * 3)
+
+
+def repeated_derivative(r, gamma, order=None):
+    """d^gamma r, one ``RationalFunction.derivative`` at a time."""
+    for j in order or [j for j, e in enumerate(gamma, 1) for _ in range(e)]:
+        r = r.derivative(j)
+    return r
+
+
+@settings(max_examples=40, deadline=None)
+@given(r=rationals3(), gamma=DERIVS3)
+def test_multi_derivative_matches_every_order_of_single_derivatives(r, gamma):
+    got = _multi_derivative(r, gamma, {})
+    steps = [j for j, e in enumerate(gamma, 1) for _ in range(e)]
+    for order in set(permutations(steps)):
+        assert got == repeated_derivative(r, gamma, order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(r=rationals3(), alpha=DERIVS3)
+def test_leibniz_matches_reference_expansion(r, alpha):
+    want = []
+    for beta in product(*(range(a + 1) for a in alpha)):
+        part = repeated_derivative(r, tuple(a - b for a, b in zip(alpha, beta)))
+        factor = 1
+        for a, b in zip(alpha, beta):
+            factor *= comb(a, b)
+        if not part.is_zero:
+            want.append((beta, part * factor))
+    assert _leibniz(alpha, r, {}) == want
+
+
+def test_no_zero_value_is_differentiated(monkeypatch):
+    # d1^3 reaches the zero second derivative of x1 and must stop there in
+    # products, commutators and apply_operator alike
+    original = RationalFunction.derivative
+    zeros = []
+
+    def counting(self, j):
+        if self.is_zero:
+            zeros.append(j)
+        return original(self, j)
+
+    monkeypatch.setattr(RationalFunction, "derivative", counting)
+    d3, x1 = D(1, 3), X(1)
+    assert d3 * x1 == x1 * d3 + D(1, 2).scaled(3)
+    assert commutator(d3, x1) == D(1, 2).scaled(3)
+    assert apply_operator(d3, {(1, 1): RationalFunction.position(2, 1)}) == {}
+    assert zeros == []
 
 
 # a point off the pole x1 = x2, with values for the coupling and the trap
