@@ -443,19 +443,26 @@ class _ModelContext:
 
         return self._once(("deciding", level), build)
 
-    def level_conserved(self, level: int) -> bool:
-        """Whether ``[H, J^ab]`` vanishes for every label of the level.
+    def failing_labels(self, level: int) -> List[Pair]:
+        """The labels whose ``[H, J^ab]`` is nonzero, in basis order.
 
         The brackets of the ideal generators come first: if one of them is
-        nonzero the level is not conserved, and no premise of
+        nonzero every bracket is formed, and no premise of
         ``deciding_labels`` is checked.  Otherwise the deciding brackets
-        settle it.  Decided once per context.
+        are formed, and when they all vanish the list is empty and no
+        other bracket is formed.  Decided once per context.
         """
-        return self._once(("conserved", level), lambda: (
-            all(self.ham_bracket(level, z).is_zero
-                for z in ideal_generators(self.ms.algebra))
-            and all(self.ham_bracket(level, z).is_zero
-                    for z in self.deciding_labels(level))))
+
+        def build() -> List[Pair]:
+            if all(self.ham_bracket(level, z).is_zero
+                   for z in ideal_generators(self.ms.algebra)) and all(
+                       self.ham_bracket(level, z).is_zero
+                       for z in self.deciding_labels(level)):
+                return []
+            return [ab for ab in basis(self.ms.algebra)
+                    if not self.ham_bracket(level, ab).is_zero]
+
+        return self._once(("failing", level), build)
 
     def residual(self, level: int, y: Pair, z: Pair) -> Operator:
         """``R(y,z) = [J0^y, J^z] - sum_w f^{yz}_w J^w`` at the given level."""
@@ -537,9 +544,8 @@ def check_conservation(ms: ModelSpec, context: Optional[_ModelContext] = None
     """Level-0 generators commute with the Hamiltonian for every coupling;
     level-1 generators commute at the coupling bound in the model spec.
 
-    Level 1 passes when ``level_conserved(1)`` holds; otherwise every
-    generator's bracket is formed, so the failing list and the witness
-    come from the full loop.
+    Level 1 passes when ``failing_labels(1)`` is empty; otherwise the
+    first failing generator's bracket is the witness.
     """
 
     labels = basis(ms.algebra)
@@ -557,18 +563,12 @@ def check_conservation(ms: ModelSpec, context: Optional[_ModelContext] = None
                             f"{len(labels)} generators conserved")
 
     def level1():
-        if ctx.level_conserved(1):
+        failing = ctx.failing_labels(1)
+        if not failing:
             return "pass", (), (f"{len(labels)} generators conserved",)
-        failing: List[Pair] = []
-        first: Optional[Operator] = None
-        for ab in labels:
-            defect = ctx.ham_bracket(1, ab)
-            if not defect.is_zero:
-                failing.append(ab)
-                if first is None:
-                    first = defect
         return ("fail",
-                _witness_terms(first, f"defect for generator {failing[0]}:"),
+                _witness_terms(ctx.ham_bracket(1, failing[0]),
+                               f"defect for generator {failing[0]}:"),
                 (f"failing generators: {failing}",))
 
     return (_run("conservation-level0", _model_params(ms), level0),
@@ -789,42 +789,18 @@ def check_serre_yangian(ms: ModelSpec,
 # the coupling solver
 
 
-def _coupling_polynomials(defect: Operator, slot: int
-                          ) -> List[Dict[int, Fraction]]:
-    """Bucket a defect operator into univariate polynomials in the coupling.
+def _coupling_polynomial(defect: Operator, slot: int) -> Dict[int, Fraction]:
+    """The coefficients in the coupling of one monomial of a nonzero defect.
 
-    Terms are grouped by derivative word, spin word, denominator profile and
-    the exponents of every other variable; each bucket must vanish for the
-    defect to vanish, so the admissible couplings are the common roots.
+    The first term's numerator is read at the exponents of every other
+    variable of its first monomial.  The defect vanishes at a coupling
+    only if this polynomial does, so its roots hold every admissible one.
     """
-    buckets: Dict[object, Dict[int, Fraction]] = {}
-    for key, rf in defect.terms.items():
-        profile = tuple(sorted(rf.den.items()))
-        for expo, coeff in rf.terms():
-            bucket_key = (key, expo[:slot] + expo[slot + 1:], profile)
-            poly = buckets.setdefault(bucket_key, {})
-            poly[expo[slot]] = poly.get(expo[slot], Fraction(0)) + coeff
-    return [p for p in buckets.values() if any(p.values())]
-
-
-def _poly_gcd(a: Dict[int, Fraction], b: Dict[int, Fraction]
-              ) -> Dict[int, Fraction]:
-    """Monic gcd of two univariate polynomials over the rationals."""
-    a, b = dict(a), dict(b)
-    while b:
-        deg_b, lead_b = max(b), b[max(b)]
-        while a and max(a) >= deg_b:
-            deg_a, lead_a = max(a), a[max(a)]
-            shift, factor = deg_a - deg_b, lead_a / lead_b
-            for e, c in b.items():
-                v = a.get(e + shift, Fraction(0)) - factor * c
-                if v:
-                    a[e + shift] = v
-                else:
-                    a.pop(e + shift, None)
-        a, b = b, a
-    lead = a[max(a)]
-    return {e: c / lead for e, c in a.items()}
+    coeff = next(iter(defect.terms.values()))
+    monomials = coeff.terms()
+    rest = monomials[0][0][:slot] + monomials[0][0][slot + 1:]
+    return {expo[slot]: c for expo, c in monomials
+            if expo[:slot] + expo[slot + 1:] == rest}
 
 
 def _rational_roots(poly: Dict[int, Fraction]) -> Set[Fraction]:
@@ -863,29 +839,32 @@ def solve_lambda(ms: ModelSpec, context: Optional[_ModelContext] = None
                  ) -> Set[Fraction]:
     """Couplings at which every level-1 generator is conserved.
 
-    Requires a symbolic coupling.  The defect bracket of the Hamiltonian
-    with each deciding level-1 generator (``deciding_labels``: one per
-    generator of the algebra as an ideal when the level is covariant and
-    level 0 is conserved, else every generator) is collected into
-    univariate coupling polynomials; their common roots are reduced by a
-    running monic gcd.  Binding a root keeps both premises, so at each
-    root the deciding brackets vanish and with them all the others.
-    The root 0 is shared trivially (it switches the interaction off) and
-    is excluded from the result, so an empty set means no interacting
-    model has the symmetry.
+    Requires a symbolic coupling.  The candidates are the rational roots
+    of one coupling polynomial (``_coupling_polynomial``) of the first
+    nonzero defect bracket of the Hamiltonian with a deciding level-1
+    generator (``deciding_labels``: one per generator of the algebra as an
+    ideal when the level is covariant and level 0 is conserved, else every
+    generator).  A candidate is kept when binding it turns every deciding
+    bracket into the zero operator: binding commutes with products and
+    derivatives and normal forms are unique, so that is the bracket of the
+    bound model.  Binding a root keeps both premises, so at each root the
+    deciding brackets vanish and with them all the others.  The root 0 is
+    shared trivially (it switches the interaction off) and is excluded
+    from the result, so an empty set means no interacting model has the
+    symmetry.
     """
     if ms.lam != "symbolic":
         raise ValueError("solve_lambda needs a symbolic coupling")
     ctx = _context(ms, context)
     slot = lam_slot(ms.sites)
-    common: Optional[Dict[int, Fraction]] = None
-    for ab in ctx.deciding_labels(1):
-        for poly in _coupling_polynomials(ctx.ham_bracket(1, ab), slot):
-            common = dict(poly) if common is None else _poly_gcd(common, poly)
-    if common is None:
+    defects = [d for d in (ctx.ham_bracket(1, ab)
+                           for ab in ctx.deciding_labels(1)) if not d.is_zero]
+    if not defects:
         # defect vanished identically; every coupling is admissible
         return set()
-    return {r for r in _rational_roots(common) if r != 0}
+    return {r for r in _rational_roots(_coupling_polynomial(defects[0], slot))
+            if r != 0 and all(d.substitute({slot: r}).is_zero
+                              for d in defects)}
 
 
 def check_lambda_solver(ms: ModelSpec,
@@ -1263,12 +1242,12 @@ def _conserved(ctx: _ModelContext, level: int, ab: Pair) -> bool:
     Level 0 is proved with the coupling free.  Binding the coupling
     commutes with products and derivatives and normal forms are unique,
     so the bound bracket is the free one with the coupling substituted.
-    Level 1 is proved from the deciding brackets: when they all vanish,
-    so does every level-1 bracket, and those never formed are left to the
-    oracle's own replay.  Otherwise the label's own bracket is formed.
+    Level 1 is read from ``failing_labels``: when the deciding brackets
+    all vanish, so does every level-1 bracket, and those never formed are
+    left to the oracle's own replay.
     """
     if level == 1:
-        return ctx.level_conserved(1) or ctx.ham_bracket(1, ab).is_zero
+        return ab not in ctx.failing_labels(1)
     free = ctx.variant(lam="symbolic").ham_bracket(0, ab)
     return free.is_zero or bind(free, ctx.ms).is_zero
 

@@ -426,16 +426,15 @@ class _CoefficientClasses:
 
     ``reps`` holds one primitive representative per class of coefficients
     equal up to a rational factor (``RationalFunction.split``), and the
-    memos hold each product of two classes, each derivative of a class
-    (through ``_multi_derivative``) and each Leibniz expansion once.  A
-    table lives for one call.
+    memos hold each product of two classes, each derivative of a
+    representative (through ``_multi_derivative``) and each Leibniz
+    expansion once.  A table lives for one call.
     """
 
     def __init__(self) -> None:
         self.reps: List[RationalFunction] = []
         self._index: Dict[RationalFunction, int] = {}
         self._products: Dict[Tuple[int, int], ClassTerm] = {}
-        self._derivatives: Dict[Tuple[int, Deriv], Optional[ClassTerm]] = {}
         self._memos: Dict[int, Dict[Deriv, RationalFunction]] = {}
         self._lower: Dict[Tuple[Deriv, int, int],
                           List[Tuple[Deriv, Scalar, int]]] = {}
@@ -474,15 +473,6 @@ class _CoefficientClasses:
                 self.reps[i] * self.reps[j])
         return hit
 
-    def derivative(self, i: int, gamma: Deriv) -> Optional[ClassTerm]:
-        """d^gamma reps[i] as a class term, or None when it vanishes."""
-        key = (i, gamma)
-        if key not in self._derivatives:
-            d = _multi_derivative(self.reps[i], gamma,
-                                  self._memos.setdefault(i, {}))
-            self._derivatives[key] = self._class_term(d) if d else None
-        return self._derivatives[key]
-
     def lower(self, alpha: Deriv, i: int,
               j: int) -> List[Tuple[Deriv, Scalar, int]]:
         """The orders beta < alpha of ``reps[i] d^alpha . reps[j]``.
@@ -494,10 +484,13 @@ class _CoefficientClasses:
         if hit is not None:
             return hit
         out = []
+        memo = self._memos.setdefault(j, {})
         for beta, gamma, factor in _leibniz_orders(alpha):
-            if beta != alpha and (part := self.derivative(j, gamma)):
-                q, k = self.product(i, part[1])
-                out.append((beta, factor * part[0] * q, k))
+            if beta != alpha and (d := _multi_derivative(self.reps[j], gamma,
+                                                         memo)):
+                p, dj = self._class_term(d)
+                q, k = self.product(i, dj)
+                out.append((beta, factor * p * q, k))
         self._lower[key] = out
         return out
 

@@ -416,14 +416,39 @@ class TestDecidingLabels:
 
     @staticmethod
     def full_loop_roots(ctx):
-        # the solver's gcd taken over every label, as before the shortcut
+        # a reference route independent of the solver: every label's
+        # bracket bucketed into coupling polynomials, one per derivative
+        # word, spin word, profile and exponents of the other variables,
+        # and the rational roots of their running monic gcd
         slot = checks.lam_slot(ctx.ms.sites)
+
+        def gcd(a, b):
+            a, b = dict(a), dict(b)
+            while b:
+                deg_b, lead_b = max(b), b[max(b)]
+                while a and max(a) >= deg_b:
+                    shift, factor = max(a) - deg_b, a[max(a)] / lead_b
+                    for e, c in b.items():
+                        v = a.get(e + shift, F(0)) - factor * c
+                        if v:
+                            a[e + shift] = v
+                        else:
+                            a.pop(e + shift, None)
+                a, b = b, a
+            return {e: c / a[max(a)] for e, c in a.items()}
+
         common = None
         for ab in basis(ctx.ms.algebra):
-            for poly in checks._coupling_polynomials(ctx.ham_bracket(1, ab),
-                                                     slot):
-                common = poly if common is None else checks._poly_gcd(
-                    common, poly)
+            buckets = {}
+            for key, rf in ctx.ham_bracket(1, ab).terms.items():
+                profile = tuple(sorted(rf.den.items()))
+                for expo, coeff in rf.terms():
+                    poly = buckets.setdefault(
+                        (key, expo[:slot] + expo[slot + 1:], profile), {})
+                    poly[expo[slot]] = poly.get(expo[slot], F(0)) + coeff
+            for poly in buckets.values():
+                if any(poly.values()):
+                    common = poly if common is None else gcd(common, poly)
         if common is None:
             return set()
         return {r for r in checks._rational_roots(common) if r != 0}
@@ -458,12 +483,10 @@ class TestDecidingLabels:
         assert formed == list(basis(SP2))
         assert roots == self.full_loop_roots(ctx)
         # the one bracket the covariant model needs would decide wrongly
-        one = checks._coupling_polynomials(ctx.ham_bracket(1, (1, 1)),
-                                           checks.lam_slot(ms.sites))
         star = star_coupling(SP2)
         assert star not in roots
-        assert all(sum(c * star ** e for e, c in p.items()) == 0
-                   for p in one)
+        assert ctx.ham_bracket(1, (1, 1)).substitute(
+            {checks.lam_slot(ms.sites): star}).is_zero
         # at the critical coupling [H, J1^(1,1)] vanishes, yet the level fails
         ms, ctx = self.noncovariant("star")
         assert ctx.ham_bracket(1, (1, 1)).is_zero
@@ -495,10 +518,43 @@ class TestDecidingLabels:
                             lambda spec: calls.append(spec) or generators(spec))
         ctx = checks._ModelContext(ModelSpec(SP2, 3, "sutherland", lam="star"))
         checks._conservation_targets(ctx)
-        # one call for level_conserved and one for deciding_labels
+        # one call for failing_labels and one for deciding_labels
         assert len(calls) == 2
-        assert ctx.level_conserved(1) and ctx.level_conserved(1)
+        assert ctx.failing_labels(1) == [] and ctx.failing_labels(1) == []
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("root,times_lam,want", [
+        (2, True, set()), (1, False, {F(1)})], ids=["apart", "shared"])
+    @pytest.mark.parametrize("layout", ["first", "second", "one key"])
+    def test_solver_keeps_only_roots_shared_by_every_coefficient(
+            self, root, times_lam, want, layout, monkeypatch):
+        # a planted defect lam (lam - 1) + lam (lam - 2) x1, where each
+        # monomial has a root the other lacks, or lam (lam - 1) + (lam - 1) x1,
+        # where both share the root 1; whichever monomial the solver reads
+        # first, binding decides
+        ms = ModelSpec(SP2, 3, "sutherland", lam="symbolic")
+        space = ms.space
+        lam = RationalFunction.coupling(space.sites)
+        x1 = RationalFunction.position(space.sites, 1)
+
+        def minus(r):
+            return lam - RationalFunction.const(space.sites, r)
+
+        one = lam * minus(1)
+        other = (lam * minus(root) if times_lam else minus(root)) * x1
+        plain, spin = (space.zero_deriv, ()), (space.zero_deriv, ((1, 1, 2),))
+        defect = Operator(space, {
+            "first": {plain: one, spin: other},
+            "second": {spin: other, plain: one},
+            "one key": {plain: one + other}}[layout])
+        ham_bracket = checks._ModelContext.ham_bracket
+        monkeypatch.setattr(
+            checks._ModelContext, "ham_bracket",
+            lambda ctx, level, ab: (defect if level == 1
+                                    else ham_bracket(ctx, level, ab)))
+        ctx = checks._ModelContext(ms)
+        assert solve_lambda(ms, ctx) == want
+        assert self.full_loop_roots(ctx) == want
 
     def test_conservation_pass_forms_one_bracket(self, monkeypatch):
         formed = self.counting_level1(monkeypatch)

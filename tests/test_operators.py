@@ -445,6 +445,33 @@ def test_vector_route_agrees_with_symbolic_route(a):
     assert symbolic == staged
 
 
+# an op_pairs() pair and a spin vector in its space, with amplitudes that
+# every derivative of the pool reaches
+@st.composite
+def pairs_and_vectors(draw):
+    a, b = draw(op_pairs())
+    x1, x2 = RationalFunction.position(2, 1), RationalFunction.position(2, 2)
+    amplitudes = [x1 * x1 * x2, -x2, x1 * x2 * x2 + RationalFunction.const(2, 3),
+                  RationalFunction.inverse_difference(2, 1, 2) * x1,
+                  RationalFunction.coupling(2) * x2 * x2 * x2]
+    kets = list(product(range(1, a.space.spin_dim + 1), repeat=2))
+    vec = draw(st.dictionaries(st.sampled_from(kets),
+                               st.sampled_from(amplitudes),
+                               min_size=1, max_size=4))
+    return a, b, vec
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=pairs_and_vectors())
+def test_products_and_commutators_agree_with_the_vector_route(case):
+    a, b, vec = case
+    ab = apply_operator(a, apply_operator(b, vec))
+    ba = apply_operator(b, apply_operator(a, vec))
+    assert apply_operator(a * b, vec) == ab
+    assert apply_operator(commutator(a, b), vec) == vector_combination(
+        2, [(F(1), ab), (F(-1), ba)])
+
+
 @settings(max_examples=40, deadline=None)
 @given(a=small_ops(), b=small_ops())
 def test_action_rows_match_term_by_term_application(a, b):
