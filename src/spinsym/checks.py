@@ -33,7 +33,7 @@ from .models import (ModelSpec, bind, coupling_weight, generator_grid,
                      hamiltonian, star_coupling, symmetrized_triple)
 from .operators import (Operator, OpSpace, SpinVector, apply_operator,
                         commutator, evaluate_vector, operator_combination,
-                        operator_sum, vector_combination)
+                        vector_combination)
 from .spin_ops import permutation_op, twist_op
 from .version import __version__
 
@@ -42,6 +42,7 @@ WITNESS_LIMIT = 10
 Matrix = List[List[Fraction]]
 Atom = Union[str, Tuple[int, int, int]]     # "P", "Q" or (site, a, b)
 Side = List[Tuple[Fraction, Tuple[Atom, ...]]]
+Triple = Tuple[Pair, Pair, Pair]
 VectorMap = Callable[[SpinVector], SpinVector]
 
 
@@ -481,8 +482,7 @@ class _ModelContext:
         return self._once(("bracket", x, w), lambda: commutator(
             self.grid(1)[x], self.grid(1)[w]))
 
-    def piece_sum(self, triples: Iterable[Tuple[Pair, Pair, Pair]]
-                  ) -> Operator:
+    def piece_sum(self, triples: Iterable[Triple]) -> Operator:
         """``sum [J1^x, [J0^y, J1^z]]`` over basis triples, from ``B`` and ``R``.
 
         The inner bracket splits into its level-1 combination and the
@@ -512,16 +512,21 @@ class _ModelContext:
     def serre_scale(self) -> RationalFunction:
         return self._once("scale", lambda: _serre_rhs_scale(self.ms))
 
+    def serre_weight(self, ab: Pair, cd: Pair, ef: Pair) -> Dict[Triple, Fraction]:
+        """``_serre_weight`` at a triple; empty where the scale is 0."""
+        zero = self.serre_scale().is_zero
+        return {} if zero else _serre_weight(self.ms.algebra, ab, cd, ef)
+
     def cubic_sides(self, ab: Pair, cd: Pair, ef: Pair
                     ) -> Tuple[Operator, Operator]:
-        """Cyclic double-bracket sum and scaled triple contraction at one
-        basis triple; each label multiset's symmetrized triple is built
-        once."""
+        """The cubic relation's cyclic double-bracket sum and scaled triple
+        contraction at one basis triple, for every family; each label
+        multiset's symmetrized triple is built once."""
         grid0 = self.grid(0)
         rhs = operator_combination(self.ms.space, (
             (c, self._once(("sym", key), lambda key=key: symmetrized_triple(
                 *(grid0[label] for label in key))))
-            for key, c in _serre_weight(self.ms.algebra, ab, cd, ef).items()))
+            for key, c in self.serre_weight(ab, cd, ef).items()))
         return (self.piece_sum(_rotations(ab, cd, ef)),
                 rhs.scaled(self.serre_scale()))
 
@@ -606,7 +611,7 @@ def check_level_relations(ms: ModelSpec,
 
 
 def _serre_weight(spec: AlgebraSpec, ab: Pair, cd: Pair, ef: Pair
-                  ) -> Dict[Tuple[Pair, Pair, Pair], Fraction]:
+                  ) -> Dict[Triple, Fraction]:
     """Contract three lowered adjoint rows against the fully raised table.
 
     The contraction is symmetrized on the right side, so its weights are
@@ -615,7 +620,7 @@ def _serre_weight(spec: AlgebraSpec, ab: Pair, cd: Pair, ef: Pair
     """
     low = lowered_adjoint_constants(spec)
     high = raised_constants(spec)
-    out: Dict[Tuple[Pair, Pair, Pair], Fraction] = {}
+    out: Dict[Triple, Fraction] = {}
     for (first, ij), c1 in low[ab].items():
         for (second, kl), c2 in low[cd].items():
             for (third, mn), c3 in low[ef].items():
@@ -626,14 +631,12 @@ def _serre_weight(spec: AlgebraSpec, ab: Pair, cd: Pair, ef: Pair
     return {k: v for k, v in out.items() if v}
 
 
-def _rotations(ab: Pair, cd: Pair, ef: Pair
-               ) -> Tuple[Tuple[Pair, Pair, Pair], ...]:
+def _rotations(ab: Pair, cd: Pair, ef: Pair) -> Tuple[Triple, ...]:
     """The three cyclic orders of a triple, in the order the sums take."""
     return (ab, cd, ef), (ef, ab, cd), (cd, ef, ab)
 
 
-def _cyclic_orbits(labels: Sequence[Pair]
-                   ) -> Iterator[Tuple[Tuple[Pair, Pair, Pair], int]]:
+def _cyclic_orbits(labels: Sequence[Pair]) -> Iterator[Tuple[Triple, int]]:
     """Each cyclic orbit of basis triples once, at its minimal triple (its
     first in ``product`` order, as ``basis`` is sorted), with its size."""
     for triple in product(labels, repeat=3):
@@ -642,14 +645,31 @@ def _cyclic_orbits(labels: Sequence[Pair]
             yield triple, len(set(cyclic))
 
 
+def _serre_orbits(ctx: _ModelContext
+                  ) -> Tuple[int, Optional[Tuple[Triple, Operator]], int]:
+    """The cubic relation through ``cubic_sides`` once per cyclic orbit (both
+    sides are rotation invariant): the mismatching triples, the first with
+    its residue ``lhs - rhs``, and the triples where a side is nonzero."""
+    nonvacuous = mismatching = 0
+    first: Optional[Tuple[Triple, Operator]] = None
+    for triple, size in _cyclic_orbits(basis(ctx.ms.algebra)):
+        lhs, rhs = ctx.cubic_sides(*triple)
+        if not (lhs.is_zero and rhs.is_zero):
+            nonvacuous += size
+        if lhs != rhs:
+            mismatching += size
+            first = first or (triple, lhs - rhs)
+    return mismatching, first, nonvacuous
+
+
 def check_serre_halfloop(ms: ModelSpec,
                          context: Optional[_ModelContext] = None
                          ) -> CheckResult:
     """Cyclic double-bracket sum of level-1 generators vanishes.
 
-    The pieces come from the level-1 bracket table through
-    ``_ModelContext.piece_sum``, once per cyclic orbit: at its minimal
-    triple, which is also its first in loop order.
+    This is the cubic relation with right-hand scale 0, decided by
+    ``_serre_orbits``; after a pass, the triples with a nonzero piece
+    ``[J1^x, [J0^y, J1^z]]`` are counted from the per-rotation pieces.
     """
 
     params = _model_params(ms)
@@ -660,18 +680,15 @@ def check_serre_halfloop(ms: ModelSpec,
 
     def body():
         labels = basis(ms.algebra)
-        space = ms.space
-        nonvacuous = 0
-        for (ab, cd, ef), size in _cyclic_orbits(labels):
-            pieces = [ctx.piece_sum((key,)) for key in _rotations(ab, cd, ef)]
-            if any(not p.is_zero for p in pieces):
-                nonvacuous += size
-            total = operator_sum(space, pieces)
-            if not total.is_zero:
-                return ("fail",
-                        _witness_terms(total,
-                                       f"cyclic sum at {ab}, {cd}, {ef}:"),
-                        ())
+        _, first, _ = _serre_orbits(ctx)
+        if first is not None:
+            (ab, cd, ef), residue = first
+            return ("fail",
+                    _witness_terms(residue, f"cyclic sum at {ab}, {cd}, {ef}:"),
+                    ())
+        nonvacuous = sum(size for triple, size in _cyclic_orbits(labels)
+                         if any(not ctx.piece_sum((key,)).is_zero
+                                for key in _rotations(*triple)))
         return "pass", (), (f"{len(labels) ** 3} triples verified",
                             f"triples with nonzero cyclic pieces: {nonvacuous}")
 
@@ -679,13 +696,12 @@ def check_serre_halfloop(ms: ModelSpec,
 
 
 def _serre_rhs_scale(ms: ModelSpec) -> RationalFunction:
-    npos = ms.sites
-    lam = RationalFunction.coupling(npos)
-    scale = lam * lam
-    if ms.kind == "confined":
-        om = RationalFunction.trap(npos)
-        scale = scale * om * om * 4
-    return scale.substitute(ms.bindings())
+    """0 for the rational (half-loop) relation, ``lam^2`` for the
+    trigonometric one and ``4 lam^2 om^2`` for the confined one."""
+    lam = RationalFunction.coupling(ms.sites)
+    om = RationalFunction.trap(ms.sites)
+    factor = {"calogero": 0, "sutherland": 1, "confined": om * om * 4}[ms.kind]
+    return (lam * lam * factor).substitute(ms.bindings())
 
 
 def _zero_trap_mismatch(ctx: _ModelContext, zero: _ModelContext
@@ -724,10 +740,9 @@ def check_serre_yangian(ms: ModelSpec,
 
     The committed convention lowers the second upper pair of each adjoint
     row and fully raises the lower pair of the remaining row; the
-    symmetrized cube carries the 1/24 prefactor.  A failure reports how
-    many triples mismatch and the residue at the first of them.  Both sides
-    are invariant under rotating the triple, so each cyclic orbit is
-    checked once, at its minimal triple, and counted by its size.
+    symmetrized cube carries the 1/24 prefactor.  The relation is decided
+    by ``_serre_orbits``, as the half-loop one is; a failure reports how
+    many triples mismatch and the residue at the first of them.
 
     The cyclic sums come from the level-1 bracket table through
     ``_ModelContext.piece_sum``; the evaluation oracle replays them through
@@ -749,16 +764,7 @@ def check_serre_yangian(ms: ModelSpec,
         labels = basis(ms.algebra)
         reduce_zero_trap = (ms.kind == "confined"
                             and ms.resolved_omega() is None)
-        nonvacuous = mismatching = 0
-        first: Optional[Tuple[Tuple[Pair, Pair, Pair], Operator]] = None
-        for triple, size in _cyclic_orbits(labels):
-            lhs, rhs = ctx.cubic_sides(*triple)
-            if not (lhs.is_zero and rhs.is_zero):
-                nonvacuous += size
-            if lhs != rhs:
-                mismatching += size
-                if first is None:
-                    first = triple, lhs - rhs
+        mismatching, first, nonvacuous = _serre_orbits(ctx)
         if reduce_zero_trap and (failure := _zero_trap_mismatch(
                 ctx, ctx.variant(omega=Fraction(0)))):
             return "fail", (failure,), ()
@@ -1299,13 +1305,12 @@ def _serre_targets(ctx: _ModelContext, rng: Random
     The flag comes from the table route the Serre check proves with; the
     defect is the independent nested-commutator route, applied to vectors:
     the cyclic sum of ``[J1^x, [J0^y, J1^z]]`` less the Serre scale times
-    the weighted symmetrized triples of level-0 generators.
+    the weighted symmetrized triples of level-0 generators (none at scale 0).
     """
     ms = ctx.ms
-    spec = ms.algebra
     ops = _grid_ops(ctx)
     ops["S"] = Operator.from_coefficient(ms.space, ctx.serre_scale())
-    triples = list(product(basis(spec), repeat=3))
+    triples = list(product(basis(ms.algebra), repeat=3))
     if len(triples) > ORACLE_TRIPLES:
         triples = rng.sample(triples, ORACLE_TRIPLES)
     out: List[_OracleTarget] = []
@@ -1314,7 +1319,7 @@ def _serre_targets(ctx: _ModelContext, rng: Random
         words: Words = []
         for x, y, z in _rotations(ab, cd, ef):
             words += _bracket(_op((1, x)), _bracket(_op((0, y)), _op((1, z))))
-        for key, c in _serre_weight(spec, ab, cd, ef).items():
+        for key, c in ctx.serre_weight(ab, cd, ef).items():
             words += [(-c / 24, ("S",) + tuple((0, label) for label in perm))
                       for perm in permutations(key)]
         out.append(_OracleTarget(f"cubic relation {ab}, {cd}, {ef}",

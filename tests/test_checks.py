@@ -315,8 +315,15 @@ class TestSerre:
                 # rank one: the right side is empty for every triple
                 assert weights == {}, triple
 
-    def test_yangian_forms_sides_once_per_orbit(self, monkeypatch):
-        # 27 triples of sp(2) fall into 3 one-triple and 8 three-triple orbits
+    @pytest.mark.parametrize("kind, check, note", [
+        ("sutherland", check_serre_yangian,
+         "27 triples verified under the committed convention"),
+        ("calogero", check_serre_halfloop, "27 triples verified")],
+        ids=["sutherland", "calogero"])
+    def test_serre_forms_sides_once_per_orbit(self, monkeypatch, kind, check,
+                                              note):
+        # 27 triples of sp(2) fall into 3 one-triple and 8 three-triple
+        # orbits; both checks decide through the one orbit walk
         called = []
         cubic_sides = checks._ModelContext.cubic_sides
 
@@ -325,10 +332,59 @@ class TestSerre:
             return cubic_sides(ctx, *triple)
 
         monkeypatch.setattr(checks._ModelContext, "cubic_sides", counting)
-        r = check_serre_yangian(ModelSpec(SP2, 3, "sutherland", lam="star"))
+        r = check(ModelSpec(SP2, 3, kind, lam="star"))
         assert r.status == "pass"
-        assert "27 triples verified under the committed convention" in r.notes
+        assert note in r.notes
         assert len(called) == len(set(called)) == 11
+
+    def test_halfloop_failure_witness(self):
+        # the first orbit whose cyclic sum is nonzero, rendered from the
+        # nested commutators
+        ms = ModelSpec(SP4, 2, "calogero", lam=F(1))
+        r = check_serre_halfloop(ms)
+        assert r.status == "fail"
+        assert r.notes == ()
+        label = "cyclic sum at (1, 1), (1, 2), (1, 3):"
+        assert r.witness[0] == label
+        grid0 = generator_grid(ms, 0)
+        grid1 = generator_grid(ms, 1)
+        total = operator_sum(ms.space, (
+            commutator(grid1[x], commutator(grid0[y], grid1[z]))
+            for x, y, z in checks._rotations((1, 1), (1, 2), (1, 3))))
+        assert r.witness == checks._witness_terms(total, label)
+
+    def test_rational_cubic_relation_has_right_side_zero(self, monkeypatch):
+        # the half-loop relation is the cubic one with right side 0, so the
+        # oracle flags and replays what serre-halfloop proved, although the
+        # algebra's Serre weights are nonzero; no symmetrizer is formed
+        built, words = [], []
+        word_map = checks._word_map
+
+        def counting(*ops):
+            built.append(ops)
+            return symmetrized_triple(*ops)
+
+        def recording(space, ops, signed):
+            words.extend(word for _, word in signed)
+            return word_map(space, ops, signed)
+
+        monkeypatch.setattr(checks, "symmetrized_triple", counting)
+        monkeypatch.setattr(checks, "_word_map", recording)
+        ms = ModelSpec(SP4, 2, "calogero", lam="star")
+        ctx = checks._ModelContext(ms)
+        triples = [((2, 2), (1, 1), (3, 1)), ((2, 1), (2, 3), (1, 1))]
+        assert all(checks._serre_weight(SP4, *t) for t in triples)
+        targets = checks._serre_targets(ctx, Pick(triples))
+        assert [t.symbolically_zero for t in targets] == [True, True]
+        for triple in triples:
+            lhs, rhs = ctx.cubic_sides(*triple)
+            assert lhs.is_zero and rhs.is_zero
+        r = oracle_crosscheck(ms, seed=1)
+        assert r.status == "pass"
+        assert not any("excluded" in n for n in r.notes)
+        assert ctx.serre_scale().is_zero
+        assert built == []
+        assert words and not any("S" in word for word in words)
 
     def test_oracle_cubic_defect_follows_its_flag(self):
         # at coupling 1 the cubic relation fails at a nonvacuous triple and
@@ -797,9 +853,10 @@ class TestOracleWords:
 
     MODELS = [ModelSpec(SP4, 2, "sutherland", lam=F(1)),
               ModelSpec(SP4, 2, "sutherland", lam="star"),
-              ModelSpec(SP2, 2, "confined")]
+              ModelSpec(SP2, 2, "confined"),
+              ModelSpec(SP4, 2, "calogero", lam="star")]
     IDS = ["sutherland-sp4-coupling-1", "sutherland-sp4-star",
-           "confined-sp2"]
+           "confined-sp2", "calogero-sp4-star"]
 
     @staticmethod
     def vectors(space, count=3):
@@ -850,8 +907,10 @@ class TestOracleWords:
         grid0, grid1 = ctx.grid(0), ctx.grid(1)
         scale = checks._serre_rhs_scale(ms)
         weights = [checks._serre_weight(ms.algebra, *t) for t in triples]
-        # sp(4) carries symmetrizer words; sp(2) has none
+        # sp(4) carries Serre weights, sp(2) none; the rational model's
+        # right side scales them by 0
         assert any(weights) == (ms.algebra == SP4)
+        assert scale.is_zero == (ms.kind == "calogero")
         for target, triple, weight in zip(targets, triples, weights):
             for vec in self.vectors(ms.space):
                 parts = []
