@@ -646,20 +646,12 @@ def _cyclic_orbits(labels: Sequence[Pair]) -> Iterator[Tuple[Triple, int]]:
 
 
 def _serre_orbits(ctx: _ModelContext
-                  ) -> Tuple[int, Optional[Tuple[Triple, Operator]], int]:
+                  ) -> Iterator[Tuple[Triple, int, Operator, Operator]]:
     """The cubic relation through ``cubic_sides`` once per cyclic orbit (both
-    sides are rotation invariant): the mismatching triples, the first with
-    its residue ``lhs - rhs``, and the triples where a side is nonzero."""
-    nonvacuous = mismatching = 0
-    first: Optional[Tuple[Triple, Operator]] = None
+    sides are rotation invariant), walked lazily: each orbit's minimal
+    triple, its size and its two sides ``lhs, rhs``."""
     for triple, size in _cyclic_orbits(basis(ctx.ms.algebra)):
-        lhs, rhs = ctx.cubic_sides(*triple)
-        if not (lhs.is_zero and rhs.is_zero):
-            nonvacuous += size
-        if lhs != rhs:
-            mismatching += size
-            first = first or (triple, lhs - rhs)
-    return mismatching, first, nonvacuous
+        yield (triple, size) + ctx.cubic_sides(*triple)
 
 
 def check_serre_halfloop(ms: ModelSpec,
@@ -668,8 +660,9 @@ def check_serre_halfloop(ms: ModelSpec,
     """Cyclic double-bracket sum of level-1 generators vanishes.
 
     This is the cubic relation with right-hand scale 0, decided by
-    ``_serre_orbits``; after a pass, the triples with a nonzero piece
-    ``[J1^x, [J0^y, J1^z]]`` are counted from the per-rotation pieces.
+    ``_serre_orbits`` up to its first mismatch; after a pass, the triples
+    with a nonzero piece ``[J1^x, [J0^y, J1^z]]`` are counted from the
+    per-rotation pieces.
     """
 
     params = _model_params(ms)
@@ -680,12 +673,12 @@ def check_serre_halfloop(ms: ModelSpec,
 
     def body():
         labels = basis(ms.algebra)
-        _, first, _ = _serre_orbits(ctx)
-        if first is not None:
-            (ab, cd, ef), residue = first
-            return ("fail",
-                    _witness_terms(residue, f"cyclic sum at {ab}, {cd}, {ef}:"),
-                    ())
+        for (ab, cd, ef), _, lhs, rhs in _serre_orbits(ctx):
+            if lhs != rhs:
+                return ("fail",
+                        _witness_terms(lhs - rhs,
+                                       f"cyclic sum at {ab}, {cd}, {ef}:"),
+                        ())
         nonvacuous = sum(size for triple, size in _cyclic_orbits(labels)
                          if any(not ctx.piece_sum((key,)).is_zero
                                 for key in _rotations(*triple)))
@@ -741,8 +734,8 @@ def check_serre_yangian(ms: ModelSpec,
     The committed convention lowers the second upper pair of each adjoint
     row and fully raises the lower pair of the remaining row; the
     symmetrized cube carries the 1/24 prefactor.  The relation is decided
-    by ``_serre_orbits``, as the half-loop one is; a failure reports how
-    many triples mismatch and the residue at the first of them.
+    by ``_serre_orbits`` over every orbit; a failure reports how many
+    triples mismatch and the residue at the first of them.
 
     The cyclic sums come from the level-1 bracket table through
     ``_ModelContext.piece_sum``; the evaluation oracle replays them through
@@ -764,7 +757,14 @@ def check_serre_yangian(ms: ModelSpec,
         labels = basis(ms.algebra)
         reduce_zero_trap = (ms.kind == "confined"
                             and ms.resolved_omega() is None)
-        mismatching, first, nonvacuous = _serre_orbits(ctx)
+        nonvacuous = mismatching = 0
+        first = None
+        for triple, size, lhs, rhs in _serre_orbits(ctx):
+            if not (lhs.is_zero and rhs.is_zero):
+                nonvacuous += size
+            if lhs != rhs:
+                mismatching += size
+                first = first or (triple, lhs - rhs)
         if reduce_zero_trap and (failure := _zero_trap_mismatch(
                 ctx, ctx.variant(omega=Fraction(0)))):
             return "fail", (failure,), ()
@@ -1356,15 +1356,15 @@ def _spin_targets(spec: AlgebraSpec) -> List[_OracleTarget]:
 
 
 def _random_amplitude(rng: Random, npos: int) -> RationalFunction:
-    total = RationalFunction.const(npos, Fraction(0))
+    """A polynomial of 1 to 3 random monomials, built by the constructor
+    alone, so that no arithmetic under test forms the oracle's inputs."""
+    terms: Dict[Tuple[int, ...], Fraction] = {}
     for _ in range(rng.randint(1, 3)):
         coeff = Fraction(rng.randint(-6, 6) or 1, rng.randint(1, 4))
-        term = RationalFunction.const(npos, coeff)
-        for j in range(1, npos + 1):
-            for _ in range(rng.randint(0, 2)):
-                term = term * RationalFunction.position(npos, j)
-        total = total + term
-    return total
+        # a power of each position, none of the coupling or trap
+        expo = tuple(rng.randint(0, 2) for _ in range(npos)) + (0, 0)
+        terms[expo] = terms.get(expo, Fraction(0)) + coeff
+    return RationalFunction(npos, terms)
 
 
 def _random_vector(rng: Random, space: OpSpace) -> SpinVector:

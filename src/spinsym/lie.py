@@ -7,9 +7,10 @@ signs, the conjugate index, the signed generators
     F^{ab} = E^{ab} - theta_a theta_b E^{bar b, bar a}
 
 the admissible index set, structure constants, generated ideals, and the
-invariant metric with its exact inverse all live here.  Generators are
-provided both as N x N Fraction matrices (for traces, rank and closure
-oracles) and as site-local Operators.
+invariant metric with its exact inverse all live here.  The generators are
+stated once, as their nonzero entries (``generator_entries``); the N x N
+Fraction matrices (for traces, rank and closure oracles), the site-local
+Operators, the structure constants and the metric are all read off them.
 
 All tables are exact, deterministic and cached per algebra.
 """
@@ -22,7 +23,7 @@ from functools import lru_cache
 from typing import Dict, Iterable, List, Tuple
 
 from .errors import SingularMetricError
-from .operators import Operator, OpSpace
+from .operators import Operator, OpSpace, operator_combination
 
 Pair = Tuple[int, int]
 Row = Dict[Pair, Fraction]
@@ -85,13 +86,23 @@ def basis(spec: AlgebraSpec) -> Tuple[Pair, ...]:
     return tuple(out)
 
 
+def generator_entries(spec: AlgebraSpec, a: int, b: int) -> Dict[Pair, Fraction]:
+    """The nonzero entries of F^{ab}, keyed (row, col): 1 at (a, b) less
+    theta_a theta_b at (bar b, bar a), the one statement of the mirror rule.
+    On b = bar a they add up to 2 (sp) or cancel (so)."""
+    entries = {(a, b): Fraction(1)}
+    mirror = (conjugate_index(spec, b), conjugate_index(spec, a))
+    entries[mirror] = entries.get(mirror, Fraction(0)) \
+        - theta(spec, a) * theta(spec, b)
+    return {key: c for key, c in entries.items() if c}
+
+
 def generator_matrix(spec: AlgebraSpec, a: int, b: int) -> Tuple[Tuple[Fraction, ...], ...]:
     """F^{ab} in the defining representation, defined on the full square."""
     n = spec.N
     rows = [[Fraction(0)] * n for _ in range(n)]
-    rows[a - 1][b - 1] += 1
-    sign = theta(spec, a) * theta(spec, b)
-    rows[conjugate_index(spec, b) - 1][conjugate_index(spec, a) - 1] -= sign
+    for (i, k), c in generator_entries(spec, a, b).items():
+        rows[i - 1][k - 1] = c
     return tuple(tuple(r) for r in rows)
 
 
@@ -100,21 +111,9 @@ def generator_op(spec: AlgebraSpec, space: OpSpace, site: int,
     """F^{ab} acting on one site of an operator space."""
     if space.spin_dim != spec.N:
         raise ValueError("operator space spin dimension differs from N")
-    unit = Operator.spin_unit(space, site, a, b)
-    sign = theta(spec, a) * theta(spec, b)
-    mirror = Operator.spin_unit(space, site, conjugate_index(spec, b),
-                                conjugate_index(spec, a))
-    return unit - mirror.scaled(sign)
-
-
-def _pair_weight(spec: AlgebraSpec, i: int, j: int) -> Fraction:
-    # weight attached to a row label (e, f): 1 above the diagonal reflection,
-    # 1/2 exactly on it (reachable only in the symplectic family)
-    if i > j:
-        return Fraction(1)
-    if i == j:
-        return _HALF
-    raise ValueError("row label outside the admissible set")
+    return operator_combination(space, (
+        (c, Operator.spin_unit(space, site, i, k))
+        for (i, k), c in generator_entries(spec, a, b).items()))
 
 
 def structure_row(spec: AlgebraSpec, ab: Pair, cd: Pair) -> Row:
@@ -126,41 +125,35 @@ def structure_row(spec: AlgebraSpec, ab: Pair, cd: Pair) -> Row:
         raise ValueError(f"labels {ab}, {cd} not in the admissible set") from None
 
 
+def _bracket(x: Dict[Pair, Fraction], y: Dict[Pair, Fraction]
+             ) -> Dict[Pair, Fraction]:
+    # [X, Y] on sparse entries: (XY)_il = X_ij Y_jl, (YX)_kj = Y_kl X_lj
+    out: Dict[Pair, Fraction] = {}
+    for (i, j), u in x.items():
+        for (k, l), v in y.items():
+            if j == k:
+                out[(i, l)] = out.get((i, l), 0) + u * v
+            if l == i:
+                out[(k, j)] = out.get((k, j), 0) - u * v
+    return out
+
+
 @lru_cache(maxsize=None)
 def structure_table(spec: AlgebraSpec) -> Dict[Tuple[Pair, Pair], Row]:
-    """All structure-constant rows, keyed by ordered basis label pairs."""
+    """All structure-constant rows, keyed by ordered basis label pairs.
+
+    A row is the commutator of two generators' entries read at each basis
+    position (e, f) over F^{ef}'s own entry there (1, or 2 on the sp
+    diagonal); no other basis generator has an entry at (e, f).
+    """
     pairs = basis(spec)
-    th = {a: theta(spec, a) for a in range(1, spec.N + 1)}
-    bar = {a: conjugate_index(spec, a) for a in range(1, spec.N + 1)}
+    entries = {ab: generator_entries(spec, *ab) for ab in pairs}
     table: Dict[Tuple[Pair, Pair], Row] = {}
-    for (a, b) in pairs:
-        for (c, d) in pairs:
-            row: Row = {}
-            for (e, f) in pairs:
-                value = Fraction(0)
-                fbar = bar[f]
-                ebar = bar[e]
-                if b == c:
-                    term = (1 if (a == e and d == f) else 0) \
-                        - (th[a] * th[d] if (a == fbar and d == ebar) else 0)
-                    value += term
-                if a == d:
-                    term = (1 if (b == f and c == e) else 0) \
-                        - (th[b] * th[c] if (b == ebar and c == fbar) else 0)
-                    value -= term
-                if a == bar[c]:
-                    term = (th[a] * th[b] if (b == ebar and d == f) else 0) \
-                        - (th[c] * th[d] if (b == f and d == ebar) else 0)
-                    value -= term
-                if b == bar[d]:
-                    term = (th[a] * th[b] if (a == fbar and c == e) else 0) \
-                        - (th[c] * th[d] if (a == e and c == fbar) else 0)
-                    value += term
-                if value:
-                    weighted = value * _pair_weight(spec, ebar, f)
-                    if weighted:
-                        row[(e, f)] = weighted
-            table[((a, b), (c, d))] = row
+    for ab in pairs:
+        for cd in pairs:
+            bracket = _bracket(entries[ab], entries[cd])
+            table[(ab, cd)] = {ef: value / entries[ef][ef] for ef in pairs
+                               if (value := bracket.get(ef))}
     return table
 
 
@@ -274,12 +267,11 @@ def invert_matrix(matrix: List[List[Fraction]]) -> List[List[Fraction]]:
 @lru_cache(maxsize=None)
 def metric(spec: AlgebraSpec) -> MetricTensor:
     labels = basis(spec)
-    mats = [generator_matrix(spec, a, b) for (a, b) in labels]
-    n = spec.N
-    # (1/2) tr(f h) read off as (1/2) sum_ik f_ik h_ki; f h is never formed
-    g = [[sum((f[i][k] * h[k][i] for i in range(n) for k in range(n)),
-              Fraction(0)) * _HALF for h in mats]
-         for f in mats]
+    entries = [generator_entries(spec, a, b) for (a, b) in labels]
+    # (1/2) tr(f h) read off as (1/2) sum_ik f_ik h_ki over the entries of f
+    g = [[sum((c * h.get((k, i), 0) for (i, k), c in f.items()),
+              Fraction(0)) * _HALF for h in entries]
+         for f in entries]
     inverse = invert_matrix(g)
     return MetricTensor(labels,
                         tuple(tuple(row) for row in g),

@@ -24,8 +24,8 @@ from typing import Dict, Tuple, Union
 
 from .errors import DegenerateCouplingError
 from .exact import RationalFunction, lam_slot, om_slot
-from .lie import AlgebraSpec, basis, conjugate_index, generator_op, theta
-from .operators import Operator, OpSpace, operator_sum
+from .lie import AlgebraSpec, basis, generator_entries, generator_op
+from .operators import Operator, OpSpace, operator_combination, operator_sum
 from .spin_ops import (pair_contraction, permutation_op, triple_contraction,
                        twist_op, unit_pair_contraction)
 
@@ -210,9 +210,7 @@ def _rational_level2(spec: AlgebraSpec, sites: int, a: int, b: int) -> Operator:
     space = OpSpace(spec.N, sites)
     lam = _coupling(space)
     lam2 = lam * lam
-    sign = theta(spec, a) * theta(spec, b)
-    abar = conjugate_index(spec, a)
-    bbar = conjugate_index(spec, b)
+    entries = generator_entries(spec, a, b)
     parts = [generator_op(spec, space, j, a, b) * Operator.derivative_op(space, j, 2)
              for j in range(1, sites + 1)]
     for j, k in permutations(range(1, sites + 1), 2):
@@ -224,10 +222,11 @@ def _rational_level2(spec: AlgebraSpec, sites: int, a: int, b: int) -> Operator:
         parts.append((pair_contraction(spec, space, j, k, a, b) * ops)
                      .scaled(-(lam * inv1)))
         inv2 = lam * _inv_diff(space, j, k, 2)
-        middle = unit_pair_contraction(spec, space, j, k, a, b) \
-            - unit_pair_contraction(spec, space, j, k, bbar, abar).scaled(sign) \
-            - generator_op(spec, space, j, a, b).scaled(lam)
-        parts.append(middle.scaled(inv2))
+        # (E_j E_k)^{ab} with F's mirror term, less lam F_j^{ab}
+        middle = [(c, unit_pair_contraction(spec, space, j, k, p, q))
+                  for (p, q), c in entries.items()]
+        middle.append((-lam, generator_op(spec, space, j, a, b)))
+        parts.append(operator_combination(space, middle).scaled(inv2))
     for j, k, l in permutations(range(1, sites + 1), 3):
         weight = lam2 * _inv_diff(space, j, k) * _inv_diff(space, j, l)
         parts.append(triple_contraction(spec, space, k, j, l, a, b)

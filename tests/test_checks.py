@@ -353,6 +353,22 @@ class TestSerre:
             for x, y, z in checks._rotations((1, 1), (1, 2), (1, 3))))
         assert r.witness == checks._witness_terms(total, label)
 
+    def test_halfloop_stops_at_first_mismatch(self, monkeypatch):
+        # the half-loop reports no mismatch count, so no orbit after the
+        # first failing one is formed: 12 of sp(4)'s 340 orbits
+        called = []
+        cubic_sides = checks._ModelContext.cubic_sides
+
+        def counting(ctx, *triple):
+            called.append(triple)
+            return cubic_sides(ctx, *triple)
+
+        monkeypatch.setattr(checks._ModelContext, "cubic_sides", counting)
+        r = check_serre_halfloop(ModelSpec(SP4, 2, "calogero", lam=F(1)))
+        assert r.status == "fail"
+        assert len(called) == 12
+        assert called[-1] == ((1, 1), (1, 2), (1, 3))
+
     def test_rational_cubic_relation_has_right_side_zero(self, monkeypatch):
         # the half-loop relation is the cubic one with right side 0, so the
         # oracle flags and replays what serre-halfloop proved, although the
@@ -769,6 +785,27 @@ class TestOracle:
         r = oracle_crosscheck(ms, trials=3, seed=1)
         assert r.status == "pass"
         assert any("excluded" in n for n in r.notes)
+
+    @pytest.mark.parametrize("npos", [2, 3])
+    def test_random_amplitude_matches_product_built(self, npos):
+        # the constructor-built amplitude draws the same numbers and equals
+        # the one formed by products and sums of positions
+        def product_built(rng):
+            total = RationalFunction.const(npos, 0)
+            for _ in range(rng.randint(1, 3)):
+                term = RationalFunction.const(
+                    npos, F(rng.randint(-6, 6) or 1, rng.randint(1, 4)))
+                for j in range(1, npos + 1):
+                    for _ in range(rng.randint(0, 2)):
+                        term = term * RationalFunction.position(npos, j)
+                total = total + term
+            return total
+
+        rng, reference = Random(npos), Random(npos)
+        for _ in range(1000):
+            assert checks._random_amplitude(rng, npos) == \
+                product_built(reference)
+        assert rng.getstate() == reference.getstate()
 
     def test_needs_a_trial(self):
         ms = ModelSpec(SP2, 2, "calogero", lam="star")

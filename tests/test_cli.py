@@ -71,6 +71,18 @@ class TestGoldenInvocations:
         expected = (GOLDEN / f"confined_sp2_L2_seed{seed}.json").read_text()
         assert json.dumps(payload, indent=2) + "\n" == expected
 
+    @pytest.mark.parametrize("n,theta0", checks.LIE_SUITE_SPECS,
+                             ids=lambda v: str(v))
+    def test_dump_tables_json(self, capsys, n, theta0):
+        # every structure constant, metric entry and inverse-metric entry
+        # of each lie-suite algebra, byte for byte
+        code = cli.run(["dump-tables", "--N", str(n), "--theta0",
+                        f"{theta0:+d}", "--format", "json"])
+        assert code == 0
+        family = "so" if theta0 == 1 else "sp"
+        expected = (GOLDEN / f"dump_tables_{family}{n}.json").read_text()
+        assert capsys.readouterr().out == expected
+
     def test_oracle_disagreement_witness(self, capsys, monkeypatch):
         # a false "conserved" flag at coupling 1, where [H, J1] is not zero:
         # the first replay of a falsely flagged target raises the alarm

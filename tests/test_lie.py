@@ -4,16 +4,19 @@ Frozen values for sp(2) are hand-derived from 2x2 matrix products:
 F^{11} = E11 - E22, F^{12} = 2 E12, F^{21} = 2 E21.
 """
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import spinsym
 from spinsym.errors import DegenerateCouplingError
 from spinsym.lie import (AlgebraSpec, basis, conjugate_index,
-                         generated_ideal, generator_matrix, generator_op,
-                         ideal_generators, lowered_adjoint_constants, metric,
-                         raised_constants, structure_row, structure_table,
-                         theta)
+                         generated_ideal, generator_entries, generator_matrix,
+                         generator_op, ideal_generators,
+                         lowered_adjoint_constants, metric, raised_constants,
+                         structure_row, structure_table, theta)
 from spinsym.operators import OpSpace, commutator, operator_sum, Operator
 
 F = Fraction
@@ -59,6 +62,34 @@ class TestSpecAndBasis:
 
 
 class TestGeneratorMatrices:
+    def test_entries_frozen(self):
+        assert generator_entries(SP2, 1, 1) == {(1, 1): 1, (2, 2): -1}
+        assert generator_entries(SP2, 1, 2) == {(1, 2): 2}
+        assert generator_entries(SO3, 1, 2) == {(1, 2): 1, (2, 3): -1}
+        # not a basis label: the entry and its mirror cancel
+        assert generator_entries(SO3, 1, 3) == {}
+
+    def test_mirror_rule_stated_once(self):
+        # the models read F^{ab} through its entries, and in lie.py only the
+        # basis and the entries ask for index signs or conjugates
+        src = Path(spinsym.__file__).parent
+        rule = {"theta", "conjugate_index"}
+        tree = ast.parse((src / "models.py").read_text())
+        named = {alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) for alias in node.names}
+        named |= {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name)}
+        named |= {node.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)}
+        assert not named & rule
+        callers = set()
+        for top in ast.parse((src / "lie.py").read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and getattr(
+                        node.func, "id", None) in rule:
+                    callers.add(getattr(top, "name", "<module>"))
+        assert callers == {"basis", "generator_entries"}
+
     def test_sp2_matrices_frozen(self):
         assert generator_matrix(SP2, 1, 1) == ((F(1), F(0)), (F(0), F(-1)))
         assert generator_matrix(SP2, 1, 2) == ((F(0), F(2)), (F(0), F(0)))

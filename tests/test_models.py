@@ -3,23 +3,28 @@
 import gc
 import weakref
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 import spinsym.models as models
 from spinsym.errors import DegenerateCouplingError
 from spinsym.exact import RationalFunction, lam_slot, om_slot
-from spinsym.lie import AlgebraSpec, basis, generator_op
+from spinsym.lie import (AlgebraSpec, basis, conjugate_index, generator_op,
+                         theta)
 from spinsym.models import (MODEL_KINDS, ModelSpec, coupling_weight,
                             generator_grid, hamiltonian, star_coupling,
                             symmetrized_triple, symmetry_generator)
 from spinsym.operators import Operator, OpSpace, commutator, operator_sum
-from spinsym.spin_ops import permutation_op, twist_op
+from spinsym.spin_ops import (pair_contraction, permutation_op,
+                              triple_contraction, twist_op,
+                              unit_pair_contraction)
 
 F = Fraction
 
 SP2 = AlgebraSpec(2, -1)
 SO3 = AlgebraSpec(3, 1)
+SP4 = AlgebraSpec(4, -1)
 
 # critical coupling 2/(N - 4*theta0), cross-checked by hand
 STAR_TABLE = {
@@ -191,6 +196,45 @@ class TestInteraction:
                     f(j, a, b) * kinetic(j) for j in (1, 2, 3)]) \
                     + pair_sum(ms, pair)
                 assert symmetry_generator(ms, 1, (a, b)) == expected
+
+    @pytest.mark.parametrize("spec, sites", [(SP2, 3), (SO3, 2), (SP4, 2)],
+                             ids=["sp(2)-L3", "so(3)-L2", "sp(4)-L2"])
+    def test_confined_level1(self, spec, sites):
+        # the mirror term of (E_j E_k)^{ab} written out by hand:
+        # unit_pair(a, b) - th_a th_b unit_pair(bar b, bar a)
+        ms = ModelSpec(spec, sites=sites, kind="confined", lam="symbolic")
+        space = ms.space
+        lam = RationalFunction.coupling(sites)
+        om = RationalFunction.trap(sites)
+        sites_ = range(1, sites + 1)
+
+        def d(j, order=1):
+            return Operator.derivative_op(space, j, order)
+
+        def inv(j, k, power=1):
+            return RationalFunction.inverse_difference(sites, j, k, power)
+
+        grid = generator_grid(ms, 1)
+        for a, b in basis(spec):
+            sign = theta(spec, a) * theta(spec, b)
+            abar, bbar = conjugate_index(spec, a), conjugate_index(spec, b)
+            parts = []
+            for j in sites_:
+                f = generator_op(spec, space, j, a, b)
+                parts.append(f * d(j, 2) - (f * Operator.position_op(
+                    space, j, 2)).scaled(om * om))
+            for j, k in permutations(sites_, 2):
+                parts.append((pair_contraction(spec, space, j, k, a, b)
+                              * (d(j) + d(k))).scaled(-(lam * inv(j, k))))
+                mirror = unit_pair_contraction(spec, space, j, k, a, b) \
+                    - unit_pair_contraction(spec, space, j, k, bbar,
+                                            abar).scaled(sign)
+                parts.append((mirror - generator_op(spec, space, j, a, b)
+                              .scaled(lam)).scaled(lam * inv(j, k, 2)))
+            for j, k, l in permutations(sites_, 3):
+                parts.append(triple_contraction(spec, space, k, j, l, a, b)
+                             .scaled(-(lam * lam * inv(j, k) * inv(j, l))))
+            assert grid[(a, b)] == operator_sum(space, parts), (a, b)
 
 
 class TestGenerators:
