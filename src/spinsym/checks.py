@@ -12,7 +12,6 @@ oracle cross-check draws its trial data from a seeded generator.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import permutations, product
@@ -35,6 +34,7 @@ from .operators import (Operator, OpSpace, SpinVector, apply_operator,
                         commutator, evaluate_vector, operator_combination,
                         vector_combination)
 from .spin_ops import permutation_op, twist_op
+from .value import Value
 from .version import __version__
 
 WITNESS_LIMIT = 10
@@ -50,23 +50,20 @@ VectorMap = Callable[[SpinVector], SpinVector]
 # results and reports
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Value):
     """Verdict for one identity at one parameter point."""
 
-    name: str
-    params: Tuple[Tuple[str, str], ...]
-    status: str
-    millis: int
-    witness: Tuple[str, ...] = ()
-    notes: Tuple[str, ...] = ()
+    __slots__ = ("name", "params", "status", "millis", "witness", "notes")
 
-    def __post_init__(self):
-        if self.status not in ("pass", "fail", "skipped", "error"):
-            raise ValueError(f"bad status {self.status!r}")
+    def __init__(self, name: str, params: Tuple[Tuple[str, str], ...],
+                 status: str, millis: int, witness: Tuple[str, ...] = (),
+                 notes: Tuple[str, ...] = ()):
+        if status not in ("pass", "fail", "skipped", "error"):
+            raise ValueError(f"bad status {status!r}")
         # a refuted identity must always carry its counterexample
-        if self.status == "fail" and not self.witness:
+        if status == "fail" and not witness:
             raise ValueError("failing check without witness")
+        self._freeze(name, params, status, millis, witness, notes)
 
     def to_dict(self, zero_millis: bool = False) -> dict:
         return {
@@ -79,12 +76,14 @@ class CheckResult:
         }
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Value):
     """Ordered collection of results plus summary bookkeeping."""
 
-    results: Tuple[CheckResult, ...]
-    engine_version: str = __version__
+    __slots__ = ("results", "engine_version")
+
+    def __init__(self, results: Tuple[CheckResult, ...],
+                 engine_version: str = __version__):
+        self._freeze(results, engine_version)
 
     @classmethod
     def build(cls, results: Iterable[CheckResult]) -> "CheckReport":
@@ -391,13 +390,13 @@ class _ModelContext:
 
     def _symbolic_build(self, key: object,
                         build: Callable[[ModelSpec], object]):
-        symbolic = replace(self.ms, lam="symbolic", omega="symbolic")
+        symbolic = self.ms.replace(lam="symbolic", omega="symbolic")
         return self._once((symbolic, key), lambda: build(symbolic),
                           self._symbolic)
 
     def variant(self, **changes) -> "_ModelContext":
         """The context of this model with some spec fields replaced."""
-        other = replace(self.ms, **changes)
+        other = self.ms.replace(**changes)
         if other == self.ms:
             return self
         return self._once(("variant", other),
@@ -1179,11 +1178,13 @@ ORACLE_PAIRS = 6
 ORACLE_TRIPLES = 3
 
 
-@dataclass(frozen=True)
-class _OracleTarget:
-    label: str
-    defect: VectorMap           # compositional application, never products
-    symbolically_zero: bool
+class _OracleTarget(Value):
+    __slots__ = ("label", "defect", "symbolically_zero")
+
+    def __init__(self, label: str, defect: VectorMap,
+                 symbolically_zero: bool):
+        # defect: compositional application, never products
+        self._freeze(label, defect, symbolically_zero)
 
 
 # an oracle target is a signed list of words over named operators: "H",
@@ -1420,7 +1421,7 @@ def oracle_crosscheck(ms: ModelSpec, trials: int = 20, seed: int = 1,
             ("spin-identities", _spin_targets(ms.algebra)),
         ]
         spin_space = OpSpace(ms.algebra.N, 2)
-        spin_ms = replace(ms, sites=2) if ms.sites != 2 else ms
+        spin_ms = ms.replace(sites=2) if ms.sites != 2 else ms
 
         live: List[Tuple[str, List[_OracleTarget]]] = []
         skipped_labels: List[str] = []

@@ -17,13 +17,13 @@ All tables are exact, deterministic and cached per algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, List, Tuple
 
 from .errors import SingularMetricError
 from .operators import Operator, OpSpace, operator_combination
+from .value import Value
 
 Pair = Tuple[int, int]
 Row = Dict[Pair, Fraction]
@@ -31,20 +31,19 @@ Row = Dict[Pair, Fraction]
 _HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
+class AlgebraSpec(Value):
     """so(N) for theta0 = +1, sp(N) for theta0 = -1 (N even)."""
 
-    N: int
-    theta0: int
+    __slots__ = ("N", "theta0")
 
-    def __post_init__(self):
-        if self.N < 2:
+    def __init__(self, N: int, theta0: int):
+        if N < 2:
             raise ValueError("N must be at least 2")
-        if self.theta0 not in (1, -1):
+        if theta0 not in (1, -1):
             raise ValueError("theta0 must be +1 or -1")
-        if self.theta0 == -1 and self.N % 2:
+        if theta0 == -1 and N % 2:
             raise ValueError("theta0 = -1 requires even N")
+        self._freeze(N, theta0)
 
     @property
     def family(self) -> str:
@@ -227,13 +226,15 @@ def ideal_generators(spec: AlgebraSpec) -> Tuple[Pair, ...]:
 # invariant metric
 
 
-@dataclass(frozen=True)
-class MetricTensor:
+class MetricTensor(Value):
     """g^{ab,cd} = Tr(F^{ab} F^{cd}) / 2 over the basis, plus its inverse."""
 
-    labels: Tuple[Pair, ...]
-    matrix: Tuple[Tuple[Fraction, ...], ...]
-    inverse: Tuple[Tuple[Fraction, ...], ...]
+    __slots__ = ("labels", "matrix", "inverse")
+
+    def __init__(self, labels: Tuple[Pair, ...],
+                 matrix: Tuple[Tuple[Fraction, ...], ...],
+                 inverse: Tuple[Tuple[Fraction, ...], ...]):
+        self._freeze(labels, matrix, inverse)
 
     def index(self, pair: Pair) -> int:
         return self.labels.index(pair)
@@ -313,21 +314,25 @@ def lowered_adjoint_constants(spec: AlgebraSpec) -> Dict[Pair, Dict[Tuple[Pair, 
 
 @lru_cache(maxsize=None)
 def raised_constants(spec: AlgebraSpec) -> Dict[Tuple[Pair, Pair, Pair], Fraction]:
-    """Fully raised rows: sum_pq f[ij,kl][pq] * g(pq,mn), keyed (ij,kl,mn)."""
+    """Fully raised rows: sum_pq f[ij,kl][pq] * g(pq,mn), keyed (ij,kl,mn).
+
+    Each pq is contracted only with the nonzero entries of its metric row
+    (one per row in every so(N) and sp(N)); each (ij, kl) group comes out
+    in label order of mn.
+    """
     labels = basis(spec)
-    g = metric(spec)
     table = structure_table(spec)
+    partners = {pq: [(m, w) for m, w in enumerate(row) if w]
+                for pq, row in zip(labels, metric(spec).matrix)}
     out: Dict[Tuple[Pair, Pair, Pair], Fraction] = {}
     for ij in labels:
         for kl in labels:
-            row = table[(ij, kl)]
-            if not row:
-                continue
-            for m, mn in enumerate(labels):
-                total = Fraction(0)
-                for pq, value in row.items():
-                    total += value * g.matrix[g.index(pq)][m]
-                if total:
-                    out[(ij, kl, mn)] = total
+            totals: Dict[int, Fraction] = {}
+            for pq, value in table[(ij, kl)].items():
+                for m, w in partners[pq]:
+                    totals[m] = totals.get(m, 0) + value * w
+            for m in sorted(totals):
+                if totals[m]:
+                    out[(ij, kl, labels[m])] = totals[m]
     return out
 

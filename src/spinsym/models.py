@@ -17,7 +17,6 @@ factor push their sign into the numerator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Dict, Tuple, Union
@@ -28,6 +27,7 @@ from .lie import AlgebraSpec, basis, generator_entries, generator_op
 from .operators import Operator, OpSpace, operator_combination, operator_sum
 from .spin_ops import (pair_contraction, permutation_op, triple_contraction,
                        twist_op, unit_pair_contraction)
+from .value import Value
 
 Pair = Tuple[int, int]
 CouplingMode = Union[str, Fraction]
@@ -45,32 +45,30 @@ def star_coupling(spec: AlgebraSpec) -> Fraction:
     return Fraction(2, d)
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(Value):
     """A fully pinned model instance.
 
     lam is "star", "symbolic", or an explicit Fraction; omega likewise
     ("symbolic" or a Fraction) and only meaningful for the confined kind.
     """
 
-    algebra: AlgebraSpec
-    sites: int
-    kind: str
-    lam: CouplingMode = "star"
-    omega: CouplingMode = "symbolic"
+    __slots__ = ("algebra", "sites", "kind", "lam", "omega")
 
-    def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.sites < 2:
+    def __init__(self, algebra: AlgebraSpec, sites: int, kind: str,
+                 lam: CouplingMode = "star",
+                 omega: CouplingMode = "symbolic"):
+        if kind not in MODEL_KINDS:
+            raise ValueError(f"unknown model kind {kind!r}")
+        if sites < 2:
             raise ValueError("at least two sites are required")
-        if isinstance(self.lam, str):
-            if self.lam not in ("star", "symbolic"):
-                raise ValueError(f"bad coupling mode {self.lam!r}")
-            if self.lam == "star":
-                star_coupling(self.algebra)  # raises when degenerate
-        if isinstance(self.omega, str) and self.omega != "symbolic":
-            raise ValueError(f"bad trap mode {self.omega!r}")
+        if isinstance(lam, str):
+            if lam not in ("star", "symbolic"):
+                raise ValueError(f"bad coupling mode {lam!r}")
+            if lam == "star":
+                star_coupling(algebra)  # raises when degenerate
+        if isinstance(omega, str) and omega != "symbolic":
+            raise ValueError(f"bad trap mode {omega!r}")
+        self._freeze(algebra, sites, kind, lam, omega)
 
     @property
     def space(self) -> OpSpace:

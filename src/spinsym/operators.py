@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _iproduct
 from math import comb, lcm
@@ -42,6 +41,7 @@ from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
 
 from .errors import ShapeMismatchError, TermBudgetError
 from .exact import RationalFunction, rf_sum
+from .value import Value
 
 Deriv = Tuple[int, ...]
 SpinAtom = Tuple[int, int, int]
@@ -80,16 +80,15 @@ def _budget_check(count: int) -> None:
             "raise it via term_ceiling or the --term-ceiling flag")
 
 
-@dataclass(frozen=True)
-class OpSpace:
+class OpSpace(Value):
     """Shape of an operator algebra: N spin states on each of L sites."""
 
-    spin_dim: int
-    sites: int
+    __slots__ = ("spin_dim", "sites")
 
-    def __post_init__(self):
-        if self.spin_dim < 1 or self.sites < 1:
+    def __init__(self, spin_dim: int, sites: int):
+        if spin_dim < 1 or sites < 1:
             raise ValueError("OpSpace needs positive spin dimension and sites")
+        self._freeze(spin_dim, sites)
 
     @property
     def zero_deriv(self) -> Deriv:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import spinsym
+from spinsym.checks import LIE_SUITE_SPECS
 from spinsym.errors import DegenerateCouplingError
 from spinsym.lie import (AlgebraSpec, basis, conjugate_index,
                          generated_ideal, generator_entries, generator_matrix,
@@ -278,17 +279,23 @@ class TestRaisingMaps:
                 assert restored == direct
 
     def test_raised_agrees_with_metric_contraction(self):
-        for spec in (SP2, SO3):
+        # the dense contraction over every metric column, zeros included,
+        # emitted in (ij, kl, mn) label order
+        for n, theta0 in LIE_SUITE_SPECS + ((8, -1), (7, 1), (8, 1)):
+            spec = AlgebraSpec(n, theta0)
             g = metric(spec)
             table = structure_table(spec)
-            raised = raised_constants(spec)
+            expected = {}
             for ij in basis(spec):
                 for kl in basis(spec):
                     for m, mn in enumerate(g.labels):
                         total = sum(
                             (v * g.matrix[g.index(pq)][m]
                              for pq, v in table[(ij, kl)].items()), F(0))
-                        assert raised.get((ij, kl, mn), F(0)) == total
+                        if total:
+                            expected[(ij, kl, mn)] = total
+            assert list(raised_constants(spec).items()) \
+                == list(expected.items()), spec
 
     def test_lowered_matches_inverse_contraction(self):
         spec = SP2
