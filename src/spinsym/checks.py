@@ -1397,9 +1397,10 @@ def oracle_crosscheck(ms: ModelSpec, trials: int = 20, seed: int = 1,
 
     Every target identity is applied compositionally (operator application
     to random polynomial spin functions, commutators expanded as nested
-    applications, never symbolic products) and evaluated at random rational
-    points with pairwise distinct coordinates.  Any nonzero defect for an
-    identity the symbolic engine proved, even one that vanishes at the
+    applications, never symbolic products).  The verdict is whether any
+    defect amplitude is nonzero; a random rational point with pairwise
+    distinct coordinates only names the witness.  Any nonzero defect for
+    an identity the symbolic engine proved, even one that vanishes at the
     drawn point, is an engine bug and is reported with an alarm note,
     never downgraded to an ordinary failure.  Which identities count as
     proved is read from the same context objects the checks proved them

@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", choices=MODEL_KINDS, required=True)
         p.add_argument("--L", type=int, required=True, metavar="L",
                        help="number of sites")
-        p.add_argument("--omega", type=_parse_trap, default="symbolic",
+        p.add_argument("--omega", type=_parse_trap, default=None,
                        metavar="OMEGA",
                        help="trap strength: symbolic or an exact rational "
                             "(confined model only)")
@@ -159,11 +159,20 @@ def _algebra(ns: argparse.Namespace) -> AlgebraSpec:
         raise ConfigError(str(exc))
 
 
+def _trap(ns: argparse.Namespace) -> Coupling:
+    """The --omega value; symbolic when it is not given."""
+    return "symbolic" if ns.omega is None else ns.omega
+
+
 def _model_spec(ns: argparse.Namespace) -> ModelSpec:
     spec = _algebra(ns)
+    if ns.omega is not None and ns.model != "confined":
+        raise ConfigError(
+            f"--omega sets the trap of the confined model; the {ns.model} "
+            f"model has no trap")
     try:
         return ModelSpec(spec, sites=ns.L, kind=ns.model, lam=ns.lam,
-                         omega=ns.omega)
+                         omega=_trap(ns))
     except DegenerateCouplingError:
         raise ConfigError(
             f"the critical coupling 2/(N - 4*theta0) is undefined for "
@@ -189,7 +198,7 @@ def _spec_info(ns: argparse.Namespace) -> Dict[str, object]:
         info["L"] = ns.L
         info["model"] = ns.model
         info["lambda"] = _coupling_label(ns.lam)
-        info["omega"] = _coupling_label(ns.omega)
+        info["omega"] = _coupling_label(_trap(ns))
     if ns.subcommand == "model":
         info["seed"] = ns.seed
     return info

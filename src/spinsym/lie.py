@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Dict, Iterable, List, Tuple
 
 from .errors import SingularMetricError
-from .operators import Operator, OpSpace, operator_combination
+from .operators import Operator, OpSpace
 from .value import Value
 
 Pair = Tuple[int, int]
@@ -110,8 +110,8 @@ def generator_op(spec: AlgebraSpec, space: OpSpace, site: int,
     """F^{ab} acting on one site of an operator space."""
     if space.spin_dim != spec.N:
         raise ValueError("operator space spin dimension differs from N")
-    return operator_combination(space, (
-        (c, Operator.spin_unit(space, site, i, k))
+    return Operator.spin_sum(space, (
+        (c, ((site, i, k),))
         for (i, k), c in generator_entries(spec, a, b).items()))
 
 

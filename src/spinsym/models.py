@@ -24,7 +24,8 @@ from typing import Dict, Tuple, Union
 from .errors import DegenerateCouplingError
 from .exact import RationalFunction, lam_slot, om_slot
 from .lie import AlgebraSpec, basis, generator_entries, generator_op
-from .operators import Operator, OpSpace, operator_combination, operator_sum
+from .operators import (Operator, OpSpace, anticommutator,
+                        operator_combination, operator_sum)
 from .spin_ops import (pair_contraction, permutation_op, triple_contraction,
                        twist_op, unit_pair_contraction)
 from .value import Value
@@ -175,12 +176,10 @@ def _rotation_moment(spec: AlgebraSpec, sites: int, a: int, b: int,
                      power: int = 0) -> Operator:
     """Weighted rotation sum_j F_j^{ab} x_j^power; power 0 is level 0."""
     space = OpSpace(spec.N, sites)
-    parts = []
-    for j in range(1, sites + 1):
-        gen = generator_op(spec, space, j, a, b)
-        parts.append(gen * Operator.position_op(space, j, power) if power
-                     else gen)
-    return operator_sum(space, parts)
+    return operator_combination(space, (
+        (RationalFunction.position(sites, j, power) if power else 1,
+         generator_op(spec, space, j, a, b))
+        for j in range(1, sites + 1)))
 
 
 def _level1(kind: str, spec: AlgebraSpec, sites: int, a: int, b: int) -> Operator:
@@ -261,9 +260,12 @@ def generator_grid(ms: ModelSpec, level: int) -> Dict[Pair, Operator]:
 
 
 def symmetrized_triple(a: Operator, b: Operator, c: Operator) -> Operator:
-    """Average of the six ordered products, normalized by 1/24."""
-    parts = [x * y * z for (x, y, z) in permutations((a, b, c))]
-    return operator_sum(a.space, parts).scaled(Fraction(1, 24))
+    """The sum of the six ordered products times 1/24, formed as
+    (1/48) sum_cyc {x, {y, z}}: each nested anticommutator holds four of
+    the six orders, and the cyclic sum holds each order twice."""
+    return operator_combination(a.space, (
+        (Fraction(1, 48), anticommutator(x, anticommutator(y, z)))
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b))))
 
 
 def coupling_weight(spec: AlgebraSpec, lam_value: Union[Fraction, None] = None

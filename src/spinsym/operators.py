@@ -47,6 +47,7 @@ Deriv = Tuple[int, ...]
 SpinAtom = Tuple[int, int, int]
 SpinWord = Tuple[SpinAtom, ...]
 TermKey = Tuple[Deriv, SpinWord]
+Scalar = Union[int, Fraction]
 Key = TypeVar("Key")
 
 DEFAULT_TERM_CEILING = 500_000
@@ -196,15 +197,36 @@ class Operator:
     @classmethod
     def spin_unit(cls, space: OpSpace, site: int, a: int, b: int) -> "Operator":
         """Matrix unit E^{ab} acting on one site (E^{NN} arrives expanded)."""
-        if not 1 <= site <= space.sites:
-            raise ValueError(f"site {site} out of range")
-        if not (1 <= a <= space.spin_dim and 1 <= b <= space.spin_dim):
-            raise ValueError(f"spin indices ({a},{b}) out of range")
-        one = RationalFunction.const(space.sites, 1)
-        terms: Dict[TermKey, RationalFunction] = {}
-        for sign, word in reduce_word(space.spin_dim, ((site, a, b),)):
-            terms[(space.zero_deriv, word)] = one if sign > 0 else -one
-        return cls(space, terms)
+        return cls.spin_sum(space, ((1, ((site, a, b),)),))
+
+    @classmethod
+    def spin_sum(cls, space: OpSpace,
+                 items: Iterable[Tuple[Scalar, Sequence[SpinAtom]]]
+                 ) -> "Operator":
+        """``sum c * E_s^{ab} E_t^{cd} ...`` over ``(c, atoms)``, each atom
+        ``(site, a, b)`` on its own site, with rational ``c``.
+
+        Each word is sorted by site and its E^{NN} atoms are expanded
+        (``reduce_word``); equal words are summed and zeros dropped.
+        """
+        n = space.spin_dim
+        totals: Dict[SpinWord, Scalar] = {}
+        for c, atoms in items:
+            seen = set()
+            for site, a, b in atoms:
+                if not 1 <= site <= space.sites:
+                    raise ValueError(f"site {site} out of range")
+                if not (1 <= a <= n and 1 <= b <= n):
+                    raise ValueError(f"spin indices ({a},{b}) out of range")
+                if site in seen:
+                    raise ValueError("sites must be pairwise distinct")
+                seen.add(site)
+            for sign, word in reduce_word(n, tuple(sorted(atoms))):
+                totals[word] = totals.get(word, 0) + sign * c
+        zero = space.zero_deriv
+        return _finalize(space, {
+            (zero, word): RationalFunction.const(space.sites, c)
+            for word, c in totals.items() if c})
 
     @classmethod
     def derivative_op(cls, space: OpSpace, site: int, order: int = 1) -> "Operator":
@@ -257,11 +279,7 @@ class Operator:
 
     def __mul__(self, other) -> "Operator":
         if isinstance(other, Operator):
-            self._check(other)
-            acc: Dict[TermKey, List[RationalFunction]] = {}
-            _accumulate_product(self, other, acc)
-            return _finalize(self.space, _key_sums(self.space.sites,
-                                                   acc.items()))
+            return _leibniz_product(self, other, 0)
         return self.scaled(other)
 
     def __rmul__(self, other) -> "Operator":
@@ -312,9 +330,9 @@ class Operator:
 
 def _multi_derivative(r: RationalFunction, gamma: Deriv,
                       memo: Dict[Deriv, RationalFunction]) -> RationalFunction:
-    """d^gamma r; ``memo`` holds the derivatives of this one ``r``.  Products,
-    commutators and ``apply_operator`` share this recursion, which returns a
-    zero lower derivative as it is."""
+    """d^gamma r; ``memo`` holds the derivatives of this one ``r``.  The
+    Leibniz kernel and ``apply_operator`` share this recursion, which
+    returns a zero lower derivative as it is."""
     if not any(gamma):
         return r
     hit = memo.get(gamma)
@@ -335,61 +353,6 @@ def _leibniz_orders(alpha: Deriv) -> Iterator[Tuple[Deriv, Deriv, int]]:
         for a, b in zip(alpha, beta):
             factor *= comb(a, b)
         yield beta, tuple(map(_tsub, alpha, beta)), factor
-
-
-def _leibniz(alpha: Deriv, r: RationalFunction,
-             memo: Dict[Deriv, RationalFunction]
-             ) -> List[Tuple[Deriv, RationalFunction]]:
-    """Expand d^alpha . r into sum of coeff(beta) * d^beta with beta <= alpha;
-    ``memo`` holds the derivatives of this one ``r``."""
-    out: List[Tuple[Deriv, RationalFunction]] = []
-    for beta, gamma, factor in _leibniz_orders(alpha):
-        rg = _multi_derivative(r, gamma, memo)
-        if rg:
-            out.append((beta, rg if factor == 1 else rg * factor))
-    return out
-
-
-def _push(acc: Dict[TermKey, List[RationalFunction]], deriv: Deriv,
-          words: List[Tuple[int, SpinWord]], value: RationalFunction) -> None:
-    """Add ``value`` times each signed word of ``words`` at ``deriv``."""
-    minus = None
-    for sign, word in words:
-        if sign > 0:
-            acc.setdefault((deriv, word), []).append(value)
-        else:
-            if minus is None:
-                minus = -value
-            acc.setdefault((deriv, word), []).append(minus)
-
-
-def _accumulate_product(left: Operator, right: Operator,
-                        acc: Dict[TermKey, List[RationalFunction]]) -> None:
-    if left.is_zero or right.is_zero:
-        return
-    zero_deriv = left.space.zero_deriv
-    ndim = left.space.spin_dim
-    by_deriv: Dict[Deriv, List[Tuple[SpinWord, RationalFunction]]] = {}
-    for (deriv, word), coeff in left.terms.items():
-        by_deriv.setdefault(deriv, []).append((word, coeff))
-    for (rderiv, rword), rcoeff in right.terms.items():
-        memo: Dict[Deriv, RationalFunction] = {}
-        for alpha, group in by_deriv.items():
-            if alpha == zero_deriv:
-                expansion = ((zero_deriv, rcoeff),)
-            else:
-                expansion = _leibniz(alpha, rcoeff, memo)
-            for lword, lcoeff in group:
-                words = word_mul(ndim, lword, rword)
-                if not words:
-                    continue
-                for beta, rpart in expansion:
-                    if beta == zero_deriv:
-                        deriv = rderiv
-                    else:
-                        deriv = tuple(map(_tadd, beta, rderiv))
-                    _push(acc, deriv, words, lcoeff * rpart)
-        _budget_check(len(acc))
 
 
 def _key_sums(npos: int, sums: Iterable[Tuple[Key, Iterable[RationalFunction]]],
@@ -414,37 +377,43 @@ def _finalize(space: OpSpace, terms: Dict[TermKey, RationalFunction]
     return Operator(space, terms)
 
 
-Scalar = Union[int, Fraction]
 ClassTerm = Tuple[Scalar, int]  # q * reps[i]
 ScaledTerm = Tuple[Deriv, SpinWord, int, int]  # (deriv, word, n, i)
 
 
 class _CoefficientClasses:
-    """The coefficients of one commutator, each as a scalar times
-    ``reps[i]``.
+    """The coefficients of one ``_leibniz_product`` call (a product,
+    commutator or anticommutator), each as a scalar times ``reps[i]``.
 
     ``reps`` holds one primitive representative per class of coefficients
     equal up to a rational factor (``RationalFunction.split``), and the
-    memos hold each product of two classes, each derivative of a
-    representative (through ``_multi_derivative``) and each Leibniz
-    expansion once.  A table lives for one call.
+    memos hold each coefficient's split, each product of two classes, each
+    derivative of a representative (through ``_multi_derivative``), each
+    Leibniz expansion and each scaled representative once.  A table lives
+    for one call.
     """
 
     def __init__(self) -> None:
         self.reps: List[RationalFunction] = []
         self._index: Dict[RationalFunction, int] = {}
+        self._split: Dict[RationalFunction, Tuple[Fraction, int]] = {}
+        self._scaled: Dict[Tuple[int, Scalar, int], RationalFunction] = {}
         self._products: Dict[Tuple[int, int], ClassTerm] = {}
         self._memos: Dict[int, Dict[Deriv, RationalFunction]] = {}
         self._lower: Dict[Tuple[Deriv, int, int],
                           List[Tuple[Deriv, Scalar, int]]] = {}
 
     def _intern(self, r: RationalFunction) -> Tuple[Fraction, int]:
-        q, p = r.split()
-        i = self._index.get(p)
-        if i is None:
-            i = self._index[p] = len(self.reps)
-            self.reps.append(p)
-        return q, i
+        # operands repeat their coefficients, so each is split once
+        hit = self._split.get(r)
+        if hit is None:
+            q, p = r.split()
+            i = self._index.get(p)
+            if i is None:
+                i = self._index[p] = len(self.reps)
+                self.reps.append(p)
+            hit = self._split[r] = (q, i)
+        return hit
 
     def _class_term(self, r: RationalFunction) -> ClassTerm:
         # products and derivatives of representatives, whose denominator
@@ -470,6 +439,15 @@ class _CoefficientClasses:
         if hit is None:
             hit = self._products[key] = self._class_term(
                 self.reps[i] * self.reps[j])
+        return hit
+
+    def scaled(self, k: int, q: Scalar, m: int) -> RationalFunction:
+        """``q / m * reps[k]``, the coefficient a result term sums."""
+        key = (k, q, m)
+        hit = self._scaled.get(key)
+        if hit is None:
+            hit = self._scaled[key] = self.reps[k] * (
+                q if m == 1 else Fraction(q, m))
         return hit
 
     def lower(self, alpha: Deriv, i: int,
@@ -506,15 +484,17 @@ def _push_scalar(acc: Dict[TermKey, Dict[int, Scalar]], deriv: Deriv,
             row[k] = row.get(k, 0) + (q if sign > 0 else -q)
 
 
-def commutator(a: Operator, b: Operator) -> Operator:
-    """[a, b] in one pass over the term pairs of a and b.
+def _leibniz_product(a: Operator, b: Operator, sign: int) -> Operator:
+    """``a b + sign * b a`` in one pass over the term pairs of a and b:
+    ``sign`` is 0 for the product ``a * b``, -1 for ``commutator`` and +1
+    for ``anticommutator``.
 
     A pair (c_s d^alpha_s w_s, c_t d^alpha_t w_t) contributes the top order
-    c_s c_t d^(alpha_s+alpha_t) (w_s w_t - w_t w_s), formed only when
-    the two signed word products differ: where they are equal it cancels
-    exactly and is never built.  The lower Leibniz orders of each side,
-    where a derivative of one factor hits the other's coefficient, are
-    formed as in a product.
+    c_s c_t d^(alpha_s+alpha_t) (w_s w_t + sign w_t w_s); a commutator
+    forms it only when the two signed word products differ, since where
+    they are equal it cancels exactly.  The lower Leibniz orders, where a
+    derivative of one factor hits the other's coefficient, are formed for
+    w_s w_t and, unless ``sign`` is 0, for the reversed side w_t w_s.
 
     Every coefficient is carried as an integer times the representative of
     its class (_CoefficientClasses), over one common denominator per
@@ -540,11 +520,11 @@ def commutator(a: Operator, b: Operator) -> Operator:
         if pairs is None:
             pairs = word_pairs[tword] = [
                 (group, word_mul(ndim, sword, tword),
-                 word_mul(ndim, tword, sword))
+                 word_mul(ndim, tword, sword) if sign else [])
                 for sword, group in by_word.items()]
         t_lower = tderiv != zero_deriv
         for group, st, ts in pairs:
-            top = st != ts
+            top = st != ts if sign < 0 else bool(st or ts)
             if not top and not st:
                 continue
             lower_ts = ts and t_lower
@@ -556,9 +536,10 @@ def commutator(a: Operator, b: Operator) -> Operator:
                 if top:
                     q, k = classes.product(cs, ct)
                     q *= qst
-                    deriv = tuple(map(_tadd, sderiv, tderiv))
+                    deriv = (tuple(map(_tadd, sderiv, tderiv)) if t_lower
+                             else sderiv)
                     _push_scalar(acc, deriv, st, k, q)
-                    _push_scalar(acc, deriv, ts, k, -q)
+                    _push_scalar(acc, deriv, ts, k, sign * q)
                 if lower_st:
                     for beta, q, k in classes.lower(sderiv, cs, ct):
                         _push_scalar(acc, tuple(map(_tadd, beta, tderiv)),
@@ -566,14 +547,23 @@ def commutator(a: Operator, b: Operator) -> Operator:
                 if lower_ts:
                     for beta, q, k in classes.lower(tderiv, ct, cs):
                         _push_scalar(acc, tuple(map(_tadd, beta, sderiv)),
-                                     ts, k, -qst * q)
+                                     ts, k, sign * qst * q)
         _budget_check(len(acc))
-    reps = classes.reps
+    scaled = classes.scaled
     m = ma * mb
     return _finalize(a.space, _key_sums(a.space.sites, (
-        (key, [reps[k] * (q if m == 1 else Fraction(q, m))
-               for k, q in row.items() if q])
+        (key, [scaled(k, q, m) for k, q in row.items() if q])
         for key, row in acc.items())))
+
+
+def commutator(a: Operator, b: Operator) -> Operator:
+    """[a, b] = a b - b a (``_leibniz_product``)."""
+    return _leibniz_product(a, b, -1)
+
+
+def anticommutator(a: Operator, b: Operator) -> Operator:
+    """{a, b} = a b + b a (``_leibniz_product``)."""
+    return _leibniz_product(a, b, 1)
 
 
 def _combine(npos: int,

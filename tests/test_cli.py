@@ -171,6 +171,18 @@ class TestConfigRejections:
     def test_missing_subcommand(self, capsys):
         assert cli.run([]) == 2
 
+    @pytest.mark.parametrize("subcommand,model", [
+        ("model", "sutherland"), ("solve-lambda", "calogero")])
+    def test_trap_only_for_the_confined_model(self, capsys, subcommand,
+                                              model):
+        code = cli.run([subcommand, "--model", model, "--N", "2",
+                        "--theta0", "-1", "--L", "2", "--omega", "3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert (f"configuration error: --omega sets the trap of the confined "
+                f"model; the {model} model has no trap") in captured.err
+
 
 class TestConfigResolution:
     def test_negative_coupling_literals(self):

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 import spinsym.operators
 from spinsym.errors import ShapeMismatchError, TermBudgetError
 from spinsym.exact import RationalFunction, lam_slot, om_slot
-from spinsym.operators import (Operator, OpSpace, _leibniz, _multi_derivative,
-                               apply_operator, commutator, evaluate_vector,
+from spinsym.operators import (Operator, OpSpace, _multi_derivative,
+                               anticommutator, apply_operator, commutator,
+                               evaluate_vector,
                                operator_combination, operator_sum,
                                term_ceiling, vector_combination, word_apply)
 
@@ -470,6 +471,8 @@ def test_products_and_commutators_agree_with_the_vector_route(case):
     assert apply_operator(a * b, vec) == ab
     assert apply_operator(commutator(a, b), vec) == vector_combination(
         2, [(F(1), ab), (F(-1), ba)])
+    assert apply_operator(anticommutator(a, b), vec) == vector_combination(
+        2, [(F(1), ab), (F(1), ba)])
 
 
 @settings(max_examples=40, deadline=None)
@@ -548,15 +551,19 @@ def test_multi_derivative_matches_every_order_of_single_derivatives(r, gamma):
 @settings(max_examples=40, deadline=None)
 @given(r=rationals3(), alpha=DERIVS3)
 def test_leibniz_matches_reference_expansion(r, alpha):
-    want = []
+    # d^alpha . r as an operator product, against sum_beta C(alpha, beta)
+    # (d^(alpha-beta) r) d^beta
+    space = OpSpace(spin_dim=2, sites=3)
+    want = {}
     for beta in product(*(range(a + 1) for a in alpha)):
         part = repeated_derivative(r, tuple(a - b for a, b in zip(alpha, beta)))
         factor = 1
         for a, b in zip(alpha, beta):
             factor *= comb(a, b)
         if not part.is_zero:
-            want.append((beta, part * factor))
-    assert _leibniz(alpha, r, {}) == want
+            want[(beta, ())] = part * factor
+    d_alpha = Operator(space, {(alpha, ()): RationalFunction.const(3, 1)})
+    assert d_alpha * Operator.from_coefficient(space, r) == Operator(space, want)
 
 
 def test_no_zero_value_is_differentiated(monkeypatch):

@@ -1,15 +1,21 @@
 """Two-site exchange and twist operators on the spin chain."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinsym.errors import TermBudgetError
 from spinsym.exact import RationalFunction
-from spinsym.lie import AlgebraSpec, generator_op
-from spinsym.operators import Operator, OpSpace, apply_operator, operator_sum
-from spinsym.spin_ops import (pair_contraction, permutation_op, twist_op,
+from spinsym.lie import (AlgebraSpec, basis, conjugate_index,
+                         generator_entries, generator_op, theta)
+from spinsym.operators import (Operator, OpSpace, apply_operator,
+                               operator_combination, operator_sum,
+                               term_ceiling)
+from spinsym.spin_ops import (pair_contraction, permutation_op,
+                              triple_contraction, twist_op,
                               unit_pair_contraction)
 
 F = Fraction
@@ -138,3 +144,132 @@ class TestContractions:
         space = OpSpace(2, 2)
         with pytest.raises(ValueError):
             permutation_op(SP2, space, 1, 3)
+
+
+# ---------------------------------------------------------------------------
+# the builders against products of single-site matrix units
+
+
+def unit(space, site, a, b):
+    return Operator.spin_unit(space, site, a, b)
+
+
+def ref_generator(spec, space, site, a, b):
+    return operator_combination(space, (
+        (c, unit(space, site, i, k))
+        for (i, k), c in generator_entries(spec, a, b).items()))
+
+
+def ref_permutation(spec, space, j, k):
+    n = range(1, spec.N + 1)
+    return operator_sum(space, [unit(space, j, a, b) * unit(space, k, b, a)
+                                for a in n for b in n])
+
+
+def ref_twist(spec, space, j, k):
+    n = range(1, spec.N + 1)
+    return operator_sum(space, [
+        (unit(space, j, a, b)
+         * unit(space, k, conjugate_index(spec, a), conjugate_index(spec, b)))
+        .scaled(theta(spec, a) * theta(spec, b)) for a in n for b in n])
+
+
+def ref_unit_pair(spec, space, j, k, a, b):
+    return operator_sum(space, [unit(space, j, a, c) * unit(space, k, c, b)
+                                for c in range(1, spec.N + 1)])
+
+
+def ref_pair(spec, space, j, k, a, b):
+    return operator_sum(space, [
+        ref_generator(spec, space, j, a, c) * ref_generator(spec, space, k, c, b)
+        for c in range(1, spec.N + 1)])
+
+
+def ref_triple(spec, space, k, j, l, a, b):
+    n = range(1, spec.N + 1)
+    return operator_sum(space, [
+        ref_generator(spec, space, k, a, c) * ref_generator(spec, space, j, c, d)
+        * ref_generator(spec, space, l, d, b) for c in n for d in n])
+
+
+@pytest.mark.parametrize("spec", LEGAL, ids=lambda s: s.describe())
+def test_builders_match_unit_products(spec):
+    space = OpSpace(spec.N, 3)
+    labels = [(a, b) for a in range(1, spec.N + 1)
+              for b in range(1, spec.N + 1)]
+    for site in (1, 2, 3):
+        for a, b in labels:
+            assert (generator_op(spec, space, site, a, b)
+                    == ref_generator(spec, space, site, a, b))
+    for j, k in permutations((1, 2, 3), 2):
+        assert permutation_op(spec, space, j, k) == ref_permutation(
+            spec, space, j, k)
+        assert twist_op(spec, space, j, k) == ref_twist(spec, space, j, k)
+        for a, b in labels:
+            assert pair_contraction(spec, space, j, k, a, b) == ref_pair(
+                spec, space, j, k, a, b)
+            assert unit_pair_contraction(spec, space, j, k, a, b) \
+                == ref_unit_pair(spec, space, j, k, a, b)
+    for k, j, l in permutations((1, 2, 3)):
+        for a, b in labels:
+            assert triple_contraction(spec, space, k, j, l, a, b) \
+                == ref_triple(spec, space, k, j, l, a, b)
+
+
+def test_spin_layer_forms_no_operator_product(monkeypatch):
+    # every spin operator is one word sum read off the generator entries
+    original = Operator.__mul__
+
+    def guarded(self, other):
+        if isinstance(other, Operator):
+            raise AssertionError("operator product in the spin layer")
+        return original(self, other)
+
+    monkeypatch.setattr(Operator, "__mul__", guarded)
+    spec = AlgebraSpec(4, -1)
+    space = OpSpace(4, 3)
+    for a, b in basis(spec):
+        generator_op(spec, space, 1, a, b)
+        pair_contraction(spec, space, 1, 2, a, b)
+        triple_contraction(spec, space, 2, 1, 3, a, b)
+        unit_pair_contraction(spec, space, 3, 1, a, b)
+    permutation_op(spec, space, 1, 2)
+    twist_op(spec, space, 2, 3)
+
+
+class TestSpinSum:
+    SPACE = OpSpace(2, 2)
+
+    def test_error_texts(self):
+        with pytest.raises(ValueError, match=r"^site 3 out of range$"):
+            Operator.spin_sum(self.SPACE, [(1, ((1, 1, 2), (3, 1, 1)))])
+        with pytest.raises(ValueError,
+                           match=r"^spin indices \(1,3\) out of range$"):
+            Operator.spin_sum(self.SPACE, [(1, ((1, 1, 3),))])
+        with pytest.raises(ValueError,
+                           match=r"^sites must be pairwise distinct$"):
+            Operator.spin_sum(self.SPACE, [(1, ((2, 1, 2), (2, 2, 1)))])
+
+    def test_expands_the_last_diagonal_unit(self):
+        # sp(2) F^{11} = E^{11} - E^{22} = 2 E^{11} - 1
+        space = self.SPACE
+        got = Operator.spin_sum(space, [(1, ((1, 1, 1),)),
+                                        (-1, ((1, 2, 2),))])
+        zero = space.zero_deriv
+        assert got.terms == {(zero, ((1, 1, 1),)): RationalFunction.const(2, 2),
+                             (zero, ()): RationalFunction.const(2, -1)}
+        assert got == generator_op(SP2, space, 1, 1, 1)
+
+    def test_sorts_sums_and_drops_zeros(self):
+        space = self.SPACE
+        got = Operator.spin_sum(space, [(F(1, 2), ((2, 1, 2), (1, 2, 1))),
+                                        (F(1, 2), ((1, 2, 1), (2, 1, 2))),
+                                        (3, ((1, 1, 2),)),
+                                        (-3, ((1, 1, 2),))])
+        assert got == unit(space, 1, 2, 1) * unit(space, 2, 1, 2)
+        assert Operator.spin_sum(space, []).is_zero
+
+    def test_term_ceiling_applies(self):
+        with term_ceiling(2):
+            with pytest.raises(TermBudgetError):
+                permutation_op(SP2, self.SPACE, 1, 2)
