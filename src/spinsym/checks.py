@@ -28,11 +28,11 @@ from .lie import (AlgebraSpec, Pair, basis, conjugate_index, generator_matrix,
                   generator_op, ideal_generators, lowered_adjoint_constants,
                   metric, raised_constants, structure_row, structure_table,
                   theta)
-from .models import (ModelSpec, bind, coupling_weight, generator_grid,
+from .models import (Item, ModelSpec, bind, coupling_weight, generator_grid,
                      hamiltonian, star_coupling, symmetrized_triple)
 from .operators import (Operator, OpSpace, SpinVector, apply_operator,
                         commutator, evaluate_vector, operator_combination,
-                        vector_combination)
+                        vector_combination, word_apply)
 from .spin_ops import permutation_op, twist_op
 from .value import Value
 from .version import __version__
@@ -198,10 +198,10 @@ def check_lie_closure(spec: AlgebraSpec) -> CheckResult:
         ops = {ab: generator_op(spec, space, 1, *ab) for ab in labels}
         for ab in labels:
             for cd in labels:
-                want = operator_combination(space, (
-                    (c, ops[ef])
-                    for ef, c in structure_row(spec, ab, cd).items()))
-                diff = commutator(ops[ab], ops[cd]) - want
+                diff = operator_combination(space, [
+                    (1, commutator(ops[ab], ops[cd]))] + [
+                    (-c, ops[ef])
+                    for ef, c in structure_row(spec, ab, cd).items()])
                 if not diff.is_zero:
                     return ("fail",
                             _witness_terms(diff, f"bracket {ab} x {cd} residue:"),
@@ -329,11 +329,9 @@ def check_appendix_f(spec: AlgebraSpec) -> CheckResult:
 
     def body():
         lam = star_coupling(spec)
-        weight = coupling_weight(spec, lam)
-        one = RationalFunction.const(2, Fraction(1))
-        if weight == one:
+        diff = coupling_weight(spec, lam) - RationalFunction.const(2, 1)
+        if diff.is_zero:
             return "pass", (), (f"weight is identically 1 at coupling {lam}",)
-        diff = weight - one
         return "fail", (f"weight - 1 = {diff.render()}",), ()
 
     return _run("coupling-weight-unity", params, body)
@@ -469,10 +467,10 @@ class _ModelContext:
 
         def build() -> Operator:
             grid = self.grid(level)
-            want = operator_combination(self.ms.space, (
-                (c, grid[w])
-                for w, c in structure_row(self.ms.algebra, y, z).items()))
-            return commutator(self.grid(0)[y], grid[z]) - want
+            return operator_combination(self.ms.space, [
+                (1, commutator(self.grid(0)[y], grid[z]))] + [
+                (-c, grid[w])
+                for w, c in structure_row(self.ms.algebra, y, z).items()])
 
         return self._once(("residual", level, y, z), build)
 
@@ -481,8 +479,9 @@ class _ModelContext:
         return self._once(("bracket", x, w), lambda: commutator(
             self.grid(1)[x], self.grid(1)[w]))
 
-    def piece_sum(self, triples: Iterable[Triple]) -> Operator:
-        """``sum [J1^x, [J0^y, J1^z]]`` over basis triples, from ``B`` and ``R``.
+    def pieces(self, triples: Iterable[Triple]) -> List[Item]:
+        """``sum [J1^x, [J0^y, J1^z]]`` over basis triples as items, from
+        ``B`` and ``R``.
 
         The inner bracket splits into its level-1 combination and the
         covariance residual ``R(y,z)``, so by bilinearity
@@ -493,10 +492,10 @@ class _ModelContext:
         covariance holds.  Each triple is a row of rationals over the
         entries ``x < w``; the rows are merged, and only an entry with a
         nonzero net coefficient is formed.  Normal forms are unique, so the
-        sum equals the nested commutators exactly.
+        items sum to the nested commutators exactly.
         """
         row: Dict[Tuple[Pair, Pair], Fraction] = {}
-        parts: List[Tuple[Fraction, Operator]] = []
+        parts: List[Item] = []
         for x, y, z in triples:
             for w, c in structure_row(self.ms.algebra, y, z).items():
                 if w != x:
@@ -505,8 +504,10 @@ class _ModelContext:
             rest = self.residual(1, y, z)
             if not rest.is_zero:
                 parts.append((Fraction(1), commutator(self.grid(1)[x], rest)))
-        return operator_combination(self.ms.space, parts + [
-            (c, self.bracket(*key)) for key, c in row.items() if c])
+        return parts + [(c, self.bracket(*k)) for k, c in row.items() if c]
+
+    def piece_sum(self, triples: Iterable[Triple]) -> Operator:
+        return operator_combination(self.ms.space, self.pieces(triples))
 
     def serre_scale(self) -> RationalFunction:
         return self._once("scale", lambda: _serre_rhs_scale(self.ms))
@@ -516,18 +517,23 @@ class _ModelContext:
         zero = self.serre_scale().is_zero
         return {} if zero else _serre_weight(self.ms.algebra, ab, cd, ef)
 
-    def cubic_sides(self, ab: Pair, cd: Pair, ef: Pair
-                    ) -> Tuple[Operator, Operator]:
-        """The cubic relation's cyclic double-bracket sum and scaled triple
-        contraction at one basis triple, for every family; each label
-        multiset's symmetrized triple is built once."""
-        grid0 = self.grid(0)
-        rhs = operator_combination(self.ms.space, (
+    def cubic_defect(self, ab: Pair, cd: Pair, ef: Pair
+                     ) -> Tuple[Operator, bool]:
+        """The cubic relation at one basis triple, for every family: its
+        defect, the cyclic double-bracket sum less the scale times the
+        weighted symmetrized triples ``R = sum_K c_K sym(K)``, and whether
+        ``R`` is nonzero.  ``R`` is formed only for nonempty weights."""
+        items = self.pieces(_rotations(ab, cd, ef))
+        weights = self.serre_weight(ab, cd, ef)
+        if not weights:
+            return operator_combination(self.ms.space, items), False
+        right = operator_combination(self.ms.space, (
             (c, self._once(("sym", key), lambda key=key: symmetrized_triple(
-                *(grid0[label] for label in key))))
-            for key, c in self.serre_weight(ab, cd, ef).items()))
-        return (self.piece_sum(_rotations(ab, cd, ef)),
-                rhs.scaled(self.serre_scale()))
+                *map(self.grid(0).get, key))))
+            for key, c in weights.items()))
+        items.append((-self.serre_scale(), right))
+        return (operator_combination(self.ms.space, items),
+                not right.is_zero)
 
 
 def _context(ms: ModelSpec, context: Optional[_ModelContext]
@@ -645,12 +651,12 @@ def _cyclic_orbits(labels: Sequence[Pair]) -> Iterator[Tuple[Triple, int]]:
 
 
 def _serre_orbits(ctx: _ModelContext
-                  ) -> Iterator[Tuple[Triple, int, Operator, Operator]]:
-    """The cubic relation through ``cubic_sides`` once per cyclic orbit (both
-    sides are rotation invariant), walked lazily: each orbit's minimal
-    triple, its size and its two sides ``lhs, rhs``."""
+                  ) -> Iterator[Tuple[Triple, int, Operator, bool]]:
+    """``cubic_defect`` once per cyclic orbit (both sides are rotation
+    invariant), walked lazily: each orbit's minimal triple and size, and
+    the orbit's defect and right-side flag."""
     for triple, size in _cyclic_orbits(basis(ctx.ms.algebra)):
-        yield (triple, size) + ctx.cubic_sides(*triple)
+        yield (triple, size) + ctx.cubic_defect(*triple)
 
 
 def check_serre_halfloop(ms: ModelSpec,
@@ -672,10 +678,10 @@ def check_serre_halfloop(ms: ModelSpec,
 
     def body():
         labels = basis(ms.algebra)
-        for (ab, cd, ef), _, lhs, rhs in _serre_orbits(ctx):
-            if lhs != rhs:
+        for (ab, cd, ef), _, defect, _ in _serre_orbits(ctx):
+            if not defect.is_zero:
                 return ("fail",
-                        _witness_terms(lhs - rhs,
+                        _witness_terms(defect,
                                        f"cyclic sum at {ab}, {cd}, {ef}:"),
                         ())
         nonvacuous = sum(size for triple, size in _cyclic_orbits(labels)
@@ -737,7 +743,7 @@ def check_serre_yangian(ms: ModelSpec,
     triples mismatch and the residue at the first of them.
 
     The cyclic sums come from the level-1 bracket table through
-    ``_ModelContext.piece_sum``; the evaluation oracle replays them through
+    ``_ModelContext.pieces``; the evaluation oracle replays them through
     nested commutators.  For the confined model with a symbolic trap
     strength, the proof must also reduce to the zero-trap variant, as
     ``_zero_trap_mismatch`` checks on the generator grids and the
@@ -758,12 +764,12 @@ def check_serre_yangian(ms: ModelSpec,
                             and ms.resolved_omega() is None)
         nonvacuous = mismatching = 0
         first = None
-        for triple, size, lhs, rhs in _serre_orbits(ctx):
-            if not (lhs.is_zero and rhs.is_zero):
+        for triple, size, defect, right_nonzero in _serre_orbits(ctx):
+            if right_nonzero:
                 nonvacuous += size
-            if lhs != rhs:
+            if not defect.is_zero:
                 mismatching += size
-                first = first or (triple, lhs - rhs)
+                first = first or (triple, defect)
         if reduce_zero_trap and (failure := _zero_trap_mismatch(
                 ctx, ctx.variant(omega=Fraction(0)))):
             return "fail", (failure,), ()
@@ -779,9 +785,12 @@ def check_serre_yangian(ms: ModelSpec,
                  f"convention",
                  f"nonvacuous triples: {nonvacuous}"]
         if not nonvacuous:
-            notes.append("both sides vanish identically for every triple: "
-                         "the cubic relation is degenerate for a "
-                         "three-dimensional algebra")
+            # name the cause: the algebra's dimension or a zero scale
+            notes.append("both sides vanish identically for every triple" + (
+                ": the cubic relation is degenerate for a three-dimensional "
+                "algebra" if len(labels) == 3 else
+                ": the right-side scale is 0 at this coupling and trap"
+                if ctx.serre_scale().is_zero else ""))
         if reduce_zero_trap:
             notes.append(f"trap -> 0 reduction matched the zero-trap rebuild "
                          f"byte for byte on {len(labels) ** 3} triples")
@@ -997,19 +1006,11 @@ def _operator_to_dense(spec: AlgebraSpec, op: Operator) -> Matrix:
         if any(deriv):
             raise ValueError("operator is not purely spin")
         c = _constant_value(coeff)
-        for s1 in range(1, n + 1):
-            for s2 in range(1, n + 1):
-                state = [s1, s2]
-                ok = True
-                for (site, a, b) in word:
-                    if state[site - 1] != b:
-                        ok = False
-                        break
-                    state[site - 1] = a
-                if ok:
-                    row = (state[0] - 1) * n + (state[1] - 1)
-                    col = (s1 - 1) * n + (s2 - 1)
-                    out[row][col] += c
+        for ket in product(range(1, n + 1), repeat=2):
+            image = word_apply(word, ket)
+            if image is not None:
+                out[(image[0] - 1) * n + image[1] - 1][
+                    (ket[0] - 1) * n + ket[1] - 1] += c
     return out
 
 
@@ -1098,11 +1099,13 @@ def _dense_atom(spec: AlgebraSpec, atom: Atom) -> Matrix:
         else _dense_kron(_dense_eye(n), f)
 
 
-def _engine_side(space: OpSpace, side: Side,
-                 atom: Callable[[Atom], Operator]) -> Operator:
+def _engine_defect(space: OpSpace, lhs: Side, rhs: Side,
+                   atom: Callable[[Atom], Operator]) -> Operator:
+    """``lhs - rhs`` of one identity, in one combination."""
     return operator_combination(space, (
-        (c, reduce(mul, map(atom, word)) if word else Operator.identity(space))
-        for c, word in side))
+        (sign * c,
+         reduce(mul, map(atom, word)) if word else Operator.identity(space))
+        for sign, side in ((1, lhs), (-1, rhs)) for c, word in side))
 
 
 def _dense_side(n: int, side: Side, atom: Callable[[Atom], Matrix]) -> Matrix:
@@ -1146,8 +1149,7 @@ def check_pq_identities(spec: AlgebraSpec) -> Tuple[CheckResult, ...]:
                 def label(route: str) -> str:
                     return (f"{route}-route residue:" if ab is None else
                             f"{route} residue at pair ({ab[0]},{ab[1]}):")
-                diff = _engine_side(space, lhs, engine) \
-                    - _engine_side(space, rhs, engine)
+                diff = _engine_defect(space, lhs, rhs, engine)
                 if not diff.is_zero:
                     return "fail", _witness_terms(diff, label("engine")), ()
                 dl = _dense_side(n, lhs, dense)
@@ -1316,7 +1318,6 @@ def _serre_targets(ctx: _ModelContext, rng: Random
         triples = rng.sample(triples, ORACLE_TRIPLES)
     out: List[_OracleTarget] = []
     for ab, cd, ef in triples:
-        lhs, rhs = ctx.cubic_sides(ab, cd, ef)
         words: Words = []
         for x, y, z in _rotations(ab, cd, ef):
             words += _bracket(_op((1, x)), _bracket(_op((0, y)), _op((1, z))))
@@ -1324,7 +1325,8 @@ def _serre_targets(ctx: _ModelContext, rng: Random
             words += [(-c / 24, ("S",) + tuple((0, label) for label in perm))
                       for perm in permutations(key)]
         out.append(_OracleTarget(f"cubic relation {ab}, {cd}, {ef}",
-                                 _word_map(ms.space, ops, words), lhs == rhs))
+                                 _word_map(ms.space, ops, words),
+                                 ctx.cubic_defect(ab, cd, ef)[0].is_zero))
     return out
 
 

@@ -19,19 +19,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
-from typing import Dict, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from .errors import DegenerateCouplingError
 from .exact import RationalFunction, lam_slot, om_slot
 from .lie import AlgebraSpec, basis, generator_entries, generator_op
-from .operators import (Operator, OpSpace, anticommutator,
-                        operator_combination, operator_sum)
+from .operators import (Operator, OpSpace, Scalar, anticommutator,
+                        operator_combination)
 from .spin_ops import (pair_contraction, permutation_op, triple_contraction,
                        twist_op, unit_pair_contraction)
 from .value import Value
 
 Pair = Tuple[int, int]
 CouplingMode = Union[str, Fraction]
+Item = Tuple[Union[Scalar, RationalFunction], Operator]
 
 MODEL_KINDS = ("calogero", "sutherland", "confined")
 
@@ -50,7 +51,7 @@ class ModelSpec(Value):
     """A fully pinned model instance.
 
     lam is "star", "symbolic", or an explicit Fraction; omega likewise
-    ("symbolic" or a Fraction) and only meaningful for the confined kind.
+    ("symbolic" or a Fraction), and explicit only for the confined kind.
     """
 
     __slots__ = ("algebra", "sites", "kind", "lam", "omega")
@@ -69,6 +70,8 @@ class ModelSpec(Value):
                 star_coupling(algebra)  # raises when degenerate
         if isinstance(omega, str) and omega != "symbolic":
             raise ValueError(f"bad trap mode {omega!r}")
+        if kind != "confined" and omega != "symbolic":
+            raise ValueError(f"the {kind} model has no trap to set")
         self._freeze(algebra, sites, kind, lam, omega)
 
     @property
@@ -83,19 +86,17 @@ class ModelSpec(Value):
         return self.lam
 
     def resolved_omega(self) -> Union[Fraction, None]:
-        if self.omega == "symbolic":
-            return None
-        return self.omega
+        return None if self.omega == "symbolic" else self.omega
 
     def bindings(self) -> Dict[int, Fraction]:
         """Slot values of the explicit parameters: the coupling unless it
-        is symbolic, and the trap strength of a confined model with an
-        explicit omega.  The one place where modes become bound values."""
+        is symbolic, and the trap strength unless it is symbolic.  The one
+        place where modes become bound values."""
         out: Dict[int, Fraction] = {}
         lam = self.resolved_lam()
         if lam is not None:
             out[lam_slot(self.sites)] = lam
-        if self.kind == "confined" and self.omega != "symbolic":
+        if self.omega != "symbolic":
             out[om_slot(self.sites)] = self.omega
         return out
 
@@ -147,39 +148,34 @@ def _pair_weight(kind: str, space: OpSpace, j: int, k: int) -> RationalFunction:
 
 def hamiltonian(ms: ModelSpec) -> Operator:
     """-sum_j D_j^2 + sum_{j!=k} w_jk (lam^2 - lam P_jk + lam Q_jk), plus the
-    trap om^2 sum_j x_j^2 for the confined model."""
+    trap om^2 sum_j x_j^2 for the confined model, in one combination."""
     spec, kind, space = ms.algebra, ms.kind, ms.space
     lam = _coupling(space)
-    parts = []
-    for j in range(1, ms.sites + 1):
-        kinetic = _kinetic(kind, space, j)
-        parts.append((kinetic * kinetic).scaled(Fraction(-1)))
+    kinetic = [_kinetic(kind, space, j) for j in range(1, ms.sites + 1)]
+    items = [(-1, d * d) for d in kinetic]
     # w_jk, P_jk and Q_jk are symmetric under j <-> k: each unordered pair
     # is summed once, with the weight doubled
     for j, k in combinations(range(1, ms.sites + 1), 2):
-        weight = _pair_weight(kind, space, j, k) * 2
-        parts.append(Operator.from_coefficient(space, lam * lam * weight)
-                     - permutation_op(spec, space, j, k).scaled(lam * weight)
-                     + twist_op(spec, space, j, k).scaled(lam * weight))
+        weight = lam * _pair_weight(kind, space, j, k) * 2
+        items += [(lam * weight, Operator.identity(space)),
+                  (-weight, permutation_op(spec, space, j, k)),
+                  (weight, twist_op(spec, space, j, k))]
     if kind == "confined":
         om = RationalFunction.trap(space.sites)
-        for j in range(1, ms.sites + 1):
-            parts.append(Operator.position_op(space, j, 2).scaled(om * om))
-    return bind(operator_sum(space, parts), ms)
+        items += [(om * om, Operator.position_op(space, j, 2))
+                  for j in range(1, ms.sites + 1)]
+    return bind(operator_combination(space, items), ms)
 
 
 # ---------------------------------------------------------------------------
 # symmetry generators
 
 
-def _rotation_moment(spec: AlgebraSpec, sites: int, a: int, b: int,
-                     power: int = 0) -> Operator:
-    """Weighted rotation sum_j F_j^{ab} x_j^power; power 0 is level 0."""
+def _rotation_moment(spec: AlgebraSpec, sites: int, a: int, b: int) -> Operator:
+    """Level 0: the rotation sum_j F_j^{ab}."""
     space = OpSpace(spec.N, sites)
     return operator_combination(space, (
-        (RationalFunction.position(sites, j, power) if power else 1,
-         generator_op(spec, space, j, a, b))
-        for j in range(1, sites + 1)))
+        (1, generator_op(spec, space, j, a, b)) for j in range(1, sites + 1)))
 
 
 def _level1(kind: str, spec: AlgebraSpec, sites: int, a: int, b: int) -> Operator:
@@ -187,7 +183,7 @@ def _level1(kind: str, spec: AlgebraSpec, sites: int, a: int, b: int) -> Operato
     v = lam/(x_j-x_k), times (x_j+x_k)/2 in Euler form."""
     space = OpSpace(spec.N, sites)
     lam = _coupling(space)
-    parts = [generator_op(spec, space, j, a, b) * _kinetic(kind, space, j)
+    items = [(1, generator_op(spec, space, j, a, b) * _kinetic(kind, space, j))
              for j in range(1, sites + 1)]
     for j, k in permutations(range(1, sites + 1), 2):
         weight = lam * _inv_diff(space, j, k)
@@ -198,44 +194,44 @@ def _level1(kind: str, spec: AlgebraSpec, sites: int, a: int, b: int) -> Operato
             weight = weight * (RationalFunction.position(space.sites, j)
                                + RationalFunction.position(space.sites, k)) \
                 * Fraction(1, 2)
-        parts.append(pair_contraction(spec, space, j, k, a, b)
-                     .scaled(-weight))
-    return operator_sum(space, parts)
+        items.append((-weight, pair_contraction(spec, space, j, k, a, b)))
+    return operator_combination(space, items)
 
 
-def _rational_level2(spec: AlgebraSpec, sites: int, a: int, b: int) -> Operator:
+def _rational_level2(spec: AlgebraSpec, sites: int, a: int, b: int) -> List[Item]:
+    """The rational level 2 as ``(coefficient, operator)`` items."""
     space = OpSpace(spec.N, sites)
     lam = _coupling(space)
-    lam2 = lam * lam
     entries = generator_entries(spec, a, b)
-    parts = [generator_op(spec, space, j, a, b) * Operator.derivative_op(space, j, 2)
-             for j in range(1, sites + 1)]
+    items: List[Item] = [
+        (1, generator_op(spec, space, j, a, b)
+         * Operator.derivative_op(space, j, 2)) for j in range(1, sites + 1)]
     for j, k in permutations(range(1, sites + 1), 2):
-        inv1 = _inv_diff(space, j, k)
+        inv1 = lam * _inv_diff(space, j, k)
         # (d_j + d_k): the relative sign is pinned by the bracket identity
         # [level1, level1] = f * level2 at the critical coupling; the
         # difference d_j - d_k leaves an f-contractible residue
-        ops = Operator.derivative_op(space, j) + Operator.derivative_op(space, k)
-        parts.append((pair_contraction(spec, space, j, k, a, b) * ops)
-                     .scaled(-(lam * inv1)))
+        pair = pair_contraction(spec, space, j, k, a, b)
+        items += [(-inv1, pair * Operator.derivative_op(space, site))
+                  for site in (j, k)]
         inv2 = lam * _inv_diff(space, j, k, 2)
         # (E_j E_k)^{ab} with F's mirror term, less lam F_j^{ab}
-        middle = [(c, unit_pair_contraction(spec, space, j, k, p, q))
+        items += [(inv2 * c, unit_pair_contraction(spec, space, j, k, p, q))
                   for (p, q), c in entries.items()]
-        middle.append((-lam, generator_op(spec, space, j, a, b)))
-        parts.append(operator_combination(space, middle).scaled(inv2))
+        items.append((-lam * inv2, generator_op(spec, space, j, a, b)))
     for j, k, l in permutations(range(1, sites + 1), 3):
-        weight = lam2 * _inv_diff(space, j, k) * _inv_diff(space, j, l)
-        parts.append(triple_contraction(spec, space, k, j, l, a, b)
-                     .scaled(-weight))
-    return operator_sum(space, parts)
+        weight = lam * lam * _inv_diff(space, j, k) * _inv_diff(space, j, l)
+        items.append((-weight, triple_contraction(spec, space, k, j, l, a, b)))
+    return items
 
 
 def _confined_level1(spec: AlgebraSpec, sites: int, a: int, b: int) -> Operator:
+    """The rational level 2 less om^2 sum_j x_j^2 F_j^{ab}."""
     space = OpSpace(spec.N, sites)
     om = RationalFunction.trap(space.sites)
-    return _rational_level2(spec, sites, a, b) \
-        - _rotation_moment(spec, sites, a, b, 2).scaled(om * om)
+    return operator_combination(space, _rational_level2(spec, sites, a, b) + [
+        (-(om * om) * RationalFunction.position(sites, j, 2),
+         generator_op(spec, space, j, a, b)) for j in range(1, sites + 1)])
 
 
 def symmetry_generator(ms: ModelSpec, level: int, ab: Pair) -> Operator:
@@ -261,10 +257,10 @@ def generator_grid(ms: ModelSpec, level: int) -> Dict[Pair, Operator]:
 
 def symmetrized_triple(a: Operator, b: Operator, c: Operator) -> Operator:
     """The sum of the six ordered products times 1/24, formed as
-    (1/48) sum_cyc {x, {y, z}}: each nested anticommutator holds four of
-    the six orders, and the cyclic sum holds each order twice."""
+    (1/24) sum_cyc x * {y, z}: each product holds two of the six orders,
+    and the cyclic sum holds each order once."""
     return operator_combination(a.space, (
-        (Fraction(1, 48), anticommutator(x, anticommutator(y, z)))
+        (Fraction(1, 24), x * anticommutator(y, z))
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b))))
 
 

@@ -325,13 +325,13 @@ class TestSerre:
         # 27 triples of sp(2) fall into 3 one-triple and 8 three-triple
         # orbits; both checks decide through the one orbit walk
         called = []
-        cubic_sides = checks._ModelContext.cubic_sides
+        cubic_defect = checks._ModelContext.cubic_defect
 
         def counting(ctx, *triple):
             called.append(triple)
-            return cubic_sides(ctx, *triple)
+            return cubic_defect(ctx, *triple)
 
-        monkeypatch.setattr(checks._ModelContext, "cubic_sides", counting)
+        monkeypatch.setattr(checks._ModelContext, "cubic_defect", counting)
         r = check(ModelSpec(SP2, 3, kind, lam="star"))
         assert r.status == "pass"
         assert note in r.notes
@@ -353,17 +353,51 @@ class TestSerre:
             for x, y, z in checks._rotations((1, 1), (1, 2), (1, 3))))
         assert r.witness == checks._witness_terms(total, label)
 
+    def test_yangian_failure_witness(self):
+        # the first mismatching orbit's residue is the nested-commutator
+        # cyclic sum less the scale times the weighted symmetrized triples
+        ms = ModelSpec(SP4, 2, "sutherland", lam=F(1))
+        r = check_serre_yangian(ms)
+        assert r.status == "fail"
+        assert r.notes == ()
+        triple = ((1, 1), (1, 2), (1, 3))
+        label = f"residue at {triple}:"
+        assert r.witness[0] == "mismatching triples: 660/1000"
+        grid0 = generator_grid(ms, 0)
+        grid1 = generator_grid(ms, 1)
+        scale = checks._serre_rhs_scale(ms)
+        assert scale == RationalFunction.const(2, F(1))
+        weights = checks._serre_weight(SP4, *triple)
+        assert weights
+        total = operator_sum(ms.space, [
+            commutator(grid1[x], commutator(grid0[y], grid1[z]))
+            for x, y, z in checks._rotations(*triple)] + [
+            symmetrized_triple(*(grid0[label] for label in key))
+            .scaled(-c * scale) for key, c in weights.items()])
+        assert r.witness[1:] == checks._witness_terms(total, label)
+
+    def test_yangian_vacuity_note_names_the_zero_scale(self):
+        # sp(4) is not three-dimensional: at coupling 0 its cubic relation
+        # is 0 = 0 because the right-side scale lam^2 vanishes
+        r = check_serre_yangian(ModelSpec(SP4, 2, "sutherland", lam=F(0)))
+        assert r.status == "pass"
+        assert "nonvacuous triples: 0" in r.notes
+        assert r.notes[-1] == (
+            "both sides vanish identically for every triple: the right-side "
+            "scale is 0 at this coupling and trap")
+        assert not any("three-dimensional" in n for n in r.notes)
+
     def test_halfloop_stops_at_first_mismatch(self, monkeypatch):
         # the half-loop reports no mismatch count, so no orbit after the
         # first failing one is formed: 12 of sp(4)'s 340 orbits
         called = []
-        cubic_sides = checks._ModelContext.cubic_sides
+        cubic_defect = checks._ModelContext.cubic_defect
 
         def counting(ctx, *triple):
             called.append(triple)
-            return cubic_sides(ctx, *triple)
+            return cubic_defect(ctx, *triple)
 
-        monkeypatch.setattr(checks._ModelContext, "cubic_sides", counting)
+        monkeypatch.setattr(checks._ModelContext, "cubic_defect", counting)
         r = check_serre_halfloop(ModelSpec(SP4, 2, "calogero", lam=F(1)))
         assert r.status == "fail"
         assert len(called) == 12
@@ -393,8 +427,8 @@ class TestSerre:
         targets = checks._serre_targets(ctx, Pick(triples))
         assert [t.symbolically_zero for t in targets] == [True, True]
         for triple in triples:
-            lhs, rhs = ctx.cubic_sides(*triple)
-            assert lhs.is_zero and rhs.is_zero
+            defect, right_nonzero = ctx.cubic_defect(*triple)
+            assert defect.is_zero and not right_nonzero
         r = oracle_crosscheck(ms, seed=1)
         assert r.status == "pass"
         assert not any("excluded" in n for n in r.notes)

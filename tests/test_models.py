@@ -8,6 +8,7 @@ from itertools import permutations
 import pytest
 
 import spinsym.models as models
+import spinsym.operators as operators
 from spinsym.errors import DegenerateCouplingError
 from spinsym.exact import RationalFunction, lam_slot, om_slot
 from spinsym.lie import (AlgebraSpec, basis, conjugate_index, generator_op,
@@ -69,8 +70,8 @@ class TestModelSpec:
 
     def test_trap_bindings(self):
         # only the confined model has a trap slot to bind
-        assert ModelSpec(SP2, 2, "calogero", lam="symbolic",
-                         omega=F(2)).bindings() == {}
+        with pytest.raises(ValueError, match="calogero model has no trap"):
+            ModelSpec(SP2, 2, "calogero", lam="symbolic", omega=F(2))
         assert ModelSpec(SP2, 2, "confined", lam="symbolic",
                          omega=F(2)).bindings() == {om_slot(2): F(2)}
         assert ModelSpec(SP2, 2, "confined", lam="star",
@@ -260,12 +261,39 @@ class TestGenerators:
         assert grid[(1, 2)] == symmetry_generator(ms, 1, (1, 2))
 
     def test_moment_two_frozen(self):
-        # the trap term of the confined level 1 is this moment times om^2
-        space = OpSpace(SP2.N, 2)
+        # without the coupling the confined level 1 is its free part less
+        # the trap term om^2 sum_j F_j^{ab} x_j^2
+        ms = ModelSpec(SP2, 2, "confined", lam=F(0))
+        space = ms.space
+        om = RationalFunction.trap(2)
         expected = operator_sum(space, [
-            generator_op(SP2, space, j, 1, 2) * Operator.position_op(space, j, 2)
+            generator_op(SP2, space, j, 1, 2)
+            * (Operator.derivative_op(space, j, 2)
+               - Operator.position_op(space, j, 2).scaled(om * om))
             for j in (1, 2)])
-        assert models._rotation_moment(SP2, 2, 1, 2, power=2) == expected
+        assert symmetry_generator(ms, 1, (1, 2)) == expected
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_one_combination_per_build(self, monkeypatch, kind):
+        # each built operator is one linear combination of its items: no
+        # sum, difference or scaling of intermediate operators
+        calls = []
+        combine = operators.operator_combination
+
+        def counting(space, items):
+            calls.append(space)
+            return combine(space, items)
+
+        monkeypatch.setattr(models, "operator_combination", counting)
+        monkeypatch.setattr(operators, "operator_combination", counting)
+        ms = ModelSpec(SP2, 3, kind, lam="symbolic")
+        hamiltonian(ms)
+        assert len(calls) == 1
+        for level in (0, 1):
+            for ab in basis(SP2):
+                calls.clear()
+                symmetry_generator(ms, level, ab)
+                assert len(calls) == 1, (level, ab)
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_builders_keep_nothing(self, kind):
