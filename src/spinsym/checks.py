@@ -535,6 +535,25 @@ class _ModelContext:
         return (operator_combination(self.ms.space, items),
                 not right.is_zero)
 
+    def orbit_defect(self, triple: Triple) -> Tuple[Operator, bool]:
+        """``cubic_defect`` at a cyclic orbit's minimal triple, keeping the
+        orbit's zero test for ``serre_zero``."""
+        defect, right_nonzero = self.cubic_defect(*triple)
+        self._cache[("serre-zero", triple)] = defect.is_zero
+        return defect, right_nonzero
+
+    def serre_zero(self, ab: Pair, cd: Pair, ef: Pair) -> bool:
+        """Whether the cubic defect vanishes at a basis triple.
+
+        The defect is invariant under rotating the triple, so the test is
+        kept once per cyclic orbit, keyed by the orbit's minimal triple:
+        read from ``orbit_defect`` when a Serre check walked the orbit, and
+        otherwise decided here from the defect at that triple.
+        """
+        orbit = min(_rotations(ab, cd, ef))
+        return self._once(("serre-zero", orbit),
+                          lambda: self.orbit_defect(orbit)[0].is_zero)
+
 
 def _context(ms: ModelSpec, context: Optional[_ModelContext]
              ) -> _ModelContext:
@@ -654,9 +673,10 @@ def _serre_orbits(ctx: _ModelContext
                   ) -> Iterator[Tuple[Triple, int, Operator, bool]]:
     """``cubic_defect`` once per cyclic orbit (both sides are rotation
     invariant), walked lazily: each orbit's minimal triple and size, and
-    the orbit's defect and right-side flag."""
+    the orbit's defect and right-side flag.  Each orbit's zero test stays
+    in the context (``_ModelContext.orbit_defect``) for the oracle."""
     for triple, size in _cyclic_orbits(basis(ctx.ms.algebra)):
-        yield (triple, size) + ctx.cubic_defect(*triple)
+        yield (triple, size) + ctx.orbit_defect(triple)
 
 
 def check_serre_halfloop(ms: ModelSpec,
@@ -1305,8 +1325,10 @@ def _serre_targets(ctx: _ModelContext, rng: Random
                    ) -> List[_OracleTarget]:
     """Cubic relations at sampled triples.
 
-    The flag comes from the table route the Serre check proves with; the
-    defect is the independent nested-commutator route, applied to vectors:
+    The flag comes from the table route the Serre check proves with, read
+    from the orbit's zero test where that check decided it
+    (``_ModelContext.serre_zero``); the defect is the independent
+    nested-commutator route, applied to vectors:
     the cyclic sum of ``[J1^x, [J0^y, J1^z]]`` less the Serre scale times
     the weighted symmetrized triples of level-0 generators (none at scale 0).
     """
@@ -1326,7 +1348,7 @@ def _serre_targets(ctx: _ModelContext, rng: Random
                       for perm in permutations(key)]
         out.append(_OracleTarget(f"cubic relation {ab}, {cd}, {ef}",
                                  _word_map(ms.space, ops, words),
-                                 ctx.cubic_defect(ab, cd, ef)[0].is_zero))
+                                 ctx.serre_zero(ab, cd, ef)))
     return out
 
 

@@ -26,9 +26,9 @@ Representation choices, shared by the whole engine:
   coefficients and `denom` is 1 (content stripped), the numerator is
   never divisible by an active difference factor, and zero is uniquely
   (empty dict, 1, empty profile).  Equality is plain field equality,
-  and the hash is taken over the same fields.  `split()` factors a value
-  as a rational scalar times a primitive representative, which every
-  rational multiple of the value shares.
+  and the hash is taken over the same fields, once per value.  `split()`
+  factors a value as a rational scalar times a primitive representative,
+  which every rational multiple of the value shares.
 * The packed format stays inside this module.  Other modules build
   values with the constructors, which take exponent tuples (slots 0..L-1
   for x_1..x_L, slot L for `lam`, slot L + 1 for `om`) and rationals,
@@ -300,6 +300,17 @@ def diff_power(j: int, k: int, power: int) -> Poly:
     return cached
 
 
+def site_map(m: int, npos: int, sites: Sequence[int]) -> Tuple[int, ...]:
+    """`sites` as a tuple, checked to be an increasing map of m positions
+    into the 1-based sites 1..npos; ValueError otherwise."""
+    sites = tuple(sites)
+    if (len(sites) != m or any(a >= b for a, b in zip(sites, sites[1:]))
+            or (sites and not (1 <= sites[0] and sites[-1] <= npos))):
+        raise ValueError(f"site map {sites} is not an increasing map of "
+                         f"{m} positions into sites 1..{npos}")
+    return sites
+
+
 def profile_render(den: Profile, npos: int) -> str:
     parts = []
     for (j, k) in sorted(den):
@@ -317,7 +328,7 @@ class RationalFunction:
     """Canonical quotient of a polynomial by an integer and a product of
     differences."""
 
-    __slots__ = ("npos", "num", "denom", "den")
+    __slots__ = ("npos", "num", "denom", "den", "_hash")
 
     def __init__(self, npos: int,
                  terms: Mapping[Exponent, object] | None = None,
@@ -351,6 +362,7 @@ class RationalFunction:
         self.num = value.num
         self.denom = value.denom
         self.den = value.den
+        self._hash = None
 
     # constructors ---------------------------------------------------------
 
@@ -418,8 +430,13 @@ class RationalFunction:
                 and self.num == other.num)
 
     def __hash__(self) -> int:
-        return hash((self.npos, self.denom, frozenset(self.num.items()),
-                     frozenset(self.den.items())))
+        # the fields never change, so the hash is taken once, on first use
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.npos, self.denom,
+                                   frozenset(self.num.items()),
+                                   frozenset(self.den.items())))
+        return h
 
     def split(self) -> Tuple[Fraction, "RationalFunction"]:
         """``(q, p)`` with ``q * p == self`` and ``p`` primitive.
@@ -550,6 +567,40 @@ class RationalFunction:
             total, den = _cancel(total, den, raised)
         return _make(npos, total, denom, den)
 
+    def embed(self, npos: int, sites: Sequence[int]) -> "RationalFunction":
+        """The value on an `npos`-position table, with position i moved to
+        the 1-based site ``sites[i-1]`` and `lam` and `om` to their new
+        slots.
+
+        `sites` must be increasing and within 1..npos, one site per
+        position of this value.  A profile pair (j, k) becomes
+        (sites[j-1], sites[k-1]) in the same order, so no sign appears.
+        The map is an injective renaming of variables, a ring
+        monomorphism that sends each difference factor to a difference
+        factor; it keeps the content and every divisibility by a
+        difference factor, so a canonical value stays canonical.  The
+        identity map returns the value itself.
+        """
+        sites = site_map(self.npos, npos, sites)
+        if npos == self.npos:
+            return self
+        num, den = self.num, self.den
+        # a constant (only the key 0, no profile) keeps its fields as they are
+        if den or any(num):
+            shifts = [FIELD_BITS * (s - 1) for s in sites] + [
+                FIELD_BITS * lam_slot(npos), FIELD_BITS * om_slot(npos)]
+            moved: Poly = {}
+            for k, c in num.items():
+                key = 0
+                for shift in shifts:
+                    if k:
+                        key |= (k & _FIELD) << shift
+                        k >>= FIELD_BITS
+                moved[key] = c
+            num = moved
+            den = {(sites[j - 1], sites[k - 1]): e for (j, k), e in den.items()}
+        return _make(npos, num, self.denom, den)
+
     def substitute(self, bindings: Mapping[int, Fraction]) -> "RationalFunction":
         """Bind the coupling and/or trap slot to exact rationals.
 
@@ -632,6 +683,7 @@ def _make(npos: int, num: Poly, denom: int, den: Profile) -> RationalFunction:
     r.num = num
     r.denom = denom
     r.den = den
+    r._hash = None
     return r
 
 

@@ -85,13 +85,15 @@ def basis(spec: AlgebraSpec) -> Tuple[Pair, ...]:
     return tuple(out)
 
 
-def generator_entries(spec: AlgebraSpec, a: int, b: int) -> Dict[Pair, Fraction]:
+def generator_entries(spec: AlgebraSpec, a: int, b: int) -> Dict[Pair, int]:
     """The nonzero entries of F^{ab}, keyed (row, col): 1 at (a, b) less
     theta_a theta_b at (bar b, bar a), the one statement of the mirror rule.
-    On b = bar a they add up to 2 (sp) or cancel (so)."""
-    entries = {(a, b): Fraction(1)}
+    On b = bar a they add up to 2 (sp) or cancel (so).  The entries are
+    Python ints (+-1 or +-2), so products of them stay integers; a
+    quotient of them is taken as an exact Fraction."""
+    entries = {(a, b): 1}
     mirror = (conjugate_index(spec, b), conjugate_index(spec, a))
-    entries[mirror] = entries.get(mirror, Fraction(0)) \
+    entries[mirror] = entries.get(mirror, 0) \
         - theta(spec, a) * theta(spec, b)
     return {key: c for key, c in entries.items() if c}
 
@@ -101,7 +103,7 @@ def generator_matrix(spec: AlgebraSpec, a: int, b: int) -> Tuple[Tuple[Fraction,
     n = spec.N
     rows = [[Fraction(0)] * n for _ in range(n)]
     for (i, k), c in generator_entries(spec, a, b).items():
-        rows[i - 1][k - 1] = c
+        rows[i - 1][k - 1] = Fraction(c)
     return tuple(tuple(r) for r in rows)
 
 
@@ -124,10 +126,9 @@ def structure_row(spec: AlgebraSpec, ab: Pair, cd: Pair) -> Row:
         raise ValueError(f"labels {ab}, {cd} not in the admissible set") from None
 
 
-def _bracket(x: Dict[Pair, Fraction], y: Dict[Pair, Fraction]
-             ) -> Dict[Pair, Fraction]:
+def _bracket(x: Dict[Pair, int], y: Dict[Pair, int]) -> Dict[Pair, int]:
     # [X, Y] on sparse entries: (XY)_il = X_ij Y_jl, (YX)_kj = Y_kl X_lj
-    out: Dict[Pair, Fraction] = {}
+    out: Dict[Pair, int] = {}
     for (i, j), u in x.items():
         for (k, l), v in y.items():
             if j == k:
@@ -151,8 +152,8 @@ def structure_table(spec: AlgebraSpec) -> Dict[Tuple[Pair, Pair], Row]:
     for ab in pairs:
         for cd in pairs:
             bracket = _bracket(entries[ab], entries[cd])
-            table[(ab, cd)] = {ef: value / entries[ef][ef] for ef in pairs
-                               if (value := bracket.get(ef))}
+            table[(ab, cd)] = {ef: Fraction(value, entries[ef][ef])
+                               for ef in pairs if (value := bracket.get(ef))}
     return table
 
 

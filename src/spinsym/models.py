@@ -13,26 +13,40 @@ Pair sums run over ordered pairs j != k and triple sums over pairwise
 distinct (j, k, l), matching the displayed conventions, except where a
 summand is symmetric under j <-> k; odd reorderings of a difference
 factor push their sign into the numerator.
+
+Each summand is stated once, on its smallest support: a one-site item
+on sites (1,), a pair item on (1, 2) in both orders, (1, 2) and (2, 1),
+or once with its weight doubled where it is symmetric, and a triple item
+on (1, 2, 3) in all six orders.  The L-site sum is then the sum of these
+items embedded at every increasing site tuple (j,), (j, k) with j < k,
+or (j, k, l) with j < k < l (``operators.embed``): an increasing tuple
+carries both orders of a pair and all six of a triple, so each ordered
+pair and each ordered triple of distinct sites is met exactly once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, permutations
-from typing import Dict, List, Tuple, Union
+from typing import (Dict, Hashable, Iterable, List, Mapping, Sequence, Tuple,
+                    Union)
 
 from .errors import DegenerateCouplingError
 from .exact import RationalFunction, lam_slot, om_slot
-from .lie import AlgebraSpec, basis, generator_entries, generator_op
-from .operators import (Operator, OpSpace, Scalar, anticommutator,
+from .lie import AlgebraSpec, basis, generator_op
+from .operators import (Operator, OpSpace, Scalar, anticommutator, embed,
                         operator_combination)
-from .spin_ops import (pair_contraction, permutation_op, triple_contraction,
-                       twist_op, unit_pair_contraction)
+from .spin_ops import (mirror_pair_contraction, pair_contraction,
+                       permutation_op, triple_contraction, twist_op)
 from .value import Value
 
 Pair = Tuple[int, int]
 CouplingMode = Union[str, Fraction]
-Item = Tuple[Union[Scalar, RationalFunction], Operator]
+Weight = Union[Scalar, RationalFunction]
+Item = Tuple[Weight, Operator]
+# a weight's name and an operator on the weight's support
+Local = Tuple[Hashable, Operator]
 
 MODEL_KINDS = ("calogero", "sutherland", "confined")
 
@@ -119,27 +133,46 @@ def bind(op: Operator, ms: ModelSpec) -> Operator:
     return op.substitute(ms.bindings())
 
 
-def _coupling(space: OpSpace) -> RationalFunction:
-    return RationalFunction.coupling(space.sites)
+def _inv_diff(npos: int, j: int, k: int, power: int = 1) -> RationalFunction:
+    return RationalFunction.inverse_difference(npos, j, k, power)
 
 
-def _inv_diff(space: OpSpace, j: int, k: int, power: int = 1) -> RationalFunction:
-    return RationalFunction.inverse_difference(space.sites, j, k, power)
+def _kinetic(kind: str, space: OpSpace) -> Operator:
+    """The family's one-site derivative on a one-site space: d_1, or
+    x_1 d_1 in Euler form."""
+    d = Operator.derivative_op(space, 1)
+    return Operator.position_op(space, 1) * d if kind == "sutherland" else d
 
 
-def _kinetic(kind: str, space: OpSpace, j: int) -> Operator:
-    """The family's one-site derivative: d_j, or x_j d_j in Euler form."""
-    d = Operator.derivative_op(space, j)
-    return Operator.position_op(space, j) * d if kind == "sutherland" else d
+class _Frame:
+    """An L-site space and the label-independent weights of one build.
 
+    Each weight is stated once, on its smallest support: ``supports``
+    holds one dict of named weights per support size (one, two and three
+    sites).  A weight is embedded once per increasing site tuple of its
+    size (``RationalFunction.embed``), and every label's items share the
+    embeddings.  A frame lives for one builder call.
+    """
 
-def _pair_weight(kind: str, space: OpSpace, j: int, k: int) -> RationalFunction:
-    """1/(x_j-x_k)^2, times x_j x_k for the trigonometric family."""
-    weight = _inv_diff(space, j, k, 2)
-    if kind == "sutherland":
-        weight = RationalFunction.position(space.sites, j) \
-            * RationalFunction.position(space.sites, k) * weight
-    return weight
+    def __init__(self, space: OpSpace,
+                 supports: Sequence[Mapping[Hashable, Weight]]):
+        self.space = space
+        self._at: Dict[Hashable, List[Tuple[Tuple[int, ...], Weight]]] = {}
+        for size, weights in enumerate(supports, 1):
+            tuples = list(combinations(range(1, space.sites + 1), size))
+            for name, weight in weights.items():
+                self._at[name] = [
+                    (t, weight.embed(space.sites, t)
+                     if isinstance(weight, RationalFunction) else weight)
+                    for t in tuples]
+
+    def build(self, local: Iterable[Local]) -> Operator:
+        """The sum of the local items ``(weight name, operator on the
+        weight's support)``, each embedded at every increasing site tuple
+        with its weight there (``operators.embed``), in one combination."""
+        return operator_combination(self.space, (
+            (weight, embed(op, t, self.space))
+            for name, op in local for t, weight in self._at[name]))
 
 
 # ---------------------------------------------------------------------------
@@ -148,111 +181,156 @@ def _pair_weight(kind: str, space: OpSpace, j: int, k: int) -> RationalFunction:
 
 def hamiltonian(ms: ModelSpec) -> Operator:
     """-sum_j D_j^2 + sum_{j!=k} w_jk (lam^2 - lam P_jk + lam Q_jk), plus the
-    trap om^2 sum_j x_j^2 for the confined model, in one combination."""
-    spec, kind, space = ms.algebra, ms.kind, ms.space
-    lam = _coupling(space)
-    kinetic = [_kinetic(kind, space, j) for j in range(1, ms.sites + 1)]
-    items = [(-1, d * d) for d in kinetic]
+    trap om^2 sum_j x_j^2 for the confined model, in one combination.
+
+    w_jk is 1/(x_j-x_k)^2, times x_j x_k for the trigonometric family."""
+    spec, kind = ms.algebra, ms.kind
+    one, two = OpSpace(spec.N, 1), OpSpace(spec.N, 2)
+    lam = RationalFunction.coupling(2)
     # w_jk, P_jk and Q_jk are symmetric under j <-> k: each unordered pair
     # is summed once, with the weight doubled
-    for j, k in combinations(range(1, ms.sites + 1), 2):
-        weight = lam * _pair_weight(kind, space, j, k) * 2
-        items += [(lam * weight, Operator.identity(space)),
-                  (-weight, permutation_op(spec, space, j, k)),
-                  (weight, twist_op(spec, space, j, k))]
+    weight = lam * _inv_diff(2, 1, 2, 2) * 2
+    if kind == "sutherland":
+        weight = weight * RationalFunction.position(2, 1) \
+            * RationalFunction.position(2, 2)
+    singles: Dict[Hashable, Weight] = {"-1": -1}
+    kinetic = _kinetic(kind, one)
+    local = [("-1", kinetic * kinetic),
+             ("lam^2 w", Operator.identity(two)),
+             ("-lam w", permutation_op(spec, two, 1, 2)),
+             ("lam w", twist_op(spec, two, 1, 2))]
     if kind == "confined":
-        om = RationalFunction.trap(space.sites)
-        items += [(om * om, Operator.position_op(space, j, 2))
-                  for j in range(1, ms.sites + 1)]
-    return bind(operator_combination(space, items), ms)
+        om = RationalFunction.trap(1)
+        singles["om^2"] = om * om
+        local.append(("om^2", Operator.position_op(one, 1, 2)))
+    frame = _Frame(ms.space, [singles, {
+        "lam^2 w": lam * weight, "-lam w": -weight, "lam w": weight}])
+    return bind(frame.build(local), ms)
 
 
 # ---------------------------------------------------------------------------
-# symmetry generators
+# symmetry generators: the label-independent weights of each tower, and
+# each label's local items
 
 
-def _rotation_moment(spec: AlgebraSpec, sites: int, a: int, b: int) -> Operator:
+def _rotation_moment(spec: AlgebraSpec, sites: int, a: int, b: int
+                     ) -> List[Local]:
     """Level 0: the rotation sum_j F_j^{ab}."""
-    space = OpSpace(spec.N, sites)
-    return operator_combination(space, (
-        (1, generator_op(spec, space, j, a, b)) for j in range(1, sites + 1)))
+    return [("1", generator_op(spec, OpSpace(spec.N, 1), 1, a, b))]
 
 
-def _level1(kind: str, spec: AlgebraSpec, sites: int, a: int, b: int) -> Operator:
-    """sum_j F_j^{ab} D_j - sum_{j!=k} v_jk (F_j F_k)^{ab}, with
-    v = lam/(x_j-x_k), times (x_j+x_k)/2 in Euler form."""
-    space = OpSpace(spec.N, sites)
-    lam = _coupling(space)
-    items = [(1, generator_op(spec, space, j, a, b) * _kinetic(kind, space, j))
-             for j in range(1, sites + 1)]
-    for j, k in permutations(range(1, sites + 1), 2):
-        weight = lam * _inv_diff(space, j, k)
+def _level1_weights(kind: str) -> List[Dict[Hashable, Weight]]:
+    """1 on a site, and -v_12, -v_21 on a pair: v_jk = lam/(x_j-x_k),
+    times (x_j+x_k)/2 in Euler form."""
+    lam = RationalFunction.coupling(2)
+    pairs: Dict[Hashable, Weight] = {}
+    for name, (j, k) in (("-v12", (1, 2)), ("-v21", (2, 1))):
+        weight = lam * _inv_diff(2, j, k)
         if kind == "sutherland":
             # weight (x_j+x_k)/(2(x_j-x_k)); the 1/2 is forced by
             # [H, level1] = 0 at the critical coupling, doubling it breaks
             # conservation for every algebra tested
-            weight = weight * (RationalFunction.position(space.sites, j)
-                               + RationalFunction.position(space.sites, k)) \
+            weight = weight * (RationalFunction.position(2, 1)
+                               + RationalFunction.position(2, 2)) \
                 * Fraction(1, 2)
-        items.append((-weight, pair_contraction(spec, space, j, k, a, b)))
-    return operator_combination(space, items)
+        pairs[name] = -weight
+    return [{"1": 1}, pairs]
 
 
-def _rational_level2(spec: AlgebraSpec, sites: int, a: int, b: int) -> List[Item]:
-    """The rational level 2 as ``(coefficient, operator)`` items."""
-    space = OpSpace(spec.N, sites)
-    lam = _coupling(space)
-    entries = generator_entries(spec, a, b)
-    items: List[Item] = [
-        (1, generator_op(spec, space, j, a, b)
-         * Operator.derivative_op(space, j, 2)) for j in range(1, sites + 1)]
-    for j, k in permutations(range(1, sites + 1), 2):
-        inv1 = lam * _inv_diff(space, j, k)
+def _level1(kind: str, spec: AlgebraSpec, sites: int, a: int, b: int
+            ) -> List[Local]:
+    """sum_j F_j^{ab} D_j - sum_{j!=k} v_jk (F_j F_k)^{ab}
+    (``_level1_weights``)."""
+    one, two = OpSpace(spec.N, 1), OpSpace(spec.N, 2)
+    return [("1", generator_op(spec, one, 1, a, b) * _kinetic(kind, one)),
+            ("-v12", pair_contraction(spec, two, 1, 2, a, b)),
+            ("-v21", pair_contraction(spec, two, 2, 1, a, b))]
+
+
+def _level2_weights(sites: int) -> List[Dict[Hashable, Weight]]:
+    """The weights of the rational level 2 and of the confined level 1.
+
+    On a site: 1, and the trap weight -om^2 x_1^2 of the confined level
+    1.  On a pair: -lam/(x_j-x_k) at (1,2) and (2,1), w = lam/(x_1-x_2)^2
+    and -lam w.  On a triple (three sites or more): -lam^2 /
+    ((x_j-x_k)(x_j-x_l)), keyed by its order (j, k, l).
+    """
+    lam, om = RationalFunction.coupling(2), RationalFunction.trap(1)
+    w = lam * _inv_diff(2, 1, 2, 2)
+    supports: List[Dict[Hashable, Weight]] = [
+        {"1": 1, "-om^2 x^2": -(om * om) * RationalFunction.position(1, 1, 2)},
+        {"-lam/x12": -(lam * _inv_diff(2, 1, 2)),
+         "-lam/x21": -(lam * _inv_diff(2, 2, 1)),
+         "w": w, "-lam w": -(lam * w)}]
+    if sites >= 3:
+        lam = RationalFunction.coupling(3)
+        supports.append({
+            (j, k, l): -(lam * lam * _inv_diff(3, j, k) * _inv_diff(3, j, l))
+            for j, k, l in permutations((1, 2, 3))})
+    return supports
+
+
+def _rational_level2(spec: AlgebraSpec, sites: int, a: int, b: int
+                     ) -> List[Local]:
+    """The rational level 2 as local items (``_level2_weights``)."""
+    one, two = OpSpace(spec.N, 1), OpSpace(spec.N, 2)
+    items: List[Local] = [
+        ("1", generator_op(spec, one, 1, a, b)
+         * Operator.derivative_op(one, 1, 2))]
+    for name, (j, k) in (("-lam/x12", (1, 2)), ("-lam/x21", (2, 1))):
         # (d_j + d_k): the relative sign is pinned by the bracket identity
         # [level1, level1] = f * level2 at the critical coupling; the
         # difference d_j - d_k leaves an f-contractible residue
-        pair = pair_contraction(spec, space, j, k, a, b)
-        items += [(-inv1, pair * Operator.derivative_op(space, site))
+        pair = pair_contraction(spec, two, j, k, a, b)
+        items += [(name, pair * Operator.derivative_op(two, site))
                   for site in (j, k)]
-        inv2 = lam * _inv_diff(space, j, k, 2)
         # (E_j E_k)^{ab} with F's mirror term, less lam F_j^{ab}
-        items += [(inv2 * c, unit_pair_contraction(spec, space, j, k, p, q))
-                  for (p, q), c in entries.items()]
-        items.append((-lam * inv2, generator_op(spec, space, j, a, b)))
-    for j, k, l in permutations(range(1, sites + 1), 3):
-        weight = lam * lam * _inv_diff(space, j, k) * _inv_diff(space, j, l)
-        items.append((-weight, triple_contraction(spec, space, k, j, l, a, b)))
+        items += [("w", mirror_pair_contraction(spec, two, j, k, a, b)),
+                  ("-lam w", generator_op(spec, two, j, a, b))]
+    if sites >= 3:
+        three = OpSpace(spec.N, 3)
+        items += [((j, k, l), triple_contraction(spec, three, k, j, l, a, b))
+                  for j, k, l in permutations((1, 2, 3))]
     return items
 
 
-def _confined_level1(spec: AlgebraSpec, sites: int, a: int, b: int) -> Operator:
+def _confined_level1(spec: AlgebraSpec, sites: int, a: int, b: int
+                     ) -> List[Local]:
     """The rational level 2 less om^2 sum_j x_j^2 F_j^{ab}."""
-    space = OpSpace(spec.N, sites)
-    om = RationalFunction.trap(space.sites)
-    return operator_combination(space, _rational_level2(spec, sites, a, b) + [
-        (-(om * om) * RationalFunction.position(sites, j, 2),
-         generator_op(spec, space, j, a, b)) for j in range(1, sites + 1)])
+    return _rational_level2(spec, sites, a, b) + [
+        ("-om^2 x^2", generator_op(spec, OpSpace(spec.N, 1), 1, a, b))]
+
+
+def _tower(ms: ModelSpec, level: int, labels: Iterable[Pair]
+           ) -> Dict[Pair, Operator]:
+    """The model's own tower (levels 0 and 1) at the given labels,
+    dispatched by kind: one frame of weights, then one combination per
+    label."""
+    if level not in (0, 1):
+        raise ValueError("symmetry tower levels are 0 and 1")
+    spec, sites, kind = ms.algebra, ms.sites, ms.kind
+    if level == 0:
+        weights, local = [{"1": 1}], _rotation_moment
+    elif kind == "confined":
+        weights, local = _level2_weights(sites), _confined_level1
+    else:
+        weights = _level1_weights(kind)
+        local = partial(_level1, kind)
+    frame = _Frame(ms.space, weights)
+    return {ab: bind(frame.build(local(spec, sites, *ab)), ms)
+            for ab in labels}
 
 
 def symmetry_generator(ms: ModelSpec, level: int, ab: Pair) -> Operator:
-    """The model's own tower (levels 0 and 1), dispatched by kind."""
-    if level not in (0, 1):
-        raise ValueError("symmetry tower levels are 0 and 1")
+    """One generator of the model's own tower (``_tower``)."""
     if ab not in basis(ms.algebra):
         raise ValueError(f"label {ab} not in the admissible set")
-    spec, sites = ms.algebra, ms.sites
-    if level == 0:
-        op = _rotation_moment(spec, sites, *ab)
-    elif ms.kind == "confined":
-        op = _confined_level1(spec, sites, *ab)
-    else:
-        op = _level1(ms.kind, spec, sites, *ab)
-    return bind(op, ms)
+    return _tower(ms, level, (ab,))[ab]
 
 
 def generator_grid(ms: ModelSpec, level: int) -> Dict[Pair, Operator]:
-    return {ab: symmetry_generator(ms, level, ab)
-            for ab in basis(ms.algebra)}
+    """Every generator of one level, from one frame (``_tower``)."""
+    return _tower(ms, level, basis(ms.algebra))
 
 
 def symmetrized_triple(a: Operator, b: Operator, c: Operator) -> Operator:

@@ -40,7 +40,7 @@ from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
                     Sequence, Tuple, TypeVar, Union)
 
 from .errors import ShapeMismatchError, TermBudgetError
-from .exact import RationalFunction, rf_sum
+from .exact import RationalFunction, rf_sum, site_map
 from .value import Value
 
 Deriv = Tuple[int, ...]
@@ -615,6 +615,37 @@ def operator_combination(
 
 def operator_sum(space: OpSpace, items: Iterable[Operator]) -> Operator:
     return operator_combination(space, ((1, op) for op in items))
+
+
+def embed(op: Operator, sites: Sequence[int], space: OpSpace) -> Operator:
+    """``op`` on a larger space: site i of ``op.space`` becomes the 1-based
+    site ``sites[i-1]`` of ``space``, in its derivative orders, its spin
+    words and its coefficients (``RationalFunction.embed``).
+
+    ``sites`` must be increasing, so every word stays sorted by site, and
+    stays reduced; the result is in normal form as it is.  The identity
+    map returns ``op`` itself.
+    """
+    if space.spin_dim != op.space.spin_dim:
+        raise ShapeMismatchError(
+            f"spin dimension {op.space.spin_dim} embedded in {space}")
+    m, npos = op.space.sites, space.sites
+    sites = site_map(m, npos, sites)
+    if npos == m:
+        return op
+    zero = space.zero_deriv
+    out: Dict[TermKey, RationalFunction] = {}
+    for (deriv, word), coeff in op.terms.items():
+        if any(deriv):
+            moved = [0] * npos
+            for s, e in zip(sites, deriv):
+                moved[s - 1] = e
+            deriv = tuple(moved)
+        else:
+            deriv = zero
+        out[(deriv, tuple((sites[s - 1], a, b) for s, a, b in word))] = \
+            coeff.embed(npos, sites)
+    return Operator(space, out)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@
 signed partner obtained by conjugating one slot of the pair with the index
 reflection.  The pair/triple contractions combine signed generators across
 distinct sites with the auxiliary matrix index summed over the full range,
-e.g. pair_contraction(j, k)^{ab} = sum_c F_j^{ac} F_k^{cb}.  Each is a sum
+e.g. pair_contraction(j, k)^{ab} = sum_c F_j^{ac} F_k^{cb}, and the
+mirror pair contraction reads the raw matrix-unit contraction (E_j E_k)
+through the entries of F^{ab}.  Each is a sum
 of words with one matrix unit per site, read off the generator entries
 (``lie.generator_entries``) and built by one ``Operator.spin_sum``, which
 checks the sites; no operator product is formed.  These are the building
@@ -14,13 +16,10 @@ generators.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .lie import AlgebraSpec, conjugate_index, generator_entries, theta
 from .operators import Operator, OpSpace
-
-Entries = Callable[[AlgebraSpec, int, int], Dict[Tuple[int, int], Fraction]]
 
 
 def permutation_op(spec: AlgebraSpec, space: OpSpace, j: int, k: int) -> Operator:
@@ -40,25 +39,35 @@ def twist_op(spec: AlgebraSpec, space: OpSpace, j: int, k: int) -> Operator:
         for a in range(1, n + 1) for b in range(1, n + 1)))
 
 
-def _unit_entries(spec: AlgebraSpec, a: int, b: int
-                  ) -> Dict[Tuple[int, int], Fraction]:
-    return {(a, b): Fraction(1)}
+def _check_dim(spec: AlgebraSpec, space: OpSpace) -> None:
+    if space.spin_dim != spec.N:
+        raise ValueError("operator space spin dimension differs from N")
 
 
 def _chain(spec: AlgebraSpec, space: OpSpace, sites: Sequence[int],
-           a: int, b: int, entries: Entries = generator_entries) -> Operator:
-    """(X_{s_1} ... X_{s_m})^{ab} over distinct sites, X = F by default:
-    the sum over index chains a = c_0, ..., c_m = b of one entry of
-    X^{c_{i-1} c_i} on site s_i per factor."""
-    if space.spin_dim != spec.N:
-        raise ValueError("operator space spin dimension differs from N")
-    chains = [(Fraction(1), (), a)]
+           a: int, b: int) -> Operator:
+    """(F_{s_1} ... F_{s_m})^{ab} over distinct sites: the sum over index
+    chains a = c_0, ..., c_m = b of one entry of F^{c_{i-1} c_i} on site
+    s_i per factor.  The entries are integers, so each chain's
+    coefficient is an integer product."""
+    _check_dim(spec, space)
+    chains = [(1, (), a)]
     for i, site in enumerate(sites):
         ends = (b,) if i == len(sites) - 1 else range(1, spec.N + 1)
         chains = [(c * e, atoms + ((site, p, q),), end)
                   for c, atoms, start in chains for end in ends
-                  for (p, q), e in entries(spec, start, end).items()]
+                  for (p, q), e in generator_entries(spec, start, end).items()]
     return Operator.spin_sum(space, ((c, atoms) for c, atoms, _ in chains))
+
+
+def _unit_pairs(spec: AlgebraSpec, space: OpSpace, j: int, k: int,
+                entries: Dict[Tuple[int, int], int]) -> Operator:
+    """sum c_pq (E_j E_k)^{pq} over the entries, with the raw matrix-unit
+    contraction (E_j E_k)^{pq} = sum_r E_j^{pr} E_k^{rq}."""
+    _check_dim(spec, space)
+    return Operator.spin_sum(space, (
+        (c, ((j, p, r), (k, r, q))) for (p, q), c in entries.items()
+        for r in range(1, spec.N + 1)))
 
 
 def pair_contraction(spec: AlgebraSpec, space: OpSpace, j: int, k: int,
@@ -76,4 +85,11 @@ def triple_contraction(spec: AlgebraSpec, space: OpSpace, k: int, j: int,
 def unit_pair_contraction(spec: AlgebraSpec, space: OpSpace, j: int, k: int,
                           a: int, b: int) -> Operator:
     """(E_j E_k)^{ab}: the raw matrix-unit contraction, no signed mirror."""
-    return _chain(spec, space, (j, k), a, b, _unit_entries)
+    return _unit_pairs(spec, space, j, k, {(a, b): 1})
+
+
+def mirror_pair_contraction(spec: AlgebraSpec, space: OpSpace, j: int,
+                            k: int, a: int, b: int) -> Operator:
+    """(E_j E_k)^{ab} with F's mirror term: sum over the entries c_pq of
+    F^{ab} of c_pq (E_j E_k)^{pq}."""
+    return _unit_pairs(spec, space, j, k, generator_entries(spec, a, b))

@@ -337,6 +337,33 @@ class TestSerre:
         assert note in r.notes
         assert len(called) == len(set(called)) == 11
 
+    @pytest.mark.parametrize("ms, selected, orbits", [
+        (ModelSpec(SP2, 2, "confined"), None, 11),
+        (ModelSpec(SP4, 2, "sutherland", lam="star"), None, 340),
+        (ModelSpec(SP2, 2, "confined"), ["oracle"], 3)],
+        ids=["confined-sp(2)", "sutherland-sp(4)", "oracle-alone"])
+    def test_oracle_reads_the_orbit_zero_tests(self, monkeypatch, ms,
+                                               selected, orbits):
+        # the oracle's cubic flags come from the zero tests the Serre check
+        # kept per orbit; alone it forms at most one defect per sample
+        called = []
+        cubic_defect = checks._ModelContext.cubic_defect
+
+        def counting(ctx, *triple):
+            called.append(triple)
+            return cubic_defect(ctx, *triple)
+
+        monkeypatch.setattr(checks._ModelContext, "cubic_defect", counting)
+        report = run_model_suite(ms, selected)
+        oracle = {r.name: r for r in report.results}["oracle-crosscheck"]
+        assert oracle.status == "pass"
+        assert len(called) == len(set(called))
+        if selected is None:
+            assert len(called) == orbits
+        else:
+            assert len(called) <= orbits
+            assert all(t == min(checks._rotations(*t)) for t in called)
+
     def test_halfloop_failure_witness(self):
         # the first orbit whose cyclic sum is nonzero, rendered from the
         # nested commutators

@@ -504,6 +504,79 @@ def test_split_is_shared_by_rational_multiples(a, factor):
     assert fq == q * factor
 
 
+# increasing maps of three positions into five sites
+SITES5 = st.lists(st.integers(1, 5), min_size=3, max_size=3,
+                  unique=True).map(lambda s: tuple(sorted(s)))
+
+
+def embed_by_constructor(rf, npos, sites):
+    """``rf`` rebuilt on ``npos`` positions through the public constructor,
+    with position i moved to site ``sites[i-1]``."""
+    m = rf.npos
+    terms = {}
+    for expo, c in rf.terms():
+        moved = [0] * nvars(npos)
+        for i, s in enumerate(sites):
+            moved[s - 1] = expo[i]
+        moved[lam_slot(npos)] = expo[lam_slot(m)]
+        moved[om_slot(npos)] = expo[om_slot(m)]
+        terms[tuple(moved)] = c
+    den = {(sites[j - 1], sites[k - 1]): e for (j, k), e in rf.den.items()}
+    return RationalFunction(npos, terms, den)
+
+
+class TestEmbed:
+    @settings(max_examples=60, deadline=None)
+    @given(a=rationals3(), b=rationals3(), sites=SITES5)
+    def test_ring_monomorphism(self, a, b, sites):
+        def up(r):
+            return r.embed(5, sites)
+
+        assert up(a + b) == up(a) + up(b)
+        assert up(a * b) == up(a) * up(b)
+        assert up(a - b) == up(a) - up(b)
+        assert up(a * F(-3, 2)) == up(a) * F(-3, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=rationals3(), sites=SITES5, j=st.integers(1, 3),
+           value=coeffs)
+    def test_commutes_with_derivative_and_substitution(self, a, sites, j,
+                                                       value):
+        up = a.embed(5, sites)
+        assert a.derivative(j).embed(5, sites) == up.derivative(sites[j - 1])
+        for slot3, slot5 in ((lam_slot(3), lam_slot(5)),
+                             (om_slot(3), om_slot(5))):
+            assert (a.substitute({slot3: value}).embed(5, sites)
+                    == up.substitute({slot5: value}))
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=rationals3(), sites=SITES5)
+    def test_result_is_canonical(self, a, sites):
+        # the constructor canonicalizes; the embedding copies the fields
+        up = a.embed(5, sites)
+        rebuilt = embed_by_constructor(a, 5, sites)
+        assert rebuilt == up
+        assert rebuilt.render() == up.render()
+        assert hash(rebuilt) == hash(up)
+
+    def test_identity_map_returns_the_value(self):
+        a = (x(3, 1) + RationalFunction.coupling(3)) * inv(3, 3, 2)
+        assert a.embed(3, (1, 2, 3)) is a
+
+    def test_moves_positions_parameters_and_profile(self):
+        a = (x(2, 1) * RationalFunction.trap(2)
+             + RationalFunction.coupling(2)) * inv(2, 1, 2, 2)
+        assert a.embed(4, (2, 4)).render() == \
+            "(x2*om + lam) / ((x2-x4)^2)"
+
+    @pytest.mark.parametrize("npos, sites", [
+        (4, (2, 1)), (4, (1, 1)), (4, (0, 2)), (4, (3, 5)), (4, (1,)),
+        (4, (1, 2, 3)), (1, (1, 2))])
+    def test_bad_site_map_raises(self, npos, sites):
+        with pytest.raises(ValueError, match="not an increasing map"):
+            inv(2, 1, 2).embed(npos, sites)
+
+
 def test_packed_fields_stay_in_exact():
     # the packed numerator and denominator of a RationalFunction are read
     # only inside exact.py; everything else goes through its methods

@@ -70,6 +70,21 @@ class TestGeneratorMatrices:
         # not a basis label: the entry and its mirror cancel
         assert generator_entries(SO3, 1, 3) == {}
 
+    @pytest.mark.parametrize("n,theta0", LIE_SUITE_SPECS,
+                             ids=lambda v: str(v))
+    def test_integer_entries_exact_quotients(self, n, theta0):
+        # entries are ints, so products of them stay integers; every
+        # structure constant read off them is a Fraction, never a float
+        spec = AlgebraSpec(n, theta0)
+        for ab in basis(spec):
+            assert all(type(c) is int and c in (-2, -1, 1, 2)
+                       for c in generator_entries(spec, *ab).values())
+        assert all(type(c) is Fraction for row in structure_table(spec).values()
+                   for c in row.values())
+        assert all(type(c) is Fraction
+                   for ab in basis(spec) for row in generator_matrix(spec, *ab)
+                   for c in row)
+
     def test_mirror_rule_stated_once(self):
         # the models read F^{ab} through its entries, and in lie.py only the
         # basis and the entries ask for index signs or conjugates

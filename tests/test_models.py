@@ -3,7 +3,7 @@
 import gc
 import weakref
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -11,12 +11,13 @@ import spinsym.models as models
 import spinsym.operators as operators
 from spinsym.errors import DegenerateCouplingError
 from spinsym.exact import RationalFunction, lam_slot, om_slot
-from spinsym.lie import (AlgebraSpec, basis, conjugate_index, generator_op,
-                         theta)
-from spinsym.models import (MODEL_KINDS, ModelSpec, coupling_weight,
+from spinsym.lie import (AlgebraSpec, basis, conjugate_index,
+                         generator_entries, generator_op, theta)
+from spinsym.models import (MODEL_KINDS, ModelSpec, bind, coupling_weight,
                             generator_grid, hamiltonian, star_coupling,
                             symmetrized_triple, symmetry_generator)
-from spinsym.operators import Operator, OpSpace, commutator, operator_sum
+from spinsym.operators import (Operator, OpSpace, commutator,
+                               operator_combination, operator_sum)
 from spinsym.spin_ops import (pair_contraction, permutation_op,
                               triple_contraction, twist_op,
                               unit_pair_contraction)
@@ -236,6 +237,107 @@ class TestInteraction:
                 parts.append(triple_contraction(spec, space, k, j, l, a, b)
                              .scaled(-(lam * lam * inv(j, k) * inv(j, l))))
             assert grid[(a, b)] == operator_sum(space, parts), (a, b)
+
+
+# the per-site route: every pair and triple term built on the full L-site
+# space, once per ordered site tuple and once per label
+
+
+def per_site_hamiltonian(ms):
+    spec, kind, space, sites = ms.algebra, ms.kind, ms.space, ms.sites
+    lam = RationalFunction.coupling(sites)
+
+    def kinetic(j):
+        d = Operator.derivative_op(space, j)
+        return Operator.position_op(space, j) * d if kind == "sutherland" \
+            else d
+
+    items = [(-1, kinetic(j) * kinetic(j)) for j in range(1, sites + 1)]
+    for j, k in combinations(range(1, sites + 1), 2):
+        weight = RationalFunction.inverse_difference(sites, j, k, 2)
+        if kind == "sutherland":
+            weight = weight * RationalFunction.position(sites, j) \
+                * RationalFunction.position(sites, k)
+        weight = lam * weight * 2
+        items += [(lam * weight, Operator.identity(space)),
+                  (-weight, permutation_op(spec, space, j, k)),
+                  (weight, twist_op(spec, space, j, k))]
+    if kind == "confined":
+        om = RationalFunction.trap(sites)
+        items += [(om * om, Operator.position_op(space, j, 2))
+                  for j in range(1, sites + 1)]
+    return bind(operator_combination(space, items), ms)
+
+
+def per_site_generator(ms, level, a, b):
+    spec, kind, space, sites = ms.algebra, ms.kind, ms.space, ms.sites
+    lam = RationalFunction.coupling(sites)
+    site_range = range(1, sites + 1)
+
+    def inv(j, k, power=1):
+        return RationalFunction.inverse_difference(sites, j, k, power)
+
+    def f(j):
+        return generator_op(spec, space, j, a, b)
+
+    def d(j, order=1):
+        return Operator.derivative_op(space, j, order)
+
+    if level == 0:
+        items = [(1, f(j)) for j in site_range]
+    elif kind != "confined":
+        items = [(1, f(j) * (Operator.position_op(space, j) * d(j)
+                             if kind == "sutherland" else d(j)))
+                 for j in site_range]
+        for j, k in permutations(site_range, 2):
+            weight = lam * inv(j, k)
+            if kind == "sutherland":
+                weight = weight * (RationalFunction.position(sites, j)
+                                   + RationalFunction.position(sites, k)) \
+                    * F(1, 2)
+            items.append((-weight, pair_contraction(spec, space, j, k, a, b)))
+    else:
+        om = RationalFunction.trap(sites)
+        items = [(1, f(j) * d(j, 2)) for j in site_range]
+        for j, k in permutations(site_range, 2):
+            pair = pair_contraction(spec, space, j, k, a, b)
+            items += [(-(lam * inv(j, k)), pair * d(site)) for site in (j, k)]
+            inv2 = lam * inv(j, k, 2)
+            items += [(inv2 * c,
+                       unit_pair_contraction(spec, space, j, k, p, q))
+                      for (p, q), c in generator_entries(spec, a, b).items()]
+            items.append((-lam * inv2, f(j)))
+        for j, k, l in permutations(site_range, 3):
+            items.append((-(lam * lam * inv(j, k) * inv(j, l)),
+                          triple_contraction(spec, space, k, j, l, a, b)))
+        items += [(-(om * om) * RationalFunction.position(sites, j, 2), f(j))
+                  for j in site_range]
+    return bind(operator_combination(space, items), ms)
+
+
+class TestPerSiteReference:
+    """Each builder states its items once on their smallest support and
+    embeds them per increasing site tuple; the operators equal the
+    per-site route's, term for term."""
+
+    @pytest.mark.parametrize("sites", [2, 3, 4])
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_builders_match_per_site_route(self, kind, sites):
+        for spec in (SP2, SO3):
+            for lam in ("symbolic", "star"):
+                ms = ModelSpec(spec, sites, kind, lam=lam)
+                assert hamiltonian(ms) == per_site_hamiltonian(ms)
+                for level in (0, 1):
+                    grid = generator_grid(ms, level)
+                    assert list(grid) == list(basis(spec))
+                    for ab, op in grid.items():
+                        assert op == per_site_generator(ms, level, *ab), \
+                            (spec, lam, level, ab)
+
+    def test_sp4_confined_matches_per_site_route(self):
+        ms = ModelSpec(SP4, 3, "confined", lam="symbolic")
+        for ab, op in generator_grid(ms, 1).items():
+            assert op == per_site_generator(ms, 1, *ab), ab
 
 
 class TestGenerators:

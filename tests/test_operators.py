@@ -16,7 +16,7 @@ from spinsym.errors import ShapeMismatchError, TermBudgetError
 from spinsym.exact import RationalFunction, lam_slot, om_slot
 from spinsym.operators import (Operator, OpSpace, _multi_derivative,
                                anticommutator, apply_operator, commutator,
-                               evaluate_vector,
+                               embed, evaluate_vector,
                                operator_combination, operator_sum,
                                term_ceiling, vector_combination, word_apply)
 
@@ -494,6 +494,54 @@ def test_parameter_substitution_is_a_homomorphism(a, b, slot, value):
     assert (a * b).substitute(at) == a.substitute(at) * b.substitute(at)
     assert (commutator(a, b).substitute(at)
             == commutator(a.substitute(at), b.substitute(at)))
+
+
+# increasing maps of two sites into four
+SITES4 = st.lists(st.integers(1, 4), min_size=2, max_size=2,
+                  unique=True).map(lambda s: tuple(sorted(s)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=op_pairs(), sites=SITES4)
+def test_embed_commutes_with_products_and_commutators(pair, sites):
+    a, b = pair
+    big = OpSpace(a.space.spin_dim, 4)
+
+    def up(op):
+        return embed(op, sites, big)
+
+    assert up(a * b) == up(a) * up(b)
+    assert up(commutator(a, b)) == commutator(up(a), up(b))
+    assert up(anticommutator(a, b)) == anticommutator(up(a), up(b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=parameter_ops(), b=parameter_ops(), sites=SITES4)
+def test_embed_commutes_with_linear_combinations(a, b, sites):
+    big = OpSpace(2, 4)
+    c = RationalFunction.coupling(2) * RationalFunction.inverse_difference(
+        2, 2, 1)
+    whole = operator_combination(SP, [(c, a), (F(-2, 3), b)])
+    parts = operator_combination(big, [(c.embed(4, sites), embed(a, sites, big)),
+                                       (F(-2, 3), embed(b, sites, big))])
+    assert embed(whole, sites, big) == parts
+
+
+def test_embed_relabels_sites_orders_and_words():
+    big = OpSpace(2, 3)
+    op = (X(1) * D(2, 2)) * E(1, 1, 2) * E(2, 2, 1)
+    assert embed(op, (1, 3), big).render() == "(x1) * d3^2 * E1[1,2]*E3[2,1]"
+    assert embed(op, (1, 2), SP) is op
+
+
+def test_embed_rejects_bad_maps():
+    op = E(1, 1, 2) * E(2, 2, 1)
+    with pytest.raises(ValueError, match="not an increasing map"):
+        embed(op, (2, 1), OpSpace(2, 3))
+    with pytest.raises(ValueError, match="not an increasing map"):
+        embed(Operator.zero(SP), (1, 4), OpSpace(2, 3))
+    with pytest.raises(ShapeMismatchError):
+        embed(op, (1, 2), OpSpace(3, 3))
 
 
 def test_rf_sum_has_one_caller():

@@ -14,8 +14,8 @@ from spinsym.lie import (AlgebraSpec, basis, conjugate_index,
 from spinsym.operators import (Operator, OpSpace, apply_operator,
                                operator_combination, operator_sum,
                                term_ceiling)
-from spinsym.spin_ops import (pair_contraction, permutation_op,
-                              triple_contraction, twist_op,
+from spinsym.spin_ops import (mirror_pair_contraction, pair_contraction,
+                              permutation_op, triple_contraction, twist_op,
                               unit_pair_contraction)
 
 F = Fraction
@@ -214,6 +214,22 @@ def test_builders_match_unit_products(spec):
         for a, b in labels:
             assert triple_contraction(spec, space, k, j, l, a, b) \
                 == ref_triple(spec, space, k, j, l, a, b)
+
+
+@pytest.mark.parametrize("spec", LEGAL, ids=lambda s: s.describe())
+def test_mirror_pair_matches_unit_products(monkeypatch, spec):
+    # (E_j E_k) read through the entries of F^{ab}, one word sum
+    space = OpSpace(spec.N, 3)
+    expected = {}
+    for j, k in permutations((1, 2, 3), 2):
+        for a in range(1, spec.N + 1):
+            for b in range(1, spec.N + 1):
+                expected[(j, k, a, b)] = operator_combination(space, (
+                    (c, ref_unit_pair(spec, space, j, k, p, q))
+                    for (p, q), c in generator_entries(spec, a, b).items()))
+    monkeypatch.setattr(Operator, "__mul__", None)
+    for (j, k, a, b), want in expected.items():
+        assert mirror_pair_contraction(spec, space, j, k, a, b) == want
 
 
 def test_spin_layer_forms_no_operator_product(monkeypatch):
