@@ -25,9 +25,9 @@ from .errors import (DegenerateCouplingError, OracleDisagreementError,
                      SingularMetricError, TermBudgetError)
 from .exact import RationalFunction, lam_slot, om_slot
 from .lie import (AlgebraSpec, Pair, basis, conjugate_index, generator_matrix,
-                  generator_op, ideal_generators, lowered_adjoint_constants,
-                  metric, raised_constants, structure_row, structure_table,
-                  theta)
+                  generator_op, ideal_generators, lie_generators,
+                  lowered_adjoint_constants, metric, raised_constants,
+                  structure_row, structure_table, theta)
 from .models import (Item, ModelSpec, bind, coupling_weight, generator_grid,
                      hamiltonian, star_coupling, symmetrized_triple)
 from .operators import (Operator, OpSpace, SpinVector, apply_operator,
@@ -417,6 +417,61 @@ class _ModelContext:
         return self._once(("ham", level, ab), lambda: commutator(
             self.hamiltonian(), self.grid(level)[ab]))
 
+    def _on_generators(self, key: object,
+                       vanishes: Callable[[Pair], bool]) -> bool:
+        """Whether ``vanishes(y)`` holds for every basis label y, where the
+        labels at which it holds span a subalgebra once level-relation-0
+        holds (``covariant(0)``): then it is decided on labels that
+        generate the algebra as a Lie algebra (``lie.lie_generators``),
+        and otherwise on every label.  Decided once per context."""
+
+        def build() -> bool:
+            deciding = (lie_generators(self.ms.algebra) if self.covariant(0)
+                        else basis(self.ms.algebra))
+            return all(vanishes(y) for y in deciding)
+
+        return self._once(key, build)
+
+    def covariant(self, level: int) -> bool:
+        """Whether every residual ``R(y,z)`` of the level vanishes.
+
+        Level 0 is level-relation-0, the premise that ``y -> J0^y`` is a
+        representation.  It is decided once, on the fully symbolic variant:
+        binding commutes with products and normal forms are unique, so a
+        residual that vanishes there vanishes at every coupling and trap.
+        Where it fails there, the context forms all d^2 of its own
+        residuals.  Under the premise the operators are a module of the
+        algebra by ``ad J0``, ``R(y, .)`` is y acting on the map
+        ``z -> J^z``, and the labels that annihilate a vector of a module
+        span a subalgebra (Humphreys, *Introduction to Lie Algebras and
+        Representation Theory*, 1972, sections 1-6).  So a higher level
+        forms ``R(y,z)`` only for the Lie generators y
+        (``_on_generators``), and for every y when the premise fails.
+        """
+        labels = basis(self.ms.algebra)
+
+        def representation() -> bool:
+            symbolic = self.variant(lam="symbolic", omega="symbolic")
+            if symbolic is not self and symbolic.covariant(0):
+                return True
+            return all(self.residual(0, y, z).is_zero
+                       for y in labels for z in labels)
+
+        if level == 0:
+            return self._once(("covariant", 0), representation)
+        return self._on_generators(("covariant", level), lambda y: all(
+            self.residual(level, y, z).is_zero for z in labels))
+
+    def conserved0(self) -> bool:
+        """Whether ``[H, J0^y]`` vanishes for every y.
+
+        When ``J0`` is a representation, Jacobi gives ``[H, J0^[y,y']] =
+        [[H, J0^y], J0^y'] + [J0^y, [H, J0^y']]``, so the labels with
+        ``[H, J0^y] = 0`` span a subalgebra and the Lie generators decide
+        (``_on_generators``)."""
+        return self._on_generators("conserved0", lambda y: self.ham_bracket(
+            0, y).is_zero)
+
     def deciding_labels(self, level: int) -> Tuple[Pair, ...]:
         """Labels whose brackets ``[H, J^ab]`` decide the whole level.
 
@@ -426,16 +481,16 @@ class _ModelContext:
         ``D = 0`` span an ideal of the algebra; then ``D`` vanishes on
         every label once it vanishes on labels that generate the whole
         algebra as an ideal (``lie.ideal_generators``).  Both premises are
-        checked here, stopping at the first that fails; if one fails every
-        label is returned, so a caller's loop runs over all of them.
+        checked here (``_conserved`` and ``covariant``), stopping at the
+        first that fails; if one fails every label is returned, so a
+        caller's loop runs over all of them.
         """
 
         def build() -> Tuple[Pair, ...]:
             labels = basis(self.ms.algebra)
             if not all(_conserved(self, 0, y) for y in labels):
                 return labels
-            if not all(self.residual(level, y, z).is_zero
-                       for y in labels for z in labels):
+            if not self.covariant(level):
                 return labels
             return ideal_generators(self.ms.algebra)
 
@@ -489,18 +544,22 @@ class _ModelContext:
             [J1^x, [J0^y, J1^z]] = sum_w f^{yz}_w B(x,w) + [J1^x, R(y,z)]
 
         with ``B(w,x) = -B(x,w)`` and ``B(x,x) = 0``, whether or not
-        covariance holds.  Each triple is a row of rationals over the
-        entries ``x < w``; the rows are merged, and only an entry with a
-        nonzero net coefficient is formed.  Normal forms are unique, so the
+        covariance holds; no residual is formed where ``covariant(1)``
+        decided that they all vanish.  Each triple is a row of rationals
+        over the entries ``x < w``; the rows are merged, and only an entry
+        with a nonzero net coefficient is formed.  Normal forms are unique, so the
         items sum to the nested commutators exactly.
         """
         row: Dict[Tuple[Pair, Pair], Fraction] = {}
         parts: List[Item] = []
+        covariant = self.covariant(1)
         for x, y, z in triples:
             for w, c in structure_row(self.ms.algebra, y, z).items():
                 if w != x:
                     key, c = ((x, w), c) if x < w else ((w, x), -c)
                     row[key] = row.get(key, Fraction(0)) + c
+            if covariant:
+                continue
             rest = self.residual(1, y, z)
             if not rest.is_zero:
                 parts.append((Fraction(1), commutator(self.grid(1)[x], rest)))
@@ -573,6 +632,8 @@ def check_conservation(ms: ModelSpec, context: Optional[_ModelContext] = None
     """Level-0 generators commute with the Hamiltonian for every coupling;
     level-1 generators commute at the coupling bound in the model spec.
 
+    Level 0 passes when ``conserved0`` holds, with the coupling free;
+    otherwise the first failing generator's bracket is the witness.
     Level 1 passes when ``failing_labels(1)`` is empty; otherwise the
     first failing generator's bracket is the witness.
     """
@@ -582,12 +643,14 @@ def check_conservation(ms: ModelSpec, context: Optional[_ModelContext] = None
 
     def level0():
         free = ctx.variant(lam="symbolic")
-        for ab in labels:
-            defect = free.ham_bracket(0, ab)
-            if not defect.is_zero:
-                return ("fail",
-                        _witness_terms(defect, f"defect for generator {ab}:"),
-                        ("coupling left symbolic",))
+        if not free.conserved0():
+            for ab in labels:
+                defect = free.ham_bracket(0, ab)
+                if not defect.is_zero:
+                    return ("fail",
+                            _witness_terms(defect,
+                                           f"defect for generator {ab}:"),
+                            ("coupling left symbolic",))
         return "pass", (), ("coupling left symbolic",
                             f"{len(labels)} generators conserved")
 
@@ -608,13 +671,19 @@ def check_level_relations(ms: ModelSpec,
                           context: Optional[_ModelContext] = None
                           ) -> Tuple[CheckResult, CheckResult]:
     """Bracket of a level-0 generator with a level-n generator lands on the
-    structure-constant combination of level-n generators, n in {0, 1}."""
+    structure-constant combination of level-n generators, n in {0, 1}.
+
+    Each level is decided by ``_ModelContext.covariant``; on a failure the
+    first nonzero residual in basis order is the witness."""
 
     labels = basis(ms.algebra)
     ctx = _context(ms, context)
 
     def relation(level: int):
         def body():
+            if ctx.covariant(level):
+                return ("pass", (),
+                        (f"{len(labels) ** 2} bracket pairs verified",))
             for ab in labels:
                 for cd in labels:
                     diff = ctx.residual(level, ab, cd)
@@ -1271,14 +1340,18 @@ def _conserved(ctx: _ModelContext, level: int, ab: Pair) -> bool:
     Level 0 is proved with the coupling free.  Binding the coupling
     commutes with products and derivatives and normal forms are unique,
     so the bound bracket is the free one with the coupling substituted.
-    Level 1 is read from ``failing_labels``: when the deciding brackets
-    all vanish, so does every level-1 bracket, and those never formed are
-    left to the oracle's own replay.
+    Level 0 is read from ``conserved0`` when it holds, and level 1 from
+    ``failing_labels``: when the deciding brackets all vanish, so does
+    every bracket of the level, and those never formed are left to the
+    oracle's own replay.
     """
     if level == 1:
         return ab not in ctx.failing_labels(1)
-    free = ctx.variant(lam="symbolic").ham_bracket(0, ab)
-    return free.is_zero or bind(free, ctx.ms).is_zero
+    free = ctx.variant(lam="symbolic")
+    if free.conserved0():
+        return True
+    bracket = free.ham_bracket(0, ab)
+    return bracket.is_zero or bind(bracket, ctx.ms).is_zero
 
 
 def _conservation_targets(ctx: _ModelContext) -> List[_OracleTarget]:
@@ -1317,7 +1390,8 @@ def _level_relation_targets(ctx: _ModelContext, rng: Random
             (-c, ((1, ef),)) for ef, c in row.items()]
         out.append(_OracleTarget(f"level relation {ab} x {cd}",
                                  _word_map(ms.space, ops, words),
-                                 ctx.residual(1, ab, cd).is_zero))
+                                 ctx.covariant(1)
+                                 or ctx.residual(1, ab, cd).is_zero))
     return out
 
 

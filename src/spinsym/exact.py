@@ -59,7 +59,7 @@ from fractions import Fraction
 from functools import reduce
 from math import comb, gcd, lcm
 from operator import or_
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, TypeVar
 
 from .errors import (ExponentOverflowError, PoleEvaluationError,
                      ShapeMismatchError)
@@ -68,6 +68,7 @@ Exponent = Tuple[int, ...]
 Poly = Dict[int, int]
 DiffFactor = Tuple[int, int]
 Profile = Dict[DiffFactor, int]
+Key = TypeVar("Key")
 
 FIELD_BITS = 16
 MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
@@ -755,6 +756,129 @@ def _cancel(num: Poly, factors: Profile, prime: Profile) -> Tuple[Poly, Profile]
         if weight:
             break
     return num, left
+
+
+class LiftTable:
+    """Sums ``sum_k q_k / m * reps[k]`` over rows of one list of canonical
+    primitive representatives (``RationalFunction.split``: integer
+    numerator, denominator 1) and one positive integer ``m``.
+
+    A row's numerators are lifted to the least common multiple of its
+    profiles, its target, and ``sum_k q_k * lift`` is accumulated in
+    integers before one reduction of a nonzero total.  ``totals`` sums
+    the rows one target at a time and keeps each lift while the rows of
+    its target are summed, so a representative met again under the same
+    target costs no ``poly_mul``, and the lifts of one target are dropped
+    before the next.  A one-item row is one scaled representative, kept
+    per (representative, scalar).  A factor that only one item of the row
+    carries at its top exponent divides every other lifted term but not
+    that item's (its canonical numerator is prime to the factor, and
+    distinct difference factors are coprime), so no division by it is
+    tried.  Each sum equals ``rf_sum`` of the scaled representatives:
+    both are canonical, and canonical forms are unique.  A table serves
+    one list of representatives, for one caller.
+    """
+
+    __slots__ = ("npos", "reps", "m", "_ids", "_profiles", "_profile_of",
+                 "_lcms", "_scaled")
+
+    def __init__(self, npos: int, reps: Sequence[RationalFunction], m: int):
+        self.npos = npos
+        self.reps = reps
+        self.m = m
+        self._ids: Dict[frozenset, int] = {}
+        self._profiles: List[Profile] = []
+        self._profile_of = [self._profile_id(r.den) for r in reps]
+        self._lcms: Dict[frozenset, Tuple[int, Dict[DiffFactor, int]]] = {}
+        self._scaled: Dict[Tuple[int, object], RationalFunction] = {}
+
+    def _profile_id(self, den: Profile) -> int:
+        key = frozenset(den.items())
+        i = self._ids.get(key)
+        if i is None:
+            i = self._ids[key] = len(self._profiles)
+            self._profiles.append(den)
+        return i
+
+    def _lcm(self, ids: frozenset) -> Tuple[int, Dict[DiffFactor, int]]:
+        """The lcm of the profiles ``ids``, and each of its factors that
+        only one of them carries at the top exponent, with that profile."""
+        hit = self._lcms.get(ids)
+        if hit is None:
+            den: Profile = {}
+            solo: Dict[DiffFactor, int] = {}
+            for j in ids:
+                for f, e in self._profiles[j].items():
+                    top = den.get(f, 0)
+                    if e > top:
+                        den[f] = e
+                        solo[f] = j
+                    elif e == top:
+                        solo.pop(f, None)
+            hit = self._lcms[ids] = (self._profile_id(den), solo)
+        return hit
+
+    def _lift(self, k: int, target: Profile) -> Poly:
+        """``reps[k]``'s numerator over the profile ``target``."""
+        p = self.reps[k].num
+        own = self._profiles[self._profile_of[k]]
+        for f, e in target.items():
+            gap = e - own.get(f, 0)
+            if gap:
+                p = poly_mul(p, diff_power(f[0], f[1], gap))
+        return p
+
+    def _scaled_rep(self, item: Tuple[int, object]) -> RationalFunction:
+        hit = self._scaled.get(item)
+        if hit is None:
+            k, q = item
+            hit = self._scaled[item] = self.reps[k] * (
+                q if self.m == 1 else Fraction(q, self.m))
+        return hit
+
+    def totals(self, rows: Mapping[Key, Mapping[int, object]]
+               ) -> Dict[Key, RationalFunction]:
+        """``sum_k row[k] / m * reps[k]`` for each row, canonical, keyed as
+        the rows are and in their order, with the zero sums left out; the
+        scalars are ints or Fractions."""
+        out: Dict[Key, RationalFunction] = {}
+        by_target: Dict[int, list] = {}
+        for key, row in rows.items():
+            live = [(k, q) for k, q in row.items() if q]
+            if len(live) == 1:
+                out[key] = self._scaled_rep(live[0])
+            elif live:
+                out[key] = None
+                ids = [self._profile_of[k] for k, _ in live]
+                if ids.count(ids[0]) == len(ids):
+                    target, prime = ids[0], ()
+                else:
+                    target, solo = self._lcm(frozenset(ids))
+                    prime = [f for f, j in solo.items() if ids.count(j) == 1]
+                by_target.setdefault(target, []).append((key, prime))
+        for target, group in by_target.items():
+            den = self._profiles[target]
+            lifts: Dict[int, Poly] = {}
+            for key, prime in group:
+                live = [(k, q) for k, q in rows[key].items() if q]
+                d = lcm(*(q.denominator for _, q in live))
+                total: Poly = {}
+                get = total.get
+                for k, q in live:
+                    c = q.numerator * (d // q.denominator)
+                    lift = lifts.get(k)
+                    if lift is None:
+                        lift = lifts[k] = self._lift(k, den)
+                    for mono, v in lift.items():
+                        s = get(mono)
+                        total[mono] = c * v if s is None else s + c * v
+                if 0 in total.values():
+                    total = {mono: v for mono, v in total.items() if v}
+                if total:
+                    num, denom = _strip_content(total, self.m * d)
+                    num, left = _cancel(num, den, prime)
+                    out[key] = _make(self.npos, num, denom, left)
+        return {key: v for key, v in out.items() if v is not None}
 
 
 def rf_sum(npos: int, items: Iterable[RationalFunction]) -> RationalFunction:

@@ -7,7 +7,8 @@ signs, the conjugate index, the signed generators
     F^{ab} = E^{ab} - theta_a theta_b E^{bar b, bar a}
 
 the admissible index set, structure constants, generated ideals, and the
-invariant metric with its exact inverse all live here.  The generators are
+invariant metric with its exact inverse all live here, with the ideals
+and subalgebras that labels generate.  The generators are
 stated once, as their nonzero entries (``generator_entries``); the N x N
 Fraction matrices (for traces, rank and closure oracles), the site-local
 Operators, the structure constants and the metric are all read off them.
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, List, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
 from .errors import SingularMetricError
 from .operators import Operator, OpSpace
@@ -171,15 +172,22 @@ def _subtract(row: Row, c: Fraction, other: Row) -> None:
             row.pop(key, None)
 
 
-def generated_ideal(spec: AlgebraSpec, labels: Iterable[Pair]) -> Dict[Pair, Row]:
-    """Basis of the ideal the labels generate, in reduced echelon form.
+def _ad(spec: AlgebraSpec, x: Row, row: Row) -> Row:
+    """``[x, row]`` over the structure rows."""
+    image: Row = {}
+    for y, c in x.items():
+        for z, d in row.items():
+            _subtract(image, -c * d, structure_row(spec, y, z))
+    return image
 
-    The ideal is the span of the labels closed under ``ad`` of every basis
-    label; each row is keyed by its pivot label and carries 1 there and 0
-    at every other pivot.  Exact elimination over the structure rows, so
-    nothing assumes the algebra is simple.
-    """
-    pairs = basis(spec)
+
+def _closure(spec: AlgebraSpec, labels: Iterable[Pair],
+             partners: Callable[[Dict[Pair, Row]], Iterable[Row]]
+             ) -> Dict[Pair, Row]:
+    """The span of the labels closed under ``ad`` of ``partners(echelon)``,
+    in reduced echelon form: each row is keyed by its pivot label and
+    carries 1 there and 0 at every other pivot.  Exact elimination over
+    the structure rows, so nothing assumes the algebra is simple."""
     echelon: Dict[Pair, Row] = {}
     queue: List[Row] = [{label: Fraction(1)} for label in labels]
     while queue:
@@ -196,31 +204,63 @@ def generated_ideal(spec: AlgebraSpec, labels: Iterable[Pair]) -> Dict[Pair, Row
             if base.get(pivot):
                 _subtract(base, base[pivot], row)
         echelon[pivot] = row
-        for y in pairs:
-            image: Row = {}
-            for z, c in row.items():
-                _subtract(image, -c, structure_row(spec, y, z))
+        for x in partners(echelon):
+            image = _ad(spec, x, row)
             if image:
                 queue.append(image)
     return echelon
 
 
-def ideal_generators(spec: AlgebraSpec) -> Tuple[Pair, ...]:
-    """Basis labels, in basis order, that generate the whole algebra as an
-    ideal: each one is taken only if it enlarges the ideal generated by
-    those taken before it, and the walk stops once that ideal is all of it.
-    """
-    pairs = basis(spec)
+def generated_ideal(spec: AlgebraSpec, labels: Iterable[Pair]) -> Dict[Pair, Row]:
+    """Basis of the ideal the labels generate, in reduced echelon form: the
+    span of the labels closed under ``ad`` of every basis label."""
+    units = [{y: Fraction(1)} for y in basis(spec)]
+    return _closure(spec, labels, lambda echelon: units)
+
+
+def generated_subalgebra(spec: AlgebraSpec, labels: Iterable[Pair]
+                         ) -> Dict[Pair, Row]:
+    """Basis of the subalgebra the labels generate, in reduced echelon
+    form: the span of the labels closed under brackets among its own
+    elements.  Each new row is bracketed with every row found so far, so
+    the bracket of any two rows lies in the span."""
+    return _closure(spec, labels, lambda echelon: list(echelon.values()))
+
+
+def _greedy(spec: AlgebraSpec, order: Iterable[Pair],
+            closure: Callable[[AlgebraSpec, List[Pair]], Dict[Pair, Row]]
+            ) -> Tuple[Pair, ...]:
+    # each label is taken only if it enlarges the closure of those taken
+    # before it; the walk stops once the closure is the whole algebra
+    dim = len(basis(spec))
     chosen: List[Pair] = []
     size = 0
-    for label in pairs:
-        if size == len(pairs):
+    for label in order:
+        if size == dim:
             break
-        grown = len(generated_ideal(spec, chosen + [label]))
+        grown = len(closure(spec, chosen + [label]))
         if grown > size:
             chosen.append(label)
             size = grown
     return tuple(chosen)
+
+
+def ideal_generators(spec: AlgebraSpec) -> Tuple[Pair, ...]:
+    """Basis labels, in basis order, that generate the whole algebra as an
+    ideal, found greedily (``_greedy``)."""
+    return _greedy(spec, basis(spec), generated_ideal)
+
+
+@lru_cache(maxsize=None)
+def lie_generators(spec: AlgebraSpec) -> Tuple[Pair, ...]:
+    """Basis labels that generate the whole algebra as a Lie algebra,
+    found greedily (``_greedy``) over the off-diagonal labels (a != b)
+    first and then the diagonal ones, each in basis order.  Found on first
+    use and kept per algebra."""
+    pairs = basis(spec)
+    order = [ab for ab in pairs if ab[0] != ab[1]] + [
+        ab for ab in pairs if ab[0] == ab[1]]
+    return _greedy(spec, order, generated_subalgebra)
 
 
 # ---------------------------------------------------------------------------

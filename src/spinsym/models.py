@@ -253,7 +253,8 @@ def _level2_weights(sites: int) -> List[Dict[Hashable, Weight]]:
     On a site: 1, and the trap weight -om^2 x_1^2 of the confined level
     1.  On a pair: -lam/(x_j-x_k) at (1,2) and (2,1), w = lam/(x_1-x_2)^2
     and -lam w.  On a triple (three sites or more): -lam^2 /
-    ((x_j-x_k)(x_j-x_l)), keyed by its order (j, k, l).
+    ((x_j-x_k)(x_j-x_l)), keyed by ``(j, {k, l})``, since it is symmetric
+    under k <-> l.
     """
     lam, om = RationalFunction.coupling(2), RationalFunction.trap(1)
     w = lam * _inv_diff(2, 1, 2, 2)
@@ -265,8 +266,9 @@ def _level2_weights(sites: int) -> List[Dict[Hashable, Weight]]:
     if sites >= 3:
         lam = RationalFunction.coupling(3)
         supports.append({
-            (j, k, l): -(lam * lam * _inv_diff(3, j, k) * _inv_diff(3, j, l))
-            for j, k, l in permutations((1, 2, 3))})
+            (j, frozenset((k, l))):
+                -(lam * lam * _inv_diff(3, j, k) * _inv_diff(3, j, l))
+            for j, k, l in permutations((1, 2, 3)) if k < l})
     return supports
 
 
@@ -289,7 +291,8 @@ def _rational_level2(spec: AlgebraSpec, sites: int, a: int, b: int
                   ("-lam w", generator_op(spec, two, j, a, b))]
     if sites >= 3:
         three = OpSpace(spec.N, 3)
-        items += [((j, k, l), triple_contraction(spec, three, k, j, l, a, b))
+        items += [((j, frozenset((k, l))),
+                   triple_contraction(spec, three, k, j, l, a, b))
                   for j, k, l in permutations((1, 2, 3))]
     return items
 

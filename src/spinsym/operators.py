@@ -40,7 +40,7 @@ from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
                     Sequence, Tuple, TypeVar, Union)
 
 from .errors import ShapeMismatchError, TermBudgetError
-from .exact import RationalFunction, rf_sum, site_map
+from .exact import LiftTable, RationalFunction, rf_sum, site_map
 from .value import Value
 
 Deriv = Tuple[int, ...]
@@ -388,16 +388,14 @@ class _CoefficientClasses:
     ``reps`` holds one primitive representative per class of coefficients
     equal up to a rational factor (``RationalFunction.split``), and the
     memos hold each coefficient's split, each product of two classes, each
-    derivative of a representative (through ``_multi_derivative``), each
-    Leibniz expansion and each scaled representative once.  A table lives
-    for one call.
+    derivative of a representative (through ``_multi_derivative``) and
+    each Leibniz expansion once.  A table lives for one call.
     """
 
     def __init__(self) -> None:
         self.reps: List[RationalFunction] = []
         self._index: Dict[RationalFunction, int] = {}
         self._split: Dict[RationalFunction, Tuple[Fraction, int]] = {}
-        self._scaled: Dict[Tuple[int, Scalar, int], RationalFunction] = {}
         self._products: Dict[Tuple[int, int], ClassTerm] = {}
         self._memos: Dict[int, Dict[Deriv, RationalFunction]] = {}
         self._lower: Dict[Tuple[Deriv, int, int],
@@ -439,15 +437,6 @@ class _CoefficientClasses:
         if hit is None:
             hit = self._products[key] = self._class_term(
                 self.reps[i] * self.reps[j])
-        return hit
-
-    def scaled(self, k: int, q: Scalar, m: int) -> RationalFunction:
-        """``q / m * reps[k]``, the coefficient a result term sums."""
-        key = (k, q, m)
-        hit = self._scaled.get(key)
-        if hit is None:
-            hit = self._scaled[key] = self.reps[k] * (
-                q if m == 1 else Fraction(q, m))
         return hit
 
     def lower(self, alpha: Deriv, i: int,
@@ -499,9 +488,10 @@ def _leibniz_product(a: Operator, b: Operator, sign: int) -> Operator:
     Every coefficient is carried as an integer times the representative of
     its class (_CoefficientClasses), over one common denominator per
     operand.  So each product of two classes, each Leibniz expansion and
-    each product of two words is formed once per call, and each term of
-    the result sums integers per class before one scaled representative
-    per class goes to rf_sum.
+    each product of two words is formed once per call.  Each term of the
+    result is a row of integers per class, summed by one ``LiftTable`` of
+    the call's representatives: each representative's numerator is lifted
+    once per target profile, and only a nonzero total is reduced.
     """
     a._check(b)
     classes = _CoefficientClasses()
@@ -549,11 +539,8 @@ def _leibniz_product(a: Operator, b: Operator, sign: int) -> Operator:
                         _push_scalar(acc, tuple(map(_tadd, beta, sderiv)),
                                      ts, k, sign * qst * q)
         _budget_check(len(acc))
-    scaled = classes.scaled
-    m = ma * mb
-    return _finalize(a.space, _key_sums(a.space.sites, (
-        (key, [scaled(k, q, m) for k, q in row.items() if q])
-        for key, row in acc.items())))
+    return _finalize(a.space, LiftTable(
+        a.space.sites, classes.reps, ma * mb).totals(acc))
 
 
 def commutator(a: Operator, b: Operator) -> Operator:

@@ -82,12 +82,6 @@ def triple_contraction(spec: AlgebraSpec, space: OpSpace, k: int, j: int,
     return _chain(spec, space, (k, j, l), a, b)
 
 
-def unit_pair_contraction(spec: AlgebraSpec, space: OpSpace, j: int, k: int,
-                          a: int, b: int) -> Operator:
-    """(E_j E_k)^{ab}: the raw matrix-unit contraction, no signed mirror."""
-    return _unit_pairs(spec, space, j, k, {(a, b): 1})
-
-
 def mirror_pair_contraction(spec: AlgebraSpec, space: OpSpace, j: int,
                             k: int, a: int, b: int) -> Operator:
     """(E_j E_k)^{ab} with F's mirror term: sum over the entries c_pq of

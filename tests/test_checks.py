@@ -19,8 +19,8 @@ from spinsym.checks import (CheckReport, CheckResult, LIE_SUITE_SPECS,
                             solve_lambda)
 from spinsym.exact import RationalFunction
 from spinsym.lie import AlgebraSpec, basis, generator_op, structure_row
-from spinsym.models import (ModelSpec, generator_grid, star_coupling,
-                            symmetrized_triple)
+from spinsym.models import (ModelSpec, generator_grid, hamiltonian,
+                            star_coupling, symmetrized_triple)
 from spinsym.operators import (Operator, OpSpace, apply_operator, commutator,
                                evaluate_vector, operator_sum)
 
@@ -730,6 +730,165 @@ class TestDecidingLabels:
             point = checks._random_point(rng, ms)
             residue = evaluate_vector(target.defect(vec), point)
             assert bool(residue) != zero, lam
+
+
+class TestLieGeneratorDecisions:
+    """Covariance and level-0 conservation decided on Lie generators once
+    level-relation-0 holds, with the full loop's verdicts and witnesses
+    when a premise or a generator fails."""
+
+    @staticmethod
+    def formed_residuals(monkeypatch):
+        formed = set()
+        residual = checks._ModelContext.residual
+
+        def recording(ctx, level, y, z):
+            formed.add((ctx.ms.lam, level, y, z))
+            return residual(ctx, level, y, z)
+
+        monkeypatch.setattr(checks._ModelContext, "residual", recording)
+        return formed
+
+    @staticmethod
+    def plant(monkeypatch, level, label, term):
+        # every context reads the planted grid: the fault is in the build
+        build = checks.generator_grid
+
+        def planted(ms, lvl):
+            grid = build(ms, lvl)
+            if lvl == level:
+                grid = dict(grid)
+                grid[label] = checks.operator_combination(
+                    ms.space, [(1, grid[label]), (1, term(ms.space))])
+            return grid
+
+        monkeypatch.setattr(checks, "generator_grid", planted)
+        return planted
+
+    @staticmethod
+    def reference(ms, planted):
+        # the bound grids and Hamiltonian, and every residual and bracket
+        # in basis order, with no context
+        grids = {level: {ab: checks.bind(op, ms) for ab, op in planted(
+            ms.replace(lam="symbolic", omega="symbolic"), level).items()}
+            for level in (0, 1)}
+        space, labels = ms.space, basis(ms.algebra)
+        residuals = {
+            (level, y, z): checks.operator_combination(space, [
+                (1, commutator(grids[0][y], grids[level][z]))] + [
+                (-c, grids[level][w])
+                for w, c in structure_row(ms.algebra, y, z).items()])
+            for level in (0, 1) for y in labels for z in labels}
+        return grids, residuals
+
+    @pytest.mark.parametrize("spec,formed_pairs", [(SP2, 6), (SP4, 40)],
+                             ids=["sp(2)", "sp(4)"])
+    def test_covariance_forms_generator_rows_only(self, spec, formed_pairs,
+                                                  monkeypatch):
+        formed = self.formed_residuals(monkeypatch)
+        ms = ModelSpec(spec, 2, "sutherland", lam="star")
+        r0, r1 = check_level_relations(ms)
+        d = len(basis(spec))
+        assert r1.notes == (f"{d * d} bracket pairs verified",)
+        level1 = {(y, z) for _, level, y, z in formed if level == 1}
+        assert len(level1) == formed_pairs
+        assert {y for y, _ in level1} == set(checks.lie_generators(spec))
+        # level-relation-0 is decided once, on the symbolic variant
+        assert {(lam, level) for lam, level, _, _ in formed} == {
+            ("symbolic", 0), ("star", 1)}
+
+    def test_level0_conservation_forms_generator_brackets_only(self,
+                                                               monkeypatch):
+        formed = []
+        ham_bracket = checks._ModelContext.ham_bracket
+        monkeypatch.setattr(
+            checks._ModelContext, "ham_bracket",
+            lambda ctx, level, ab: formed.append((level, ab))
+            or ham_bracket(ctx, level, ab))
+        level0, _ = check_conservation(ModelSpec(SP4, 2, "sutherland"))
+        assert level0.notes == ("coupling left symbolic",
+                                "10 generators conserved")
+        assert [ab for level, ab in formed if level == 0] == list(
+            checks.lie_generators(SP4))
+
+    def test_oracle_flags_form_no_other_residual(self, monkeypatch):
+        ms = ModelSpec(SP4, 2, "sutherland", lam="star")
+        ctx = checks._ModelContext(ms)
+        formed = self.formed_residuals(monkeypatch)
+        targets = checks._level_relation_targets(ctx, Random(3))
+        assert all(t.symbolically_zero for t in targets)
+        assert {y for _, level, y, _ in formed if level == 1} == set(
+            checks.lie_generators(SP4))
+
+    @pytest.mark.parametrize("spec,label", [(SP2, (1, 1)), (SP4, (2, 2))],
+                             ids=["sp(2)", "sp(4)"])
+    def test_planted_spin_term_in_non_generator_level1(self, spec, label,
+                                                       monkeypatch):
+        assert label not in checks.lie_generators(spec)
+        planted = self.plant(monkeypatch, 1, label,
+                             lambda space: Operator.spin_unit(space, 1, 1, 2))
+        ms = ModelSpec(spec, 2, "sutherland", lam="star")
+        grids, residuals = self.reference(ms, planted)
+        labels = basis(spec)
+        ctx = checks._ModelContext(ms)
+        _, r1 = check_level_relations(ms, ctx)
+        (y, z), diff = next(((y, z), residuals[(1, y, z)]) for y in labels
+                            for z in labels
+                            if not residuals[(1, y, z)].is_zero)
+        assert r1.status == "fail"
+        assert r1.witness == checks._witness_terms(
+            diff, f"residue for {y} x {z}:")
+        assert r1.notes == ()
+        _, c1 = check_conservation(ms, ctx)
+        ham = hamiltonian(ms)
+        failing = [ab for ab in labels
+                   if not commutator(ham, grids[1][ab]).is_zero]
+        assert c1.status == "fail"
+        assert c1.notes == (f"failing generators: {failing}",)
+        assert c1.witness == checks._witness_terms(
+            commutator(ham, grids[1][failing[0]]),
+            f"defect for generator {failing[0]}:")
+
+    def test_planted_non_representation_forms_every_residual(self,
+                                                             monkeypatch):
+        # J0^(1,1) + 1 breaks level-relation-0 and leaves every level-1
+        # residual 0: level 1 is then decided on every label
+        planted = self.plant(monkeypatch, 0, (1, 1), Operator.identity)
+        ms = ModelSpec(SP2, 3, "sutherland", lam="star")
+        _, residuals = self.reference(ms, planted)
+        labels = basis(SP2)
+        formed = self.formed_residuals(monkeypatch)
+        r0, r1 = check_level_relations(ms)
+        (y, z), diff = next(((y, z), residuals[(0, y, z)]) for y in labels
+                            for z in labels
+                            if not residuals[(0, y, z)].is_zero)
+        assert r0.status == "fail"
+        assert r0.witness == checks._witness_terms(
+            diff, f"residue for {y} x {z}:")
+        assert r1.status == "pass"
+        assert r1.notes == ("9 bracket pairs verified",)
+        assert {(y, z) for lam, level, y, z in formed
+                if (lam, level) == ("star", 1)} == set(product(labels,
+                                                               repeat=2))
+
+    def test_planted_nonconserved_non_generator_level0(self, monkeypatch):
+        # a one-site term in J0^(1,1), a label outside the Lie generators,
+        # breaks [H, J0^(1,1)] = 0 (and level-relation-0 with it)
+        assert (1, 1) not in checks.lie_generators(SP2)
+        planted = self.plant(monkeypatch, 0, (1, 1),
+                             lambda space: Operator.spin_unit(space, 1, 1, 2))
+        ms = ModelSpec(SP2, 3, "sutherland", lam="star")
+        free = ms.replace(lam="symbolic")
+        ham = hamiltonian(free)
+        grid = planted(free, 0)
+        ab, defect = next((ab, commutator(ham, grid[ab]))
+                          for ab in basis(SP2)
+                          if not commutator(ham, grid[ab]).is_zero)
+        level0, _ = check_conservation(ms)
+        assert level0.status == "fail"
+        assert level0.witness == checks._witness_terms(
+            defect, f"defect for generator {ab}:")
+        assert level0.notes == ("coupling left symbolic",)
 
 
 class TestSpinIdentityChecks:

@@ -14,8 +14,8 @@ import spinsym
 from spinsym import exact
 from spinsym.errors import (ExponentOverflowError, PoleEvaluationError,
                             ShapeMismatchError)
-from spinsym.exact import (MAX_EXPONENT, RationalFunction, lam_slot, nvars,
-                           om_slot, rf_sum)
+from spinsym.exact import (MAX_EXPONENT, LiftTable, RationalFunction,
+                           lam_slot, nvars, om_slot, rf_sum)
 
 F = Fraction
 
@@ -361,6 +361,66 @@ def test_kernel_matches_fraction_reference(a, b, c):
     # strips content afresh, reproduces it field for field
     for r in (prod, total, *derivatives):
         assert RationalFunction(3, dict(r.terms()), dict(r.den)) == r
+
+
+@st.composite
+def lift_rows(draw):
+    """Primitive representatives over three positions, one common
+    denominator m > 1, and integer rows over the representatives: random
+    rows, one-item rows, a row of zeros, a row that cancels to 0 (a
+    representative and its copy with opposite scalars), a row whose sum
+    loses the factor (x2-x3) (``test_lift_table_cancels_shared_factors``)
+    and one row with Fraction scalars."""
+    reps = [r.split()[1] for r in draw(st.lists(
+        rationals3().filter(bool), min_size=1, max_size=5))]
+    reps.append(reps[0])
+    (qa, pa), (qb, pb) = ((inv(3, 1, 2) * inv(3, 2, 3)).split(),
+                          (inv(3, 2, 3) * inv(3, 3, 1)).split())
+    reps += [pa, pb]
+    n = len(reps)
+    scalars = st.integers(-4, 4).filter(bool)
+    rows = draw(st.lists(st.dictionaries(
+        st.integers(0, n - 1), scalars, min_size=2, max_size=n), max_size=4))
+    rows += [{k: draw(scalars)} for k in range(n)]
+    q = draw(scalars)
+    rows += [{0: 0, n - 3: 0}, {0: q, n - 3: -q},
+             {n - 2: q * qa.numerator, n - 1: q * qb.numerator},
+             {k: Fraction(draw(scalars), draw(st.integers(1, 3)))
+              for k in range(n)}]
+    return reps, draw(st.integers(2, 6)), rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=lift_rows())
+def test_lift_table_matches_rf_sum(case):
+    reps, m, rows = case
+    got = LiftTable(3, reps, m).totals(dict(enumerate(rows)))
+    kept = []
+    for i, row in enumerate(rows):
+        want = rf_sum(3, [reps[k] * Fraction(q, m)
+                          for k, q in row.items() if q])
+        if not want:
+            assert i not in got, row
+            continue
+        kept.append(i)
+        assert got[i] == want, row
+        assert got[i].render() == want.render()
+        assert hash(got[i]) == hash(want)
+    # the rows' order, zero sums left out
+    assert list(got) == kept
+
+
+def test_lift_table_cancels_shared_factors():
+    # 1/((x1-x2)(x2-x3)) + 1/((x2-x3)(x3-x1)) = -1/((x3-x1)(x1-x2)): the
+    # shared factor (x2-x3) cancels, while (x1-x2) and (x1-x3), each
+    # carried by one item only, stay
+    a = inv(3, 1, 2) * inv(3, 2, 3)
+    b = inv(3, 2, 3) * inv(3, 3, 1)
+    (qa, pa), (qb, pb) = a.split(), b.split()
+    (total,) = LiftTable(3, [pa, pb], 1).totals(
+        {"row": {0: qa.numerator, 1: qb.numerator}}).values()
+    assert total == -(inv(3, 3, 1) * inv(3, 1, 2))
+    assert total.den == {(1, 2): 1, (1, 3): 1}
 
 
 @contextmanager

@@ -14,8 +14,9 @@ import spinsym
 from spinsym.checks import LIE_SUITE_SPECS
 from spinsym.errors import DegenerateCouplingError
 from spinsym.lie import (AlgebraSpec, basis, conjugate_index,
-                         generated_ideal, generator_entries, generator_matrix,
-                         generator_op, ideal_generators,
+                         generated_ideal, generated_subalgebra,
+                         generator_entries, generator_matrix, generator_op,
+                         ideal_generators, lie_generators,
                          lowered_adjoint_constants, metric, raised_constants,
                          structure_row, structure_table, theta)
 from spinsym.operators import OpSpace, commutator, operator_sum, Operator
@@ -228,6 +229,112 @@ class TestIdeals:
         for pivot, row in ideal.items():
             assert row[pivot] == 1
             assert all(other not in row for other in ideal if other != pivot)
+
+
+def _dense_subalgebra(spec, labels):
+    # the span of the generator matrices closed by iterated brackets: every
+    # pair of spanning matrices is bracketed, and the round is repeated
+    # until the span stops growing; returns the spanning matrices, flattened
+    n = spec.N
+    rows = []
+
+    def add(m):
+        vec = [m[i][j] for i in range(n) for j in range(n)]
+        for row in rows:
+            lead = next(k for k, v in enumerate(row) if v)
+            if vec[lead]:
+                factor = vec[lead] / row[lead]
+                vec = [v - factor * w for v, w in zip(vec, row)]
+        if any(vec):
+            rows.append(vec)
+            return True
+        return False
+
+    for ab in labels:
+        add(generator_matrix(spec, *ab))
+    grown = True
+    while grown:
+        grown = False
+        mats = [[row[i * n:(i + 1) * n] for i in range(n)] for row in rows]
+        for x in mats:
+            for y in mats:
+                grown |= add([[sum(x[i][k] * y[k][j] - y[i][k] * x[k][j]
+                                   for k in range(n)) for j in range(n)]
+                              for i in range(n)])
+    return rows
+
+
+def _in_span(rows, vec):
+    for row in rows:
+        lead = next(k for k, v in enumerate(row) if v)
+        if vec[lead]:
+            factor = vec[lead] / row[lead]
+            vec = [v - factor * w for v, w in zip(vec, row)]
+    return not any(vec)
+
+
+def _row_matrix(spec, row):
+    n = spec.N
+    out = [F(0)] * (n * n)
+    for label, c in row.items():
+        m = generator_matrix(spec, *label)
+        for i in range(n):
+            for j in range(n):
+                out[i * n + j] += c * m[i][j]
+    return out
+
+
+class TestLieGenerators:
+    PINNED = {
+        (2, -1): ((1, 2), (2, 1)),
+        (3, 1): ((1, 2), (2, 1)),
+        (4, 1): ((1, 2), (1, 3), (2, 1), (3, 1)),
+        (4, -1): ((1, 2), (1, 3), (2, 1), (3, 1)),
+        (5, 1): ((1, 2), (1, 3), (1, 4), (2, 1), (3, 1)),
+        (6, 1): ((1, 2), (1, 3), (1, 4), (1, 5), (2, 1), (3, 1), (4, 1)),
+        (6, -1): ((1, 2), (1, 3), (1, 4), (1, 5), (2, 1), (3, 1), (4, 1)),
+    }
+
+    @pytest.mark.parametrize("n,theta0", LIE_SUITE_SPECS,
+                             ids=lambda v: str(v))
+    def test_chosen_labels_pinned(self, n, theta0):
+        assert lie_generators(AlgebraSpec(n, theta0)) == self.PINNED[
+            (n, theta0)]
+
+    @pytest.mark.parametrize("n,theta0", LIE_SUITE_SPECS,
+                             ids=lambda v: str(v))
+    def test_generators_give_the_whole_algebra(self, n, theta0):
+        spec = AlgebraSpec(n, theta0)
+        chosen = lie_generators(spec)
+        assert sorted(generated_subalgebra(spec, chosen)) == list(basis(spec))
+        if n <= 5:
+            # the dense closure takes seconds past dimension 10
+            assert len(_dense_subalgebra(spec, chosen)) == len(basis(spec))
+
+    @pytest.mark.parametrize("spec", ALL_SPECS[:4], ids=lambda s: s.describe())
+    def test_subalgebras_match_dense_closure(self, spec):
+        # every pair of labels: the same span as brackets iterated densely
+        labels = basis(spec)
+        for i, ab in enumerate(labels):
+            for cd in labels[i:]:
+                got = generated_subalgebra(spec, [ab, cd])
+                dense = _dense_subalgebra(spec, [ab, cd])
+                assert len(got) == len(dense), (ab, cd)
+                assert all(_in_span(dense, _row_matrix(spec, row))
+                           for row in got.values()), (ab, cd)
+
+    @pytest.mark.parametrize("spec", [SP2, SO3], ids=lambda s: s.describe())
+    def test_no_single_label_generates_sl2(self, spec):
+        for ab in basis(spec):
+            assert len(generated_subalgebra(spec, [ab])) == 1
+        assert len(lie_generators(spec)) == 2
+
+    def test_echelon_rows_are_reduced(self):
+        spec = AlgebraSpec(4, -1)
+        sub = generated_subalgebra(spec, [(1, 2), (2, 1)])
+        for pivot, row in sub.items():
+            assert row[pivot] == 1
+            assert all(other not in row for other in sub if other != pivot)
 
 
 class TestMetric:

@@ -19,14 +19,21 @@ from spinsym.models import (MODEL_KINDS, ModelSpec, bind, coupling_weight,
 from spinsym.operators import (Operator, OpSpace, commutator,
                                operator_combination, operator_sum)
 from spinsym.spin_ops import (pair_contraction, permutation_op,
-                              triple_contraction, twist_op,
-                              unit_pair_contraction)
+                              triple_contraction, twist_op)
 
 F = Fraction
 
 SP2 = AlgebraSpec(2, -1)
 SO3 = AlgebraSpec(3, 1)
 SP4 = AlgebraSpec(4, -1)
+
+
+def unit_pair_contraction(spec, space, j, k, a, b):
+    """(E_j E_k)^{ab} = sum_r E_j^{ar} E_k^{rb}, the raw matrix-unit
+    contraction, as one word sum."""
+    return Operator.spin_sum(space, ((1, ((j, a, r), (k, r, b)))
+                                     for r in range(1, spec.N + 1)))
+
 
 # critical coupling 2/(N - 4*theta0), cross-checked by hand
 STAR_TABLE = {

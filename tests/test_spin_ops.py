@@ -14,15 +14,21 @@ from spinsym.lie import (AlgebraSpec, basis, conjugate_index,
 from spinsym.operators import (Operator, OpSpace, apply_operator,
                                operator_combination, operator_sum,
                                term_ceiling)
-from spinsym.spin_ops import (mirror_pair_contraction, pair_contraction,
-                              permutation_op, triple_contraction, twist_op,
-                              unit_pair_contraction)
+from spinsym.spin_ops import (_unit_pairs, mirror_pair_contraction,
+                              pair_contraction, permutation_op,
+                              triple_contraction, twist_op)
 
 F = Fraction
 
 SP2 = AlgebraSpec(2, -1)
 SO3 = AlgebraSpec(3, 1)
 LEGAL = [AlgebraSpec(2, 1), SP2, SO3, AlgebraSpec(4, 1), AlgebraSpec(4, -1)]
+
+
+def unit_pair_contraction(spec, space, j, k, a, b):
+    """(E_j E_k)^{ab}, the raw matrix-unit contraction: the one-entry word
+    sum of the routine behind ``mirror_pair_contraction``."""
+    return _unit_pairs(spec, space, j, k, {(a, b): 1})
 
 
 def one(npos=2):

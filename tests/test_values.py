@@ -214,3 +214,15 @@ def test_cli_import_skips_dataclasses_and_inspect():
     out = subprocess.run([sys.executable, "-S", "-c", code, str(SRC)],
                          capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_finds_no_lie_generator():
+    """``lie.lie_generators`` is found on first use, so importing the CLI
+    does none of its closures."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import spinsym.cli; "
+            "from spinsym import lie; "
+            "print(lie.lie_generators.cache_info().currsize)")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(SRC)],
+                         capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "0"
