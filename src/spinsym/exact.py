@@ -373,6 +373,9 @@ class RationalFunction:
 
     @classmethod
     def const(cls, npos: int, value) -> "RationalFunction":
+        if type(value) not in (int, Fraction):
+            raise TypeError(f"exact constant must be an int or a Fraction, "
+                            f"not {value!r}")
         c = Fraction(value)
         if not c:
             return _make(npos, {}, 1, {})
@@ -471,20 +474,22 @@ class RationalFunction:
                      self.denom, self.den)
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
+        if not isinstance(other, RationalFunction):
+            return NotImplemented
         self._check(other)
         return rf_sum(self.npos, (self, other))
 
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
+        if not isinstance(other, RationalFunction):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other) -> "RationalFunction":
         npos = self.npos
         if not isinstance(other, RationalFunction):
-            if isinstance(other, (int, Fraction)):
-                p, q = other.numerator, other.denominator
-            else:
-                scalar = Fraction(other)
-                p, q = scalar.numerator, scalar.denominator
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            p, q = other.numerator, other.denominator
             if not p or not self.num:
                 return _make(npos, {}, 1, {})
             if p == q == 1:

@@ -38,9 +38,11 @@ class AlgebraSpec(Value):
     __slots__ = ("N", "theta0")
 
     def __init__(self, N: int, theta0: int):
+        if type(N) is not int:
+            raise ValueError(f"N must be an integer, not {N!r}")
         if N < 2:
             raise ValueError("N must be at least 2")
-        if theta0 not in (1, -1):
+        if type(theta0) is not int or theta0 not in (1, -1):
             raise ValueError("theta0 must be +1 or -1")
         if theta0 == -1 and N % 2:
             raise ValueError("theta0 = -1 requires even N")

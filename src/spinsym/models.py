@@ -14,23 +14,24 @@ distinct (j, k, l), matching the displayed conventions, except where a
 summand is symmetric under j <-> k; odd reorderings of a difference
 factor push their sign into the numerator.
 
-Each summand is stated once, on its smallest support: a one-site item
-on sites (1,), a pair item on (1, 2) in both orders, (1, 2) and (2, 1),
-or once with its weight doubled where it is symmetric, and a triple item
-on (1, 2, 3) in all six orders.  The L-site sum is then the sum of these
-items embedded at every increasing site tuple (j,), (j, k) with j < k,
-or (j, k, l) with j < k < l (``operators.embed``): an increasing tuple
-carries both orders of a pair and all six of a triple, so each ordered
-pair and each ordered triple of distinct sites is met exactly once.
+Each summand is stated once, as an item: a weight with its operator on
+the smallest support, which is the operator's site count.  A one-site
+item acts on site 1, a pair item on (1, 2) in both orders, (1, 2) and
+(2, 1), or once with its weight doubled where it is symmetric, and a
+triple item on (1, 2, 3) in all six orders.  The L-site sum is then the
+sum of these items embedded at every increasing site tuple (j,), (j, k)
+with j < k, or (j, k, l) with j < k < l (``operators.embed``): an
+increasing tuple carries both orders of a pair and all six of a triple,
+so each ordered pair and each ordered triple of distinct sites is met
+exactly once.  A builder states each weight once per call, and equal
+weights share one embedding at each tuple.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from itertools import combinations, permutations
-from typing import (Dict, Hashable, Iterable, List, Mapping, Sequence, Tuple,
-                    Union)
+from typing import Callable, Dict, Iterable, List, Tuple, Union
 
 from .errors import DegenerateCouplingError
 from .exact import RationalFunction, lam_slot, om_slot
@@ -42,11 +43,14 @@ from .spin_ops import (mirror_pair_contraction, pair_contraction,
 from .value import Value
 
 Pair = Tuple[int, int]
-CouplingMode = Union[str, Fraction]
+CouplingMode = Union[str, int, Fraction]
 Weight = Union[Scalar, RationalFunction]
+# a weight with its operator, on the operator's own support
 Item = Tuple[Weight, Operator]
-# a weight's name and an operator on the weight's support
-Local = Tuple[Hashable, Operator]
+# a site tuple and a weight embedded there
+Placed = Tuple[Tuple[int, ...], Weight]
+# a tower's items at a label (a, b)
+Tower = Callable[[int, int], List[Item]]
 
 MODEL_KINDS = ("calogero", "sutherland", "confined")
 
@@ -64,8 +68,9 @@ def star_coupling(spec: AlgebraSpec) -> Fraction:
 class ModelSpec(Value):
     """A fully pinned model instance.
 
-    lam is "star", "symbolic", or an explicit Fraction; omega likewise
-    ("symbolic" or a Fraction), and explicit only for the confined kind.
+    lam is "star", "symbolic", or an explicit int or Fraction; omega
+    likewise ("symbolic", an int or a Fraction), and explicit only for the
+    confined kind.  Any other value raises ValueError.
     """
 
     __slots__ = ("algebra", "sites", "kind", "lam", "omega")
@@ -75,14 +80,16 @@ class ModelSpec(Value):
                  omega: CouplingMode = "symbolic"):
         if kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {kind!r}")
+        if type(sites) is not int:
+            raise ValueError(f"sites must be an integer, not {sites!r}")
         if sites < 2:
             raise ValueError("at least two sites are required")
-        if isinstance(lam, str):
-            if lam not in ("star", "symbolic"):
-                raise ValueError(f"bad coupling mode {lam!r}")
-            if lam == "star":
-                star_coupling(algebra)  # raises when degenerate
-        if isinstance(omega, str) and omega != "symbolic":
+        exact = (int, Fraction)  # by type, so a bool is refused
+        if lam not in ("star", "symbolic") and type(lam) not in exact:
+            raise ValueError(f"bad coupling mode {lam!r}")
+        if lam == "star":
+            star_coupling(algebra)  # raises when degenerate
+        if omega != "symbolic" and type(omega) not in exact:
             raise ValueError(f"bad trap mode {omega!r}")
         if kind != "confined" and omega != "symbolic":
             raise ValueError(f"the {kind} model has no trap to set")
@@ -133,10 +140,6 @@ def bind(op: Operator, ms: ModelSpec) -> Operator:
     return op.substitute(ms.bindings())
 
 
-def _inv_diff(npos: int, j: int, k: int, power: int = 1) -> RationalFunction:
-    return RationalFunction.inverse_difference(npos, j, k, power)
-
-
 def _kinetic(kind: str, space: OpSpace) -> Operator:
     """The family's one-site derivative on a one-site space: d_1, or
     x_1 d_1 in Euler form."""
@@ -145,34 +148,37 @@ def _kinetic(kind: str, space: OpSpace) -> Operator:
 
 
 class _Frame:
-    """An L-site space and the label-independent weights of one build.
+    """An L-site space and the weight embeddings of one builder call.
 
-    Each weight is stated once, on its smallest support: ``supports``
-    holds one dict of named weights per support size (one, two and three
-    sites).  A weight is embedded once per increasing site tuple of its
-    size (``RationalFunction.embed``), and every label's items share the
-    embeddings.  A frame lives for one builder call.
+    An item is a weight with its operator; the operator's site count is
+    the item's support.  A weight is embedded once per increasing site
+    tuple of that size (``RationalFunction.embed``) and kept for the
+    frame's life, so equal weights share one embedding across items and
+    labels.  Scalar weights are not embedded.
     """
 
-    def __init__(self, space: OpSpace,
-                 supports: Sequence[Mapping[Hashable, Weight]]):
+    def __init__(self, space: OpSpace):
         self.space = space
-        self._at: Dict[Hashable, List[Tuple[Tuple[int, ...], Weight]]] = {}
-        for size, weights in enumerate(supports, 1):
-            tuples = list(combinations(range(1, space.sites + 1), size))
-            for name, weight in weights.items():
-                self._at[name] = [
-                    (t, weight.embed(space.sites, t)
-                     if isinstance(weight, RationalFunction) else weight)
-                    for t in tuples]
+        self._at: Dict[Tuple[Weight, int], List[Placed]] = {}
 
-    def build(self, local: Iterable[Local]) -> Operator:
-        """The sum of the local items ``(weight name, operator on the
-        weight's support)``, each embedded at every increasing site tuple
-        with its weight there (``operators.embed``), in one combination."""
+    def _placed(self, weight: Weight, size: int) -> List[Placed]:
+        at = self._at.get((weight, size))
+        if at is None:
+            sites = self.space.sites
+            at = self._at[weight, size] = [
+                (t, weight.embed(sites, t)
+                 if isinstance(weight, RationalFunction) else weight)
+                for t in combinations(range(1, sites + 1), size)]
+        return at
+
+    def build(self, items: Iterable[Item]) -> Operator:
+        """The sum of the items, each embedded at every increasing site
+        tuple of its support with its weight there (``operators.embed``),
+        in one combination."""
         return operator_combination(self.space, (
-            (weight, embed(op, t, self.space))
-            for name, op in local for t, weight in self._at[name]))
+            (w, embed(op, t, self.space))
+            for weight, op in items
+            for t, w in self._placed(weight, op.space.sites)))
 
 
 # ---------------------------------------------------------------------------
@@ -189,139 +195,109 @@ def hamiltonian(ms: ModelSpec) -> Operator:
     lam = RationalFunction.coupling(2)
     # w_jk, P_jk and Q_jk are symmetric under j <-> k: each unordered pair
     # is summed once, with the weight doubled
-    weight = lam * _inv_diff(2, 1, 2, 2) * 2
+    w = lam * RationalFunction.inverse_difference(2, 1, 2, 2) * 2
     if kind == "sutherland":
-        weight = weight * RationalFunction.position(2, 1) \
+        w = w * RationalFunction.position(2, 1) \
             * RationalFunction.position(2, 2)
-    singles: Dict[Hashable, Weight] = {"-1": -1}
     kinetic = _kinetic(kind, one)
-    local = [("-1", kinetic * kinetic),
-             ("lam^2 w", Operator.identity(two)),
-             ("-lam w", permutation_op(spec, two, 1, 2)),
-             ("lam w", twist_op(spec, two, 1, 2))]
+    items: List[Item] = [(-1, kinetic * kinetic),
+                         (lam * w, Operator.identity(two)),
+                         (-w, permutation_op(spec, two, 1, 2)),
+                         (w, twist_op(spec, two, 1, 2))]
     if kind == "confined":
         om = RationalFunction.trap(1)
-        singles["om^2"] = om * om
-        local.append(("om^2", Operator.position_op(one, 1, 2)))
-    frame = _Frame(ms.space, [singles, {
-        "lam^2 w": lam * weight, "-lam w": -weight, "lam w": weight}])
-    return bind(frame.build(local), ms)
+        items.append((om * om, Operator.position_op(one, 1, 2)))
+    return bind(_Frame(ms.space).build(items), ms)
 
 
 # ---------------------------------------------------------------------------
-# symmetry generators: the label-independent weights of each tower, and
-# each label's local items
+# symmetry generators: each tower builds its label-independent weights
+# once and returns the function from a label (a, b) to its items
 
 
-def _rotation_moment(spec: AlgebraSpec, sites: int, a: int, b: int
-                     ) -> List[Local]:
+def _rotation_moment(spec: AlgebraSpec) -> Tower:
     """Level 0: the rotation sum_j F_j^{ab}."""
-    return [("1", generator_op(spec, OpSpace(spec.N, 1), 1, a, b))]
+    one = OpSpace(spec.N, 1)
+    return lambda a, b: [(1, generator_op(spec, one, 1, a, b))]
 
 
-def _level1_weights(kind: str) -> List[Dict[Hashable, Weight]]:
-    """1 on a site, and -v_12, -v_21 on a pair: v_jk = lam/(x_j-x_k),
-    times (x_j+x_k)/2 in Euler form."""
-    lam = RationalFunction.coupling(2)
-    pairs: Dict[Hashable, Weight] = {}
-    for name, (j, k) in (("-v12", (1, 2)), ("-v21", (2, 1))):
-        weight = lam * _inv_diff(2, j, k)
-        if kind == "sutherland":
-            # weight (x_j+x_k)/(2(x_j-x_k)); the 1/2 is forced by
-            # [H, level1] = 0 at the critical coupling, doubling it breaks
-            # conservation for every algebra tested
-            weight = weight * (RationalFunction.position(2, 1)
-                               + RationalFunction.position(2, 2)) \
-                * Fraction(1, 2)
-        pairs[name] = -weight
-    return [{"1": 1}, pairs]
-
-
-def _level1(kind: str, spec: AlgebraSpec, sites: int, a: int, b: int
-            ) -> List[Local]:
-    """sum_j F_j^{ab} D_j - sum_{j!=k} v_jk (F_j F_k)^{ab}
-    (``_level1_weights``)."""
+def _level1(kind: str, spec: AlgebraSpec) -> Tower:
+    """sum_j F_j^{ab} D_j - sum_{j!=k} v_jk (F_j F_k)^{ab}, with
+    v_jk = lam/(x_j-x_k), times (x_j+x_k)/2 in Euler form."""
     one, two = OpSpace(spec.N, 1), OpSpace(spec.N, 2)
-    return [("1", generator_op(spec, one, 1, a, b) * _kinetic(kind, one)),
-            ("-v12", pair_contraction(spec, two, 1, 2, a, b)),
-            ("-v21", pair_contraction(spec, two, 2, 1, a, b))]
+    lam, kinetic = RationalFunction.coupling(2), _kinetic(kind, one)
+    # weight (x_j+x_k)/(2(x_j-x_k)) in Euler form; the 1/2 is forced by
+    # [H, level1] = 0 at the critical coupling, doubling it breaks
+    # conservation for every algebra tested
+    euler = (RationalFunction.position(2, 1) + RationalFunction.position(2, 2)
+             ) * Fraction(1, 2) if kind == "sutherland" else 1
+    pairs = [((j, k), -(lam * RationalFunction.inverse_difference(2, j, k)
+                        * euler)) for j, k in ((1, 2), (2, 1))]
+    return lambda a, b: [
+        (1, generator_op(spec, one, 1, a, b) * kinetic)] + [
+        (v, pair_contraction(spec, two, j, k, a, b)) for (j, k), v in pairs]
 
 
-def _level2_weights(sites: int) -> List[Dict[Hashable, Weight]]:
-    """The weights of the rational level 2 and of the confined level 1.
-
-    On a site: 1, and the trap weight -om^2 x_1^2 of the confined level
-    1.  On a pair: -lam/(x_j-x_k) at (1,2) and (2,1), w = lam/(x_1-x_2)^2
-    and -lam w.  On a triple (three sites or more): -lam^2 /
-    ((x_j-x_k)(x_j-x_l)), keyed by ``(j, {k, l})``, since it is symmetric
-    under k <-> l.
-    """
-    lam, om = RationalFunction.coupling(2), RationalFunction.trap(1)
-    w = lam * _inv_diff(2, 1, 2, 2)
-    supports: List[Dict[Hashable, Weight]] = [
-        {"1": 1, "-om^2 x^2": -(om * om) * RationalFunction.position(1, 1, 2)},
-        {"-lam/x12": -(lam * _inv_diff(2, 1, 2)),
-         "-lam/x21": -(lam * _inv_diff(2, 2, 1)),
-         "w": w, "-lam w": -(lam * w)}]
+def _rational_level2(spec: AlgebraSpec, sites: int) -> Tower:
+    """sum_j F_j^{ab} d_j^2 - sum_{j!=k} lam/(x_j-x_k) (F_j F_k)^{ab}
+    (d_j + d_k), plus w_jk = lam/(x_j-x_k)^2 times (E_j E_k)^{ab} with F's
+    mirror term, less lam w_jk F_j^{ab}, and over pairwise distinct
+    (j, k, l) the weight -lam^2/((x_j-x_k)(x_j-x_l)) times
+    (F_k F_j F_l)^{ab} (three sites or more)."""
+    one, two, three = (OpSpace(spec.N, m) for m in (1, 2, 3))
+    lam, inv = RationalFunction.coupling(2), RationalFunction.inverse_difference
+    w = lam * inv(2, 1, 2, 2)
+    lam_w = -(lam * w)
+    d2 = Operator.derivative_op(one, 1, 2)
+    pairs = [((j, k), -(lam * inv(2, j, k))) for j, k in ((1, 2), (2, 1))]
+    triples = []
     if sites >= 3:
-        lam = RationalFunction.coupling(3)
-        supports.append({
-            (j, frozenset((k, l))):
-                -(lam * lam * _inv_diff(3, j, k) * _inv_diff(3, j, l))
-            for j, k, l in permutations((1, 2, 3)) if k < l})
-    return supports
+        lam3 = RationalFunction.coupling(3)
+        triples = [((j, k, l), -(lam3 * lam3 * inv(3, j, k) * inv(3, j, l)))
+                   for j, k, l in permutations((1, 2, 3))]
 
-
-def _rational_level2(spec: AlgebraSpec, sites: int, a: int, b: int
-                     ) -> List[Local]:
-    """The rational level 2 as local items (``_level2_weights``)."""
-    one, two = OpSpace(spec.N, 1), OpSpace(spec.N, 2)
-    items: List[Local] = [
-        ("1", generator_op(spec, one, 1, a, b)
-         * Operator.derivative_op(one, 1, 2))]
-    for name, (j, k) in (("-lam/x12", (1, 2)), ("-lam/x21", (2, 1))):
-        # (d_j + d_k): the relative sign is pinned by the bracket identity
-        # [level1, level1] = f * level2 at the critical coupling; the
-        # difference d_j - d_k leaves an f-contractible residue
-        pair = pair_contraction(spec, two, j, k, a, b)
-        items += [(name, pair * Operator.derivative_op(two, site))
-                  for site in (j, k)]
-        # (E_j E_k)^{ab} with F's mirror term, less lam F_j^{ab}
-        items += [("w", mirror_pair_contraction(spec, two, j, k, a, b)),
-                  ("-lam w", generator_op(spec, two, j, a, b))]
-    if sites >= 3:
-        three = OpSpace(spec.N, 3)
-        items += [((j, frozenset((k, l))),
-                   triple_contraction(spec, three, k, j, l, a, b))
-                  for j, k, l in permutations((1, 2, 3))]
+    def items(a: int, b: int) -> List[Item]:
+        out: List[Item] = [(1, generator_op(spec, one, 1, a, b) * d2)]
+        for (j, k), weight in pairs:
+            # (d_j + d_k): the relative sign is pinned by the bracket
+            # identity [level1, level1] = f * level2 at the critical
+            # coupling; the difference d_j - d_k leaves an f-contractible
+            # residue
+            pair = pair_contraction(spec, two, j, k, a, b)
+            out += [(weight, pair * Operator.derivative_op(two, site))
+                    for site in (j, k)]
+            out += [(w, mirror_pair_contraction(spec, two, j, k, a, b)),
+                    (lam_w, generator_op(spec, two, j, a, b))]
+        out += [(weight, triple_contraction(spec, three, k, j, l, a, b))
+                for (j, k, l), weight in triples]
+        return out
     return items
 
 
-def _confined_level1(spec: AlgebraSpec, sites: int, a: int, b: int
-                     ) -> List[Local]:
+def _confined_level1(spec: AlgebraSpec, sites: int) -> Tower:
     """The rational level 2 less om^2 sum_j x_j^2 F_j^{ab}."""
-    return _rational_level2(spec, sites, a, b) + [
-        ("-om^2 x^2", generator_op(spec, OpSpace(spec.N, 1), 1, a, b))]
+    one, om = OpSpace(spec.N, 1), RationalFunction.trap(1)
+    trap = -(om * om) * RationalFunction.position(1, 1, 2)
+    rational = _rational_level2(spec, sites)
+    return lambda a, b: rational(a, b) + [
+        (trap, generator_op(spec, one, 1, a, b))]
 
 
 def _tower(ms: ModelSpec, level: int, labels: Iterable[Pair]
            ) -> Dict[Pair, Operator]:
     """The model's own tower (levels 0 and 1) at the given labels,
-    dispatched by kind: one frame of weights, then one combination per
-    label."""
+    dispatched by kind: one frame, then one combination per label."""
     if level not in (0, 1):
         raise ValueError("symmetry tower levels are 0 and 1")
-    spec, sites, kind = ms.algebra, ms.sites, ms.kind
+    spec, kind = ms.algebra, ms.kind
     if level == 0:
-        weights, local = [{"1": 1}], _rotation_moment
+        items = _rotation_moment(spec)
     elif kind == "confined":
-        weights, local = _level2_weights(sites), _confined_level1
+        items = _confined_level1(spec, ms.sites)
     else:
-        weights = _level1_weights(kind)
-        local = partial(_level1, kind)
-    frame = _Frame(ms.space, weights)
-    return {ab: bind(frame.build(local(spec, sites, *ab)), ms)
-            for ab in labels}
+        items = _level1(kind, spec)
+    frame = _Frame(ms.space)
+    return {ab: bind(frame.build(items(*ab)), ms) for ab in labels}
 
 
 def symmetry_generator(ms: ModelSpec, level: int, ab: Pair) -> Operator:

@@ -29,6 +29,21 @@ def over_three_terms():
                  + Operator.spin_unit(sp, 2, 1, 2))
 
 
+# failing runs whose witnesses are pinned byte for byte
+REFUTATIONS = {
+    "sutherland_sp4_L2_lam1":
+        ["--model", "sutherland", "--N", "4", "--theta0", "-1", "--L", "2",
+         "--lambda", "1"],
+    "calogero_so3_L3_lamm1":
+        ["--model", "calogero", "--N", "3", "--theta0", "+1", "--L", "3",
+         "--lambda", "-1"],
+    "confined_sp2_L3_symbolic":
+        ["--model", "confined", "--N", "2", "--theta0", "-1", "--L", "3",
+         "--lambda", "symbolic", "--checks",
+         "conservation,level-relations,serre,solve-lambda"],
+}
+
+
 class TestGoldenInvocations:
     def test_calogero_so3_star_passes(self, capsys):
         code = cli.run(["model", "--model", "calogero", "--N", "3",
@@ -69,6 +84,18 @@ class TestGoldenInvocations:
         for check in payload["checks"]:
             check["millis"] = 0
         expected = (GOLDEN / f"confined_sp2_L2_seed{seed}.json").read_text()
+        assert json.dumps(payload, indent=2) + "\n" == expected
+
+    @pytest.mark.parametrize("name", REFUTATIONS)
+    def test_refutation_witnesses_json(self, capsys, name):
+        # failing runs: each refutation's witness is an operator render,
+        # so a changed term in any model builder moves these bytes
+        code = cli.run(["model", *REFUTATIONS[name], "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 1
+        for check in payload["checks"]:
+            check["millis"] = 0
+        expected = (GOLDEN / f"refute_{name}.json").read_text()
         assert json.dumps(payload, indent=2) + "\n" == expected
 
     @pytest.mark.parametrize("n,theta0", checks.LIE_SUITE_SPECS,

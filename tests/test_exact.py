@@ -16,6 +16,7 @@ from spinsym.errors import (ExponentOverflowError, PoleEvaluationError,
                             ShapeMismatchError)
 from spinsym.exact import (MAX_EXPONENT, LiftTable, RationalFunction,
                            lam_slot, nvars, om_slot, rf_sum)
+from spinsym.operators import Operator, OpSpace
 
 F = Fraction
 
@@ -98,6 +99,24 @@ class TestArithmetic:
         r = inv(2, 1, 2)
         assert r * F(2, 3) == const(2, F(2, 3)) * r
         assert F(2, 3) * r == r * F(2, 3)
+
+    @pytest.mark.parametrize("make", [
+        lambda: const(2, 0.1),
+        lambda: const(2, True),
+        lambda: const(2, "1/3"),
+        lambda: inv(2, 1, 2) * 0.1,
+        lambda: 0.1 * inv(2, 1, 2),
+        lambda: inv(2, 1, 2) * "1/3",
+        lambda: inv(2, 1, 2) + 1,
+        lambda: 1 - inv(2, 1, 2),
+        lambda: Operator.position_op(OpSpace(2, 2), 1).scaled(0.1),
+    ], ids=["const-float", "const-bool", "const-str", "mul-float",
+            "rmul-float", "mul-str", "add-int", "rsub-int", "scaled-float"])
+    def test_inexact_inputs_rejected(self, make):
+        # only an int or a Fraction enters the exact layer as a scalar: a
+        # float would carry its binary expansion into every coefficient
+        with pytest.raises(TypeError):
+            make()
 
     def test_coupling_and_trap_slots(self):
         lam = RationalFunction.coupling(2)

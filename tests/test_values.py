@@ -103,6 +103,18 @@ class TestConstruction:
          "bad coupling mode 'free'"),
         (lambda: ModelSpec(SP2, 3, "confined", "star", "zero"),
          "bad trap mode 'zero'"),
+        # exact values only: an int (not a bool) or a Fraction
+        (lambda: AlgebraSpec(4.0, -1), "N must be an integer, not 4.0"),
+        (lambda: ModelSpec(SP2, 3.0, "calogero"),
+         "sites must be an integer, not 3.0"),
+        (lambda: ModelSpec(SP2, 2, "calogero", lam=0.5),
+         "bad coupling mode 0.5"),
+        (lambda: ModelSpec(SP2, 2, "calogero", lam=None),
+         "bad coupling mode None"),
+        (lambda: ModelSpec(SP2, 2, "calogero", lam=True),
+         "bad coupling mode True"),
+        (lambda: ModelSpec(SP2, 2, "confined", omega=0.25),
+         "bad trap mode 0.25"),
         (lambda: CheckResult("x", (), "maybe", 0), "bad status 'maybe'"),
         (lambda: CheckResult("x", (), "fail", 0),
          "failing check without witness"),
@@ -111,6 +123,12 @@ class TestConstruction:
         with pytest.raises(ValueError) as info:
             build()
         assert str(info.value) == message
+
+    def test_bool_theta0_rejected(self):
+        # kept out of the table above: its text would repeat a case id there
+        with pytest.raises(ValueError) as info:
+            AlgebraSpec(3, True)
+        assert str(info.value) == "theta0 must be +1 or -1"
 
     def test_degenerate_star_coupling_rejected(self):
         with pytest.raises(DegenerateCouplingError):
