@@ -417,105 +417,77 @@ class _ModelContext:
         return self._once(("ham", level, ab), lambda: commutator(
             self.hamiltonian(), self.grid(level)[ab]))
 
-    def _on_generators(self, key: object,
-                       vanishes: Callable[[Pair], bool]) -> bool:
-        """Whether ``vanishes(y)`` holds for every basis label y, where the
-        labels at which it holds span a subalgebra once level-relation-0
-        holds (``covariant(0)``): then it is decided on labels that
-        generate the algebra as a Lie algebra (``lie.lie_generators``),
-        and otherwise on every label.  Decided once per context."""
+    def zero_at(self, family: str, level: int, y: Pair) -> bool:
+        """Whether a family vanishes at label y: for ``"ham"``, ``[H, J^y]``
+        of the level; for ``"residual"``, ``R(y, z)`` for every z."""
+        if family == "ham":
+            return self.ham_bracket(level, y).is_zero
+        return all(self.residual(level, y, z).is_zero
+                   for z in basis(self.ms.algebra))
+
+    def _generators(self, family: str, level: int
+                    ) -> Tuple[Tuple[Pair, ...], Tuple[Tuple[str, int], ...]]:
+        """The labels that decide a family, and the premises under which
+        they do.
+
+        Level-relation-0 makes ``y -> J0^y`` a representation, so the
+        operators are a module of the algebra by ``ad J0``, and the labels
+        that annihilate a vector of a module span a subalgebra (Humphreys,
+        *Introduction to Lie Algebras and Representation Theory*, 1972,
+        sections 1-6).  ``R(y, .)`` is y acting on the map ``z -> J^z``,
+        and by Jacobi ``[H, J0^[y,y']] = [[H, J0^y], J0^y'] + [J0^y, [H,
+        J0^y']]``; so covariance at level >= 1 and level-0 conservation
+        are decided on labels that generate the algebra as a Lie algebra
+        (``lie.lie_generators``).  If besides ``[J0^y, H] = 0`` every
+        ``R(y, z)`` of a level vanishes, Jacobi gives ``[J0^y, D(z)] =
+        sum_w f^{yz}_w D(w)`` for ``D(z) = [H, J^z]``, so the labels with
+        ``D = 0`` span an ideal (section 20), and conservation at that
+        level is decided on labels that generate the algebra as an ideal
+        (``lie.ideal_generators``).  Level-relation-0 itself is decided on
+        every label.
+        """
+        spec = self.ms.algebra
+        if family == "residual" and level == 0:
+            return basis(spec), ()
+        if family == "residual" or level == 0:
+            return lie_generators(spec), (("residual", 0),)
+        return ideal_generators(spec), (("ham", 0), ("residual", level))
+
+    def deciding_labels(self, family: str, level: int) -> Tuple[Pair, ...]:
+        """The family's generators when their premises hold, every label
+        otherwise; the premises are checked in order, stopping at the first
+        that fails."""
+        labels, premises = self._generators(family, level)
+        if all(self.holds(*premise) for premise in premises):
+            return labels
+        return basis(self.ms.algebra)
+
+    def holds(self, family: str, level: int) -> bool:
+        """Whether a family vanishes at every label.  Decided once per
+        context.
+
+        Level 0 first reads the more symbolic variant, with the coupling
+        and, for residuals, the trap left free: binding commutes with
+        products and normal forms are unique, so what vanishes there
+        vanishes at every binding.  Then the generators are tested, so a
+        nonzero one refutes the family before any premise is formed, and
+        last the deciding labels not tested yet.
+        """
 
         def build() -> bool:
-            deciding = (lie_generators(self.ms.algebra) if self.covariant(0)
-                        else basis(self.ms.algebra))
-            return all(vanishes(y) for y in deciding)
+            if level == 0:
+                free = (self.variant(lam="symbolic", omega="symbolic")
+                        if family == "residual"
+                        else self.variant(lam="symbolic"))
+                if free is not self and free.holds(family, 0):
+                    return True
+            tested = self._generators(family, level)[0]
+            return all(self.zero_at(family, level, y) for y in tested) and all(
+                self.zero_at(family, level, y)
+                for y in self.deciding_labels(family, level)
+                if y not in tested)
 
-        return self._once(key, build)
-
-    def covariant(self, level: int) -> bool:
-        """Whether every residual ``R(y,z)`` of the level vanishes.
-
-        Level 0 is level-relation-0, the premise that ``y -> J0^y`` is a
-        representation.  It is decided once, on the fully symbolic variant:
-        binding commutes with products and normal forms are unique, so a
-        residual that vanishes there vanishes at every coupling and trap.
-        Where it fails there, the context forms all d^2 of its own
-        residuals.  Under the premise the operators are a module of the
-        algebra by ``ad J0``, ``R(y, .)`` is y acting on the map
-        ``z -> J^z``, and the labels that annihilate a vector of a module
-        span a subalgebra (Humphreys, *Introduction to Lie Algebras and
-        Representation Theory*, 1972, sections 1-6).  So a higher level
-        forms ``R(y,z)`` only for the Lie generators y
-        (``_on_generators``), and for every y when the premise fails.
-        """
-        labels = basis(self.ms.algebra)
-
-        def representation() -> bool:
-            symbolic = self.variant(lam="symbolic", omega="symbolic")
-            if symbolic is not self and symbolic.covariant(0):
-                return True
-            return all(self.residual(0, y, z).is_zero
-                       for y in labels for z in labels)
-
-        if level == 0:
-            return self._once(("covariant", 0), representation)
-        return self._on_generators(("covariant", level), lambda y: all(
-            self.residual(level, y, z).is_zero for z in labels))
-
-    def conserved0(self) -> bool:
-        """Whether ``[H, J0^y]`` vanishes for every y.
-
-        When ``J0`` is a representation, Jacobi gives ``[H, J0^[y,y']] =
-        [[H, J0^y], J0^y'] + [J0^y, [H, J0^y']]``, so the labels with
-        ``[H, J0^y] = 0`` span a subalgebra and the Lie generators decide
-        (``_on_generators``)."""
-        return self._on_generators("conserved0", lambda y: self.ham_bracket(
-            0, y).is_zero)
-
-    def deciding_labels(self, level: int) -> Tuple[Pair, ...]:
-        """Labels whose brackets ``[H, J^ab]`` decide the whole level.
-
-        Write ``D(z) = [H, J^z]``.  If ``[J0^y, H] = 0`` and the level's
-        covariance residual ``R(y,z)`` vanishes for every y and z, Jacobi
-        gives ``[J0^y, D(z)] = sum_w f^{yz}_w D(w)``, so the labels with
-        ``D = 0`` span an ideal of the algebra; then ``D`` vanishes on
-        every label once it vanishes on labels that generate the whole
-        algebra as an ideal (``lie.ideal_generators``).  Both premises are
-        checked here (``_conserved`` and ``covariant``), stopping at the
-        first that fails; if one fails every label is returned, so a
-        caller's loop runs over all of them.
-        """
-
-        def build() -> Tuple[Pair, ...]:
-            labels = basis(self.ms.algebra)
-            if not all(_conserved(self, 0, y) for y in labels):
-                return labels
-            if not self.covariant(level):
-                return labels
-            return ideal_generators(self.ms.algebra)
-
-        return self._once(("deciding", level), build)
-
-    def failing_labels(self, level: int) -> List[Pair]:
-        """The labels whose ``[H, J^ab]`` is nonzero, in basis order.
-
-        The brackets of the ideal generators come first: if one of them is
-        nonzero every bracket is formed, and no premise of
-        ``deciding_labels`` is checked.  Otherwise the deciding brackets
-        are formed, and when they all vanish the list is empty and no
-        other bracket is formed.  Decided once per context.
-        """
-
-        def build() -> List[Pair]:
-            if all(self.ham_bracket(level, z).is_zero
-                   for z in ideal_generators(self.ms.algebra)) and all(
-                       self.ham_bracket(level, z).is_zero
-                       for z in self.deciding_labels(level)):
-                return []
-            return [ab for ab in basis(self.ms.algebra)
-                    if not self.ham_bracket(level, ab).is_zero]
-
-        return self._once(("failing", level), build)
+        return self._once(("holds", family, level), build)
 
     def residual(self, level: int, y: Pair, z: Pair) -> Operator:
         """``R(y,z) = [J0^y, J^z] - sum_w f^{yz}_w J^w`` at the given level."""
@@ -544,15 +516,16 @@ class _ModelContext:
             [J1^x, [J0^y, J1^z]] = sum_w f^{yz}_w B(x,w) + [J1^x, R(y,z)]
 
         with ``B(w,x) = -B(x,w)`` and ``B(x,x) = 0``, whether or not
-        covariance holds; no residual is formed where ``covariant(1)``
-        decided that they all vanish.  Each triple is a row of rationals
-        over the entries ``x < w``; the rows are merged, and only an entry
-        with a nonzero net coefficient is formed.  Normal forms are unique, so the
-        items sum to the nested commutators exactly.
+        covariance holds; no residual is formed where
+        ``holds("residual", 1)`` decided that they all vanish.  Each triple
+        is a row of rationals over the entries ``x < w``; the rows are
+        merged, and only an entry with a nonzero net coefficient is formed.
+        Normal forms are unique, so the items sum to the nested commutators
+        exactly.
         """
         row: Dict[Tuple[Pair, Pair], Fraction] = {}
         parts: List[Item] = []
-        covariant = self.covariant(1)
+        covariant = self.holds("residual", 1)
         for x, y, z in triples:
             for w, c in structure_row(self.ms.algebra, y, z).items():
                 if w != x:
@@ -632,10 +605,10 @@ def check_conservation(ms: ModelSpec, context: Optional[_ModelContext] = None
     """Level-0 generators commute with the Hamiltonian for every coupling;
     level-1 generators commute at the coupling bound in the model spec.
 
-    Level 0 passes when ``conserved0`` holds, with the coupling free;
-    otherwise the first failing generator's bracket is the witness.
-    Level 1 passes when ``failing_labels(1)`` is empty; otherwise the
-    first failing generator's bracket is the witness.
+    Each level passes when ``_ModelContext.holds("ham", level)`` does,
+    level 0 with the coupling free; otherwise the first failing
+    generator's bracket is the witness, and level 1 lists every failing
+    generator.
     """
 
     labels = basis(ms.algebra)
@@ -643,7 +616,7 @@ def check_conservation(ms: ModelSpec, context: Optional[_ModelContext] = None
 
     def level0():
         free = ctx.variant(lam="symbolic")
-        if not free.conserved0():
+        if not free.holds("ham", 0):
             for ab in labels:
                 defect = free.ham_bracket(0, ab)
                 if not defect.is_zero:
@@ -655,9 +628,9 @@ def check_conservation(ms: ModelSpec, context: Optional[_ModelContext] = None
                             f"{len(labels)} generators conserved")
 
     def level1():
-        failing = ctx.failing_labels(1)
-        if not failing:
+        if ctx.holds("ham", 1):
             return "pass", (), (f"{len(labels)} generators conserved",)
+        failing = [ab for ab in labels if not ctx.zero_at("ham", 1, ab)]
         return ("fail",
                 _witness_terms(ctx.ham_bracket(1, failing[0]),
                                f"defect for generator {failing[0]}:"),
@@ -673,15 +646,16 @@ def check_level_relations(ms: ModelSpec,
     """Bracket of a level-0 generator with a level-n generator lands on the
     structure-constant combination of level-n generators, n in {0, 1}.
 
-    Each level is decided by ``_ModelContext.covariant``; on a failure the
-    first nonzero residual in basis order is the witness."""
+    Each level is decided by ``_ModelContext.holds("residual", level)``;
+    on a failure the first nonzero residual in basis order is the
+    witness."""
 
     labels = basis(ms.algebra)
     ctx = _context(ms, context)
 
     def relation(level: int):
         def body():
-            if ctx.covariant(level):
+            if ctx.holds("residual", level):
                 return ("pass", (),
                         (f"{len(labels) ** 2} bracket pairs verified",))
             for ab in labels:
@@ -945,23 +919,24 @@ def solve_lambda(ms: ModelSpec, context: Optional[_ModelContext] = None
     Requires a symbolic coupling.  The candidates are the rational roots
     of one coupling polynomial (``_coupling_polynomial``) of the first
     nonzero defect bracket of the Hamiltonian with a deciding level-1
-    generator (``deciding_labels``: one per generator of the algebra as an
-    ideal when the level is covariant and level 0 is conserved, else every
-    generator).  A candidate is kept when binding it turns every deciding
-    bracket into the zero operator: binding commutes with products and
-    derivatives and normal forms are unique, so that is the bracket of the
-    bound model.  Binding a root keeps both premises, so at each root the
-    deciding brackets vanish and with them all the others.  The root 0 is
-    shared trivially (it switches the interaction off) and is excluded
-    from the result, so an empty set means no interacting model has the
-    symmetry.
+    generator (``deciding_labels("ham", 1)``: one per generator of the
+    algebra as an ideal when the level is covariant and level 0 is
+    conserved, else every generator).  A candidate is kept when binding it
+    turns every deciding bracket into the zero operator: binding commutes
+    with products and derivatives and normal forms are unique, so that is
+    the bracket of the bound model.  Binding a root keeps both premises,
+    so at each root the deciding brackets vanish and with them all the
+    others.  The root 0 is shared trivially (it switches the interaction
+    off) and is excluded from the result, so an empty set means no
+    interacting model has the symmetry.
     """
     if ms.lam != "symbolic":
         raise ValueError("solve_lambda needs a symbolic coupling")
     ctx = _context(ms, context)
     slot = lam_slot(ms.sites)
     defects = [d for d in (ctx.ham_bracket(1, ab)
-                           for ab in ctx.deciding_labels(1)) if not d.is_zero]
+                           for ab in ctx.deciding_labels("ham", 1))
+               if not d.is_zero]
     if not defects:
         # defect vanished identically; every coupling is admissible
         return set()
@@ -1334,26 +1309,6 @@ def _word_map(space: OpSpace, ops: Mapping[Name, Operator],
     return defect
 
 
-def _conserved(ctx: _ModelContext, level: int, ab: Pair) -> bool:
-    """Whether ``[H, J^ab]`` vanishes, from the brackets its check proved.
-
-    Level 0 is proved with the coupling free.  Binding the coupling
-    commutes with products and derivatives and normal forms are unique,
-    so the bound bracket is the free one with the coupling substituted.
-    Level 0 is read from ``conserved0`` when it holds, and level 1 from
-    ``failing_labels``: when the deciding brackets all vanish, so does
-    every bracket of the level, and those never formed are left to the
-    oracle's own replay.
-    """
-    if level == 1:
-        return ab not in ctx.failing_labels(1)
-    free = ctx.variant(lam="symbolic")
-    if free.conserved0():
-        return True
-    bracket = free.ham_bracket(0, ab)
-    return bracket.is_zero or bind(bracket, ctx.ms).is_zero
-
-
 def _conservation_targets(ctx: _ModelContext) -> List[_OracleTarget]:
     ham = ctx.hamiltonian()
     out: List[_OracleTarget] = []
@@ -1365,7 +1320,7 @@ def _conservation_targets(ctx: _ModelContext) -> List[_OracleTarget]:
                 f"conservation level {level} generator {ab}",
                 _word_map(ctx.ms.space, {"H": ham, gen: grid[ab]},
                           _bracket(_op("H"), _op(gen))),
-                _conserved(ctx, level, ab)))
+                ctx.holds("ham", level) or ctx.zero_at("ham", level, ab)))
     return out
 
 
@@ -1390,7 +1345,7 @@ def _level_relation_targets(ctx: _ModelContext, rng: Random
             (-c, ((1, ef),)) for ef, c in row.items()]
         out.append(_OracleTarget(f"level relation {ab} x {cd}",
                                  _word_map(ms.space, ops, words),
-                                 ctx.covariant(1)
+                                 ctx.holds("residual", 1)
                                  or ctx.residual(1, ab, cd).is_zero))
     return out
 

@@ -87,6 +87,10 @@ class OpSpace(Value):
     __slots__ = ("spin_dim", "sites")
 
     def __init__(self, spin_dim: int, sites: int):
+        for name, size in (("spin dimension", spin_dim), ("sites", sites)):
+            if type(size) is not int:
+                raise ValueError(
+                    f"OpSpace {name} must be an integer, not {size!r}")
         if spin_dim < 1 or sites < 1:
             raise ValueError("OpSpace needs positive spin dimension and sites")
         self._freeze(spin_dim, sites)

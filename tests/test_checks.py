@@ -1,10 +1,12 @@
 """Verification module: result plumbing, check verdicts, oracle wiring."""
 
+import ast
 import gc
 import time
 import weakref
 from fractions import Fraction
 from itertools import permutations, product
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -610,7 +612,7 @@ class TestDecidingLabels:
         ms, ctx = self.noncovariant("symbolic")
         assert any(not ctx.residual(1, y, z).is_zero
                    for y in basis(SP2) for z in basis(SP2))
-        assert ctx.deciding_labels(1) == basis(SP2)
+        assert ctx.deciding_labels("ham", 1) == basis(SP2)
         formed = self.counting_level1(monkeypatch)
         roots = solve_lambda(ms, ctx)
         assert formed == list(basis(SP2))
@@ -638,7 +640,7 @@ class TestDecidingLabels:
         assert all(ctx.residual(1, y, z).is_zero
                    for y in basis(SP2) for z in basis(SP2))
         assert not all(ctx.ham_bracket(0, y).is_zero for y in basis(SP2))
-        assert ctx.deciding_labels(1) == basis(SP2)
+        assert ctx.deciding_labels("ham", 1) == basis(SP2)
         formed = self.counting_level1(monkeypatch)
         roots = solve_lambda(ms, ctx)
         assert formed == list(basis(SP2))
@@ -651,9 +653,10 @@ class TestDecidingLabels:
                             lambda spec: calls.append(spec) or generators(spec))
         ctx = checks._ModelContext(ModelSpec(SP2, 3, "sutherland", lam="star"))
         checks._conservation_targets(ctx)
-        # one call for failing_labels and one for deciding_labels
+        # one call to test the generators of holds("ham", 1) and one for
+        # its deciding_labels
         assert len(calls) == 2
-        assert ctx.failing_labels(1) == [] and ctx.failing_labels(1) == []
+        assert ctx.holds("ham", 1) and ctx.holds("ham", 1)
         assert len(calls) == 2
 
     @pytest.mark.parametrize("root,times_lam,want", [
@@ -709,8 +712,11 @@ class TestDecidingLabels:
         assert level1.witness[0] == "defect for generator (1, 1):"
         assert formed[0] == (1, 1)
         assert sorted(set(formed)) == sorted(basis(SO3))
-        assert not any(key[0] in ("residual", "deciding")
-                       for key in ctx._cache if isinstance(key, tuple))
+        # no premise was decided: no residual formed, and neither level-0
+        # conservation nor covariance is in the cache
+        keys = [key for key in ctx._cache if isinstance(key, tuple)]
+        assert not any(key[0] == "residual" for key in keys)
+        assert {key[1:] for key in keys if key[0] == "holds"} == {("ham", 1)}
 
     def test_oracle_replays_the_brackets_never_formed(self):
         # (1, 2) lies outside the deciding set: at the critical coupling its
@@ -722,7 +728,7 @@ class TestDecidingLabels:
             ctx = checks._ModelContext(ms)
             (target,) = [t for t in checks._conservation_targets(ctx)
                          if t.label == label]
-            assert (1, 2) not in ctx.deciding_labels(1)
+            assert (1, 2) not in ctx.deciding_labels("ham", 1)
             assert target.symbolically_zero == zero
             assert (("ham", 1, (1, 2)) in ctx._cache) != zero
             rng = Random(5)
@@ -849,6 +855,28 @@ class TestLieGeneratorDecisions:
             commutator(ham, grids[1][failing[0]]),
             f"defect for generator {failing[0]}:")
 
+    def test_planted_noncovariant_generator_refutes_before_any_premise(
+            self, monkeypatch):
+        # a spin-only term in J1 of a Lie generator makes a generator row
+        # nonzero: covariance fails before level-relation-0 is formed
+        label = checks.lie_generators(SP2)[0]
+        planted = self.plant(monkeypatch, 1, label,
+                             lambda space: Operator.spin_unit(space, 1, 1, 2))
+        ms = ModelSpec(SP2, 3, "sutherland", lam="star")
+        _, residuals = self.reference(ms, planted)
+        labels = basis(SP2)
+        formed = self.formed_residuals(monkeypatch)
+        ctx = checks._ModelContext(ms)
+        assert not ctx.holds("residual", 1)
+        assert formed and not any(level == 0 for _, level, _, _ in formed)
+        _, r1 = check_level_relations(ms, ctx)
+        (y, z), diff = next(((y, z), residuals[(1, y, z)]) for y in labels
+                            for z in labels
+                            if not residuals[(1, y, z)].is_zero)
+        assert r1.status == "fail"
+        assert r1.witness == checks._witness_terms(
+            diff, f"residue for {y} x {z}:")
+
     def test_planted_non_representation_forms_every_residual(self,
                                                              monkeypatch):
         # J0^(1,1) + 1 breaks level-relation-0 and leaves every level-1
@@ -889,6 +917,16 @@ class TestLieGeneratorDecisions:
         assert level0.witness == checks._witness_terms(
             defect, f"defect for generator {ab}:")
         assert level0.notes == ("coupling left symbolic",)
+
+    def test_generator_table_is_named_once(self):
+        # the labels that decide a family are read from one table
+        tree = ast.parse(Path(checks.__file__).read_text())
+        readers = {fn.name for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef)
+                   for node in ast.walk(fn)
+                   if isinstance(node, ast.Name)
+                   and node.id in ("lie_generators", "ideal_generators")}
+        assert readers == {"_generators"}
 
 
 class TestSpinIdentityChecks:

@@ -111,9 +111,12 @@ class TestGoldenInvocations:
         assert capsys.readouterr().out == expected
 
     def test_oracle_disagreement_witness(self, capsys, monkeypatch):
-        # a false "conserved" flag at coupling 1, where [H, J1] is not zero:
-        # the first replay of a falsely flagged target raises the alarm
-        monkeypatch.setattr(checks, "_conserved", lambda ctx, level, ab: True)
+        # a false "conserved" decision at coupling 1, where [H, J1] is not
+        # zero: the first replay of a falsely flagged target raises the alarm
+        holds = checks._ModelContext.holds
+        monkeypatch.setattr(checks._ModelContext, "holds",
+                            lambda ctx, family, level: family == "ham"
+                            or holds(ctx, family, level))
         code = cli.run(["model", "--model", "sutherland", "--N", "4",
                         "--theta0", "-1", "--L", "2", "--lambda", "1",
                         "--checks", "oracle", "--format", "json"])

@@ -118,6 +118,11 @@ class TestConstruction:
         (lambda: CheckResult("x", (), "maybe", 0), "bad status 'maybe'"),
         (lambda: CheckResult("x", (), "fail", 0),
          "failing check without witness"),
+        (lambda: OpSpace(2, 3.0), "OpSpace sites must be an integer, not 3.0"),
+        (lambda: OpSpace(True, 2),
+         "OpSpace spin dimension must be an integer, not True"),
+        (lambda: OpSpace("2", 3),
+         "OpSpace spin dimension must be an integer, not '2'"),
     ])
     def test_validation_texts(self, build, message):
         with pytest.raises(ValueError) as info:
