@@ -28,8 +28,10 @@ from .lie import (AlgebraSpec, Pair, basis, conjugate_index, generator_matrix,
                   generator_op, ideal_generators, lie_generators,
                   lowered_adjoint_constants, metric, raised_constants,
                   structure_row, structure_table, theta)
-from .models import (Item, ModelSpec, bind, coupling_weight, generator_grid,
-                     hamiltonian, star_coupling, symmetrized_triple)
+from .models import (Densities, Item, ModelSpec, bind, bind_densities,
+                     coupling_weight, generator_densities,
+                     hamiltonian_densities, site_sum, star_coupling,
+                     symmetrized_triple)
 from .operators import (Operator, OpSpace, SpinVector, apply_operator,
                         commutator, evaluate_vector, operator_combination,
                         vector_combination, word_apply)
@@ -368,8 +370,13 @@ class _ModelContext:
     that check.
 
     The context and its variants share one build of the fully symbolic
-    model, one ``generator_grid`` call per level and one ``hamiltonian``
-    call; each binds its own coupling and trap strength into it.
+    densities of the model, one ``generator_densities`` call per level and
+    one ``hamiltonian_densities`` call.  Each L-site operator is summed
+    from them once per run (``models.site_sum``).  Every context binds its
+    own coupling and trap strength into those sums, and into the densities
+    themselves, each on its own sites, where it decides on them.  So a
+    decision on the densities and an L-site object are read from one
+    source.
     """
 
     def __init__(self, ms: ModelSpec,
@@ -400,30 +407,134 @@ class _ModelContext:
         return self._once(("variant", other),
                           lambda: _ModelContext(other, self._symbolic))
 
-    def grid(self, level: int) -> Dict[Pair, Operator]:
-        def build() -> Dict[Pair, Operator]:
-            symbolic = self._symbolic_build(
-                ("grid", level), lambda ms: generator_grid(ms, level))
-            return {ab: bind(op, self.ms) for ab, op in symbolic.items()}
+    def _symbolic_densities(self, level: int) -> Dict[Pair, Densities]:
+        return self._symbolic_build(("densities", level),
+                                    lambda ms: generator_densities(ms, level))
 
-        return self._once(("grid", level), build)
+    def _symbolic_ham(self) -> Densities:
+        return self._symbolic_build("ham-densities", hamiltonian_densities)
+
+    def _summed(self, key: object,
+                densities: Callable[[], Densities]) -> Operator:
+        """The L-site operator of some symbolic densities, summed once per
+        run (``models.site_sum``) and bound to this context's model."""
+        return self._once(key, lambda: bind(self._symbolic_build(
+            key, lambda ms: site_sum(ms.space, densities())), self.ms))
+
+    def densities(self, level: int) -> Dict[Pair, Densities]:
+        """Each generator's densities at the given level."""
+        return self._once(("densities", level), lambda: {
+            ab: bind_densities(d, self.ms)
+            for ab, d in self._symbolic_densities(level).items()})
+
+    def ham_densities(self) -> Densities:
+        return self._once("ham-densities", lambda: bind_densities(
+            self._symbolic_ham(), self.ms))
+
+    def generator(self, level: int, ab: Pair) -> Operator:
+        """``J^ab`` of a level on the model's sites."""
+        return self._summed(("generator", level, ab),
+                            lambda: self._symbolic_densities(level)[ab])
+
+    def grid(self, level: int) -> Dict[Pair, Operator]:
+        return {ab: self.generator(level, ab)
+                for ab in basis(self.ms.algebra)}
 
     def hamiltonian(self) -> Operator:
-        return self._once("hamiltonian", lambda: bind(
-            self._symbolic_build("hamiltonian", hamiltonian), self.ms))
+        return self._summed("hamiltonian", self._symbolic_ham)
 
     def ham_bracket(self, level: int, ab: Pair) -> Operator:
         """``[H, J^ab]`` for a generator of the given level."""
         return self._once(("ham", level, ab), lambda: commutator(
-            self.hamiltonian(), self.grid(level)[ab]))
+            self.hamiltonian(), self.generator(level, ab)))
 
     def zero_at(self, family: str, level: int, y: Pair) -> bool:
         """Whether a family vanishes at label y: for ``"ham"``, ``[H, J^y]``
-        of the level; for ``"residual"``, ``R(y, z)`` for every z."""
+        of the level; for ``"residual"``, ``R(y, z)`` for every z.
+
+        Above the family's local bound the label is first decided on its
+        local defects (``local_zero``).  Where they all vanish the family
+        vanishes at y for every number of sites; a nonzero one falls
+        through to the L-site route, so each verdict is the L-site one.
+        """
+        if self.local_zero(family, level, y):
+            return True
         if family == "ham":
             return self.ham_bracket(level, y).is_zero
         return all(self.residual(level, y, z).is_zero
                    for z in basis(self.ms.algebra))
+
+    def local_bound(self, family: str, level: int) -> Optional[int]:
+        """The largest support of the densities a family's local defects
+        are formed from, or None where it has no local form.
+
+        Every ``J0^y = sum_j g^y_j`` is one-site, and an operator on site
+        j commutes with every density embedded off j.  Write ``I^z`` for
+        the level's densities and ``h`` for the Hamiltonian's.  So with
+        ``J0^y`` on m sites, ``sum_{i<=m} g^y_i``, each family is a sum of
+        embedded local defects over the increasing site tuples t, and
+        embedding is an algebra monomorphism:
+
+            R_L(y,z) = sum_t embed_t(rho_|t|(y,z)),
+            rho_m(y,z) = [J0^y on m sites, I^z_m] - sum_w f^{yz}_w I^w_m,
+            [H, J0^y] = sum_t embed_t([h_|t|, J0^y on |t| sites]).
+
+        When every local defect vanishes, the family vanishes at every L
+        (the sufficient half of the cluster argument, Rota 1964).  The
+        bound is 1 for level-relation-0, 2 for the calogero and
+        sutherland level 1 and for ``[H, J0]``, and 3 for the confined
+        level 1.  ``[H, J1]`` has no local form here, nor has any family
+        when a ``J0`` density is not one-site.
+        """
+        if (family == "ham" and level) or any(
+                m != 1 for d in self.densities(0).values() for m in d):
+            return None
+        if family == "ham":
+            return max(self.ham_densities(), default=0)
+        return max((m for d in self.densities(level).values() for m in d),
+                   default=0)
+
+    def local_zero(self, family: str, level: int, y: Pair) -> bool:
+        """Whether every local defect of a family at label y vanishes;
+        False at or below the family's local bound, where the local defects
+        are as large as the L-site one and only the L-site route runs.
+        Decided once per context and label."""
+        bound = self.local_bound(family, level)
+        if bound is None or self.ms.sites <= bound:
+            return False
+
+        def build() -> bool:
+            if family == "ham":
+                return all(self.local_bracket(y, m).is_zero
+                           for m in self.ham_densities())
+            supports = sorted({m for d in self.densities(level).values()
+                               for m in d})
+            return all(self.local_residual(level, y, z, m).is_zero
+                       for z in basis(self.ms.algebra) for m in supports)
+
+        return self._once(("local", family, level, y), build)
+
+    def moment(self, y: Pair, m: int) -> Operator:
+        """``J0^y`` on m sites, summed from its one-site density."""
+        return self._once(("moment", y, m), lambda: site_sum(
+            OpSpace(self.ms.algebra.N, m), self.densities(0)[y]))
+
+    def local_bracket(self, y: Pair, m: int) -> Operator:
+        """``[h_m, J0^y on m sites]``, the local defect of ``[H, J0^y]``."""
+        return commutator(self.ham_densities()[m], self.moment(y, m))
+
+    def local_residual(self, level: int, y: Pair, z: Pair, m: int
+                       ) -> Operator:
+        """``rho_m(y,z) = [J0^y on m sites, I^z_m] - sum_w f^{yz}_w
+        I^w_m``, the local defect of ``R(y, z)`` on m sites; a density a
+        label lacks is zero."""
+        space = OpSpace(self.ms.algebra.N, m)
+        densities = self.densities(level)
+        zero = Operator.zero(space)
+        return operator_combination(space, [
+            (1, commutator(self.moment(y, m), densities[z].get(m, zero)))] + [
+            (-c, densities[w].get(m, zero))
+            for w, c in structure_row(self.ms.algebra, y, z).items()])
 
     def _generators(self, family: str, level: int
                     ) -> Tuple[Tuple[Pair, ...], Tuple[Tuple[str, int], ...]]:
@@ -493,10 +604,10 @@ class _ModelContext:
         """``R(y,z) = [J0^y, J^z] - sum_w f^{yz}_w J^w`` at the given level."""
 
         def build() -> Operator:
-            grid = self.grid(level)
             return operator_combination(self.ms.space, [
-                (1, commutator(self.grid(0)[y], grid[z]))] + [
-                (-c, grid[w])
+                (1, commutator(self.generator(0, y),
+                               self.generator(level, z)))] + [
+                (-c, self.generator(level, w))
                 for w, c in structure_row(self.ms.algebra, y, z).items()])
 
         return self._once(("residual", level, y, z), build)
@@ -504,7 +615,7 @@ class _ModelContext:
     def bracket(self, x: Pair, w: Pair) -> Operator:
         """``B(x,w) = [J1^x, J1^w]``; asked for with ``x < w`` only."""
         return self._once(("bracket", x, w), lambda: commutator(
-            self.grid(1)[x], self.grid(1)[w]))
+            self.generator(1, x), self.generator(1, w)))
 
     def pieces(self, triples: Iterable[Triple]) -> List[Item]:
         """``sum [J1^x, [J0^y, J1^z]]`` over basis triples as items, from
@@ -535,7 +646,8 @@ class _ModelContext:
                 continue
             rest = self.residual(1, y, z)
             if not rest.is_zero:
-                parts.append((Fraction(1), commutator(self.grid(1)[x], rest)))
+                parts.append((Fraction(1), commutator(self.generator(1, x),
+                                                      rest)))
         return parts + [(c, self.bracket(*k)) for k, c in row.items() if c]
 
     def piece_sum(self, triples: Iterable[Triple]) -> Operator:
@@ -561,7 +673,7 @@ class _ModelContext:
             return operator_combination(self.ms.space, items), False
         right = operator_combination(self.ms.space, (
             (c, self._once(("sym", key), lambda key=key: symmetrized_triple(
-                *map(self.grid(0).get, key))))
+                *(self.generator(0, label) for label in key))))
             for key, c in weights.items()))
         items.append((-self.serre_scale(), right))
         return (operator_combination(self.ms.space, items),
@@ -786,7 +898,8 @@ def _zero_trap_mismatch(ctx: _ModelContext, zero: _ModelContext
     trap_off = {om_slot(ctx.ms.sites): Fraction(0)}
     for level in (0, 1):
         for x in basis(ctx.ms.algebra):
-            if ctx.grid(level)[x].substitute(trap_off) != zero.grid(level)[x]:
+            if (ctx.generator(level, x).substitute(trap_off)
+                    != zero.generator(level, x)):
                 return (f"zero-trap reduction mismatch at level-{level} "
                         f"generator {x}")
     if not ctx.serre_scale().substitute(trap_off).is_zero:
@@ -1313,12 +1426,12 @@ def _conservation_targets(ctx: _ModelContext) -> List[_OracleTarget]:
     ham = ctx.hamiltonian()
     out: List[_OracleTarget] = []
     for level in (0, 1):
-        grid = ctx.grid(level)
         for ab in basis(ctx.ms.algebra):
             gen = (level, ab)
             out.append(_OracleTarget(
                 f"conservation level {level} generator {ab}",
-                _word_map(ctx.ms.space, {"H": ham, gen: grid[ab]},
+                _word_map(ctx.ms.space,
+                          {"H": ham, gen: ctx.generator(level, ab)},
                           _bracket(_op("H"), _op(gen))),
                 ctx.holds("ham", level) or ctx.zero_at("ham", level, ab)))
     return out

@@ -7,7 +7,8 @@ strength `om`) fully symbolic; explicit coupling modes then bind the
 parameters by exact substitution (`bind`), so a star-mode operator is
 literally the symbolic one evaluated at lam = 2/(N - 4*theta0).  The
 builders keep nothing between calls: a caller that needs one operator at
-several couplings builds the symbolic spec once and binds it for each.
+several couplings builds the symbolic densities once and binds them for
+each.
 
 Pair sums run over ordered pairs j != k and triple sums over pairwise
 distinct (j, k, l), matching the displayed conventions, except where a
@@ -18,20 +19,20 @@ Each summand is stated once, as an item: a weight with its operator on
 the smallest support, which is the operator's site count.  A one-site
 item acts on site 1, a pair item on (1, 2) in both orders, (1, 2) and
 (2, 1), or once with its weight doubled where it is symmetric, and a
-triple item on (1, 2, 3) in all six orders.  The L-site sum is then the
-sum of these items embedded at every increasing site tuple (j,), (j, k)
-with j < k, or (j, k, l) with j < k < l (``operators.embed``): an
-increasing tuple carries both orders of a pair and all six of a triple,
-so each ordered pair and each ordered triple of distinct sites is met
-exactly once.  A builder states each weight once per call, and equal
-weights share one embedding at each tuple.
+triple item on (1, 2, 3) in all six orders.  The items of one support
+sum to a density on that many sites, whose coefficients do not depend on
+L (``_densities``).  The L-site operator is the sum of the densities
+embedded at every increasing site tuple (j,), (j, k) with j < k, or
+(j, k, l) with j < k < l (``site_sum``): an increasing tuple carries
+both orders of a pair and all six of a triple, so each ordered pair and
+each ordered triple of distinct sites is met exactly once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
-from typing import Callable, Dict, Iterable, List, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from .errors import DegenerateCouplingError
 from .exact import RationalFunction, lam_slot, om_slot
@@ -47,10 +48,11 @@ CouplingMode = Union[str, int, Fraction]
 Weight = Union[Scalar, RationalFunction]
 # a weight with its operator, on the operator's own support
 Item = Tuple[Weight, Operator]
-# a site tuple and a weight embedded there
-Placed = Tuple[Tuple[int, ...], Weight]
-# a tower's items at a label (a, b)
-Tower = Callable[[int, int], List[Item]]
+# each support m with the function from a label (none for the
+# Hamiltonian) to the items on m sites
+Supports = Dict[int, Callable[..., List[Item]]]
+# an operator's densities: each support m with its density on m sites
+Densities = Dict[int, Operator]
 
 MODEL_KINDS = ("calogero", "sutherland", "confined")
 
@@ -109,16 +111,18 @@ class ModelSpec(Value):
     def resolved_omega(self) -> Union[Fraction, None]:
         return None if self.omega == "symbolic" else self.omega
 
-    def bindings(self) -> Dict[int, Fraction]:
-        """Slot values of the explicit parameters: the coupling unless it
+    def bindings(self, npos: Optional[int] = None) -> Dict[int, Fraction]:
+        """Slot values of the explicit parameters on a table of ``npos``
+        positions (the model's sites by default): the coupling unless it
         is symbolic, and the trap strength unless it is symbolic.  The one
         place where modes become bound values."""
+        npos = self.sites if npos is None else npos
         out: Dict[int, Fraction] = {}
         lam = self.resolved_lam()
         if lam is not None:
-            out[lam_slot(self.sites)] = lam
+            out[lam_slot(npos)] = lam
         if self.omega != "symbolic":
-            out[om_slot(self.sites)] = self.omega
+            out[om_slot(npos)] = self.omega
         return out
 
     def lam_label(self) -> str:
@@ -136,8 +140,15 @@ class ModelSpec(Value):
 
 def bind(op: Operator, ms: ModelSpec) -> Operator:
     """Substitute the model's explicit coupling and trap strength into an
-    operator built with them symbolic; symbolic modes stay symbolic."""
-    return op.substitute(ms.bindings())
+    operator built with them symbolic, at the operator's own site count,
+    so a density binds as the L-site operator does; symbolic modes stay
+    symbolic."""
+    return op.substitute(ms.bindings(op.space.sites))
+
+
+def bind_densities(densities: Densities, ms: ModelSpec) -> Densities:
+    """Each density bound on its own sites (``bind``)."""
+    return {m: bind(op, ms) for m, op in densities.items()}
 
 
 def _kinetic(kind: str, space: OpSpace) -> Operator:
@@ -147,47 +158,40 @@ def _kinetic(kind: str, space: OpSpace) -> Operator:
     return Operator.position_op(space, 1) * d if kind == "sutherland" else d
 
 
-class _Frame:
-    """An L-site space and the weight embeddings of one builder call.
+def _densities(spec: AlgebraSpec, supports: Supports, sites: int,
+               *label: int) -> Densities:
+    """The items of each support summed in one combination on
+    ``OpSpace(N, m)``, in support order; a density that sums to zero is
+    dropped.  A support larger than the model's sites has no site tuple
+    to sit on, so its items are never built: this is the one place that
+    reads the site count."""
+    out: Densities = {}
+    for m in sorted(supports):
+        if m <= sites:
+            density = operator_combination(OpSpace(spec.N, m),
+                                           supports[m](*label))
+            if not density.is_zero:
+                out[m] = density
+    return out
 
-    An item is a weight with its operator; the operator's site count is
-    the item's support.  A weight is embedded once per increasing site
-    tuple of that size (``RationalFunction.embed``) and kept for the
-    frame's life, so equal weights share one embedding across items and
-    labels.  Scalar weights are not embedded.
-    """
 
-    def __init__(self, space: OpSpace):
-        self.space = space
-        self._at: Dict[Tuple[Weight, int], List[Placed]] = {}
-
-    def _placed(self, weight: Weight, size: int) -> List[Placed]:
-        at = self._at.get((weight, size))
-        if at is None:
-            sites = self.space.sites
-            at = self._at[weight, size] = [
-                (t, weight.embed(sites, t)
-                 if isinstance(weight, RationalFunction) else weight)
-                for t in combinations(range(1, sites + 1), size)]
-        return at
-
-    def build(self, items: Iterable[Item]) -> Operator:
-        """The sum of the items, each embedded at every increasing site
-        tuple of its support with its weight there (``operators.embed``),
-        in one combination."""
-        return operator_combination(self.space, (
-            (w, embed(op, t, self.space))
-            for weight, op in items
-            for t, w in self._placed(weight, op.space.sites)))
+def site_sum(space: OpSpace, densities: Densities) -> Operator:
+    """The L-site operator of some densities: each embedded at every
+    increasing site tuple of its support (``operators.embed``), in one
+    combination."""
+    return operator_combination(space, (
+        (1, embed(density, t, space)) for m, density in densities.items()
+        for t in combinations(range(1, space.sites + 1), m)))
 
 
 # ---------------------------------------------------------------------------
 # Hamiltonians
 
 
-def hamiltonian(ms: ModelSpec) -> Operator:
-    """-sum_j D_j^2 + sum_{j!=k} w_jk (lam^2 - lam P_jk + lam Q_jk), plus the
-    trap om^2 sum_j x_j^2 for the confined model, in one combination.
+def hamiltonian_densities(ms: ModelSpec) -> Densities:
+    """The densities of -sum_j D_j^2 + sum_{j!=k} w_jk (lam^2 - lam P_jk +
+    lam Q_jk), plus the trap om^2 sum_j x_j^2 for the confined model, bound
+    to the model's coupling and trap strength.
 
     w_jk is 1/(x_j-x_k)^2, times x_j x_k for the trigonometric family."""
     spec, kind = ms.algebra, ms.kind
@@ -200,28 +204,35 @@ def hamiltonian(ms: ModelSpec) -> Operator:
         w = w * RationalFunction.position(2, 1) \
             * RationalFunction.position(2, 2)
     kinetic = _kinetic(kind, one)
-    items: List[Item] = [(-1, kinetic * kinetic),
-                         (lam * w, Operator.identity(two)),
-                         (-w, permutation_op(spec, two, 1, 2)),
-                         (w, twist_op(spec, two, 1, 2))]
+    ones: List[Item] = [(-1, kinetic * kinetic)]
     if kind == "confined":
         om = RationalFunction.trap(1)
-        items.append((om * om, Operator.position_op(one, 1, 2)))
-    return bind(_Frame(ms.space).build(items), ms)
+        ones.append((om * om, Operator.position_op(one, 1, 2)))
+    pairs: List[Item] = [(lam * w, Operator.identity(two)),
+                         (-w, permutation_op(spec, two, 1, 2)),
+                         (w, twist_op(spec, two, 1, 2))]
+    return bind_densities(_densities(
+        spec, {1: lambda: ones, 2: lambda: pairs}, ms.sites), ms)
+
+
+def hamiltonian(ms: ModelSpec) -> Operator:
+    """The Hamiltonian on the model's sites (``hamiltonian_densities``)."""
+    return site_sum(ms.space, hamiltonian_densities(ms))
 
 
 # ---------------------------------------------------------------------------
 # symmetry generators: each tower builds its label-independent weights
-# once and returns the function from a label (a, b) to its items
+# once and returns, per support, the function from a label (a, b) to its
+# items there
 
 
-def _rotation_moment(spec: AlgebraSpec) -> Tower:
+def _rotation_moment(spec: AlgebraSpec) -> Supports:
     """Level 0: the rotation sum_j F_j^{ab}."""
     one = OpSpace(spec.N, 1)
-    return lambda a, b: [(1, generator_op(spec, one, 1, a, b))]
+    return {1: lambda a, b: [(1, generator_op(spec, one, 1, a, b))]}
 
 
-def _level1(kind: str, spec: AlgebraSpec) -> Tower:
+def _level1(kind: str, spec: AlgebraSpec) -> Supports:
     """sum_j F_j^{ab} D_j - sum_{j!=k} v_jk (F_j F_k)^{ab}, with
     v_jk = lam/(x_j-x_k), times (x_j+x_k)/2 in Euler form."""
     one, two = OpSpace(spec.N, 1), OpSpace(spec.N, 2)
@@ -233,31 +244,29 @@ def _level1(kind: str, spec: AlgebraSpec) -> Tower:
              ) * Fraction(1, 2) if kind == "sutherland" else 1
     pairs = [((j, k), -(lam * RationalFunction.inverse_difference(2, j, k)
                         * euler)) for j, k in ((1, 2), (2, 1))]
-    return lambda a, b: [
-        (1, generator_op(spec, one, 1, a, b) * kinetic)] + [
-        (v, pair_contraction(spec, two, j, k, a, b)) for (j, k), v in pairs]
+    return {1: lambda a, b: [(1, generator_op(spec, one, 1, a, b) * kinetic)],
+            2: lambda a, b: [(v, pair_contraction(spec, two, j, k, a, b))
+                             for (j, k), v in pairs]}
 
 
-def _rational_level2(spec: AlgebraSpec, sites: int) -> Tower:
+def _rational_level2(spec: AlgebraSpec) -> Supports:
     """sum_j F_j^{ab} d_j^2 - sum_{j!=k} lam/(x_j-x_k) (F_j F_k)^{ab}
     (d_j + d_k), plus w_jk = lam/(x_j-x_k)^2 times (E_j E_k)^{ab} with F's
     mirror term, less lam w_jk F_j^{ab}, and over pairwise distinct
     (j, k, l) the weight -lam^2/((x_j-x_k)(x_j-x_l)) times
-    (F_k F_j F_l)^{ab} (three sites or more)."""
+    (F_k F_j F_l)^{ab}."""
     one, two, three = (OpSpace(spec.N, m) for m in (1, 2, 3))
     lam, inv = RationalFunction.coupling(2), RationalFunction.inverse_difference
     w = lam * inv(2, 1, 2, 2)
     lam_w = -(lam * w)
     d2 = Operator.derivative_op(one, 1, 2)
     pairs = [((j, k), -(lam * inv(2, j, k))) for j, k in ((1, 2), (2, 1))]
-    triples = []
-    if sites >= 3:
-        lam3 = RationalFunction.coupling(3)
-        triples = [((j, k, l), -(lam3 * lam3 * inv(3, j, k) * inv(3, j, l)))
-                   for j, k, l in permutations((1, 2, 3))]
+    lam3 = RationalFunction.coupling(3)
+    triples = [((j, k, l), -(lam3 * lam3 * inv(3, j, k) * inv(3, j, l)))
+               for j, k, l in permutations((1, 2, 3))]
 
-    def items(a: int, b: int) -> List[Item]:
-        out: List[Item] = [(1, generator_op(spec, one, 1, a, b) * d2)]
+    def pair_items(a: int, b: int) -> List[Item]:
+        out: List[Item] = []
         for (j, k), weight in pairs:
             # (d_j + d_k): the relative sign is pinned by the bracket
             # identity [level1, level1] = f * level2 at the critical
@@ -268,48 +277,60 @@ def _rational_level2(spec: AlgebraSpec, sites: int) -> Tower:
                     for site in (j, k)]
             out += [(w, mirror_pair_contraction(spec, two, j, k, a, b)),
                     (lam_w, generator_op(spec, two, j, a, b))]
-        out += [(weight, triple_contraction(spec, three, k, j, l, a, b))
-                for (j, k, l), weight in triples]
         return out
-    return items
+
+    return {1: lambda a, b: [(1, generator_op(spec, one, 1, a, b) * d2)],
+            2: pair_items,
+            3: lambda a, b: [
+                (weight, triple_contraction(spec, three, k, j, l, a, b))
+                for (j, k, l), weight in triples]}
 
 
-def _confined_level1(spec: AlgebraSpec, sites: int) -> Tower:
+def _confined_level1(spec: AlgebraSpec) -> Supports:
     """The rational level 2 less om^2 sum_j x_j^2 F_j^{ab}."""
     one, om = OpSpace(spec.N, 1), RationalFunction.trap(1)
     trap = -(om * om) * RationalFunction.position(1, 1, 2)
-    rational = _rational_level2(spec, sites)
-    return lambda a, b: rational(a, b) + [
-        (trap, generator_op(spec, one, 1, a, b))]
+    rational = _rational_level2(spec)
+    return {**rational, 1: lambda a, b: rational[1](a, b) + [
+        (trap, generator_op(spec, one, 1, a, b))]}
 
 
 def _tower(ms: ModelSpec, level: int, labels: Iterable[Pair]
-           ) -> Dict[Pair, Operator]:
-    """The model's own tower (levels 0 and 1) at the given labels,
-    dispatched by kind: one frame, then one combination per label."""
+           ) -> Dict[Pair, Densities]:
+    """The densities of the model's own tower (levels 0 and 1) at the
+    given labels, dispatched by kind and bound to the model's coupling
+    and trap strength."""
     if level not in (0, 1):
         raise ValueError("symmetry tower levels are 0 and 1")
     spec, kind = ms.algebra, ms.kind
     if level == 0:
-        items = _rotation_moment(spec)
+        supports = _rotation_moment(spec)
     elif kind == "confined":
-        items = _confined_level1(spec, ms.sites)
+        supports = _confined_level1(spec)
     else:
-        items = _level1(kind, spec)
-    frame = _Frame(ms.space)
-    return {ab: bind(frame.build(items(*ab)), ms) for ab in labels}
+        supports = _level1(kind, spec)
+    return {ab: bind_densities(_densities(spec, supports, ms.sites, *ab), ms)
+            for ab in labels}
+
+
+def generator_densities(ms: ModelSpec, level: int
+                        ) -> Dict[Pair, Densities]:
+    """The densities of every generator of one level (``_tower``)."""
+    return _tower(ms, level, basis(ms.algebra))
 
 
 def symmetry_generator(ms: ModelSpec, level: int, ab: Pair) -> Operator:
-    """One generator of the model's own tower (``_tower``)."""
+    """One generator of the model's own tower on the model's sites."""
     if ab not in basis(ms.algebra):
         raise ValueError(f"label {ab} not in the admissible set")
-    return _tower(ms, level, (ab,))[ab]
+    return site_sum(ms.space, _tower(ms, level, (ab,))[ab])
 
 
 def generator_grid(ms: ModelSpec, level: int) -> Dict[Pair, Operator]:
-    """Every generator of one level, from one frame (``_tower``)."""
-    return _tower(ms, level, basis(ms.algebra))
+    """Every generator of one level on the model's sites, each one
+    ``site_sum`` of its densities."""
+    return {ab: site_sum(ms.space, densities)
+            for ab, densities in generator_densities(ms, level).items()}
 
 
 def symmetrized_triple(a: Operator, b: Operator, c: Operator) -> Operator:

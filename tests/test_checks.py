@@ -21,8 +21,9 @@ from spinsym.checks import (CheckReport, CheckResult, LIE_SUITE_SPECS,
                             solve_lambda)
 from spinsym.exact import RationalFunction
 from spinsym.lie import AlgebraSpec, basis, generator_op, structure_row
-from spinsym.models import (ModelSpec, generator_grid, hamiltonian,
-                            star_coupling, symmetrized_triple)
+from spinsym.models import (ModelSpec, bind_densities, generator_grid,
+                            hamiltonian, site_sum, star_coupling,
+                            symmetrized_triple)
 from spinsym.operators import (Operator, OpSpace, apply_operator, commutator,
                                evaluate_vector, operator_sum)
 
@@ -38,6 +39,58 @@ SO5 = AlgebraSpec(5, 1)
 def make(name="demo", status="pass", witness=(), notes=(), millis=5):
     return CheckResult(name, (("algebra", "sp(2)"),), status, millis,
                        witness, notes)
+
+
+def plant(monkeypatch, level, label, support, term):
+    """Add ``term(OpSpace(N, support))`` to one generator's density of that
+    support in the build every context reads; on L sites the term then
+    sits on every increasing site tuple of that size."""
+    build = checks.generator_densities
+
+    def planted(ms, lvl):
+        densities = build(ms, lvl)
+        if lvl == level:
+            space = OpSpace(ms.algebra.N, support)
+            own = dict(densities[label])
+            own[support] = checks.operator_combination(space, [
+                (1, own.get(support, Operator.zero(space))),
+                (1, term(space))])
+            densities = {**densities, label: own}
+        return densities
+
+    monkeypatch.setattr(checks, "generator_densities", planted)
+    return planted
+
+
+def plant_hamiltonian(monkeypatch, support, term):
+    """``plant`` for the Hamiltonian's density of one support."""
+    build = checks.hamiltonian_densities
+
+    def planted(ms):
+        densities = dict(build(ms))
+        space = OpSpace(ms.algebra.N, support)
+        densities[support] = checks.operator_combination(space, [
+            (1, densities.get(support, Operator.zero(space))),
+            (1, term(space))])
+        return densities
+
+    monkeypatch.setattr(checks, "hamiltonian_densities", planted)
+    return planted
+
+
+def planted_grid(planted, ms, level):
+    """The L-site generators of planted densities, bound to the model's
+    coupling and summed with no proof context."""
+    symbolic = ms.replace(lam="symbolic", omega="symbolic")
+    return {ab: site_sum(ms.space, bind_densities(d, ms))
+            for ab, d in planted(symbolic, level).items()}
+
+
+def position_term(a, b):
+    """``x_1 E_1^{ab}``: on L sites ``sum_j x_j E_j^{ab}``, which no
+    Hamiltonian here conserves (its kinetic term sees the position)."""
+    return lambda space: (Operator.position_op(space, 1)
+                          * Operator.spin_unit(space, 1, a, b))
 
 
 class TestResultPlumbing:
@@ -243,14 +296,29 @@ class TestSerre:
 
     def test_cyclic_piece_holds_without_covariance(self, monkeypatch):
         # a level-1 grid shifted by squares of level-0 generators is no
-        # longer covariant, so the residual term of the table is exercised
+        # longer covariant, so the residual term of the table is exercised;
+        # the square (sum_j F_j)^2 is planted in the densities, as F_1 F_1
+        # on one site and 2 F_1 F_2 on a pair
         ms = ModelSpec(SP2, 2, "calogero", lam="star")
-        grid0 = generator_grid(ms, 0)
-        grid1 = {ab: op + grid0[ab] * grid0[ab]
-                 for ab, op in generator_grid(ms, 1).items()}
-        monkeypatch.setattr(checks, "generator_grid",
-                            lambda _, level: grid1 if level else grid0)
+        build = checks.generator_densities
+
+        def square(ab, m):
+            space = OpSpace(SP2.N, m)
+            f = [generator_op(SP2, space, j, *ab) for j in range(1, m + 1)]
+            return f[0] * f[0] if m == 1 else (f[0] * f[1]).scaled(2)
+
+        def planted(ms, level):
+            densities = build(ms, level)
+            if level:
+                densities = {ab: {m: d + square(ab, m) for m, d in own.items()}
+                             for ab, own in densities.items()}
+            return densities
+
+        monkeypatch.setattr(checks, "generator_densities", planted)
         ctx = checks._ModelContext(ms)
+        grid0, grid1 = ctx.grid(0), ctx.grid(1)
+        assert all(grid1[ab] == op + grid0[ab] * grid0[ab]
+                   for ab, op in generator_grid(ms, 1).items())
 
         def piece(x, y, z):
             return ctx.piece_sum(((x, y, z),))
@@ -589,15 +657,16 @@ class TestDecidingLabels:
         return {r for r in checks._rational_roots(common) if r != 0}
 
     @staticmethod
-    def noncovariant(lam):
-        # a spin-only term on one site of J1^(1,2) breaks R(y, (1,2)) = 0
-        # and, being no conserved quantity, the critical coupling as well
-        ms = ModelSpec(SP2, 3, "sutherland", lam=lam)
-        ctx = checks._ModelContext(ms)
-        grid = dict(ctx.grid(1))
-        grid[(1, 2)] = grid[(1, 2)] + generator_op(SP2, ms.space, 1, 1, 1)
-        ctx._cache[("grid", 1)] = grid
-        return ms, ctx
+    def noncovariant(monkeypatch):
+        # sum_j x_j E_j^(1,1) in J1^(1,2), planted in its one-site density,
+        # breaks R(y, (1,2)) = 0 and, being no conserved quantity, the
+        # critical coupling as well
+        plant(monkeypatch, 1, (1, 2), 1, position_term(1, 1))
+
+        def model(lam):
+            ms = ModelSpec(SP2, 3, "sutherland", lam=lam)
+            return ms, checks._ModelContext(ms)
+        return model
 
     @pytest.mark.parametrize("spec", [SO3, SP2, SP4],
                              ids=lambda spec: spec.describe())
@@ -609,7 +678,8 @@ class TestDecidingLabels:
 
     def test_planted_noncovariant_generator_decides_on_every_label(
             self, monkeypatch):
-        ms, ctx = self.noncovariant("symbolic")
+        model = self.noncovariant(monkeypatch)
+        ms, ctx = model("symbolic")
         assert any(not ctx.residual(1, y, z).is_zero
                    for y in basis(SP2) for z in basis(SP2))
         assert ctx.deciding_labels("ham", 1) == basis(SP2)
@@ -623,7 +693,7 @@ class TestDecidingLabels:
         assert ctx.ham_bracket(1, (1, 1)).substitute(
             {checks.lam_slot(ms.sites): star}).is_zero
         # at the critical coupling [H, J1^(1,1)] vanishes, yet the level fails
-        ms, ctx = self.noncovariant("star")
+        ms, ctx = model("star")
         assert ctx.ham_bracket(1, (1, 1)).is_zero
         _, level1 = check_conservation(ms, ctx)
         assert level1.status == "fail"
@@ -631,12 +701,14 @@ class TestDecidingLabels:
 
     def test_planted_nonconserved_hamiltonian_decides_on_every_label(
             self, monkeypatch):
-        # a one-site spin term in H breaks [J0^y, H] = 0 while every
-        # level-1 residual still vanishes
+        # F^(1,2) planted in H's one-site density, J0^(1,2) on every site,
+        # breaks [J0^y, H] = 0 while every level-1 residual still vanishes
+        plant_hamiltonian(monkeypatch, 1,
+                          lambda space: generator_op(SP2, space, 1, 1, 2))
         ms = ModelSpec(SP2, 3, "sutherland", lam="symbolic")
         ctx = checks._ModelContext(ms)
-        ctx._cache["hamiltonian"] = ctx.hamiltonian() + generator_op(
-            SP2, ms.space, 1, 1, 2)
+        assert ctx.hamiltonian() == hamiltonian(ms) + generator_grid(
+            ms, 0)[(1, 2)]
         assert all(ctx.residual(1, y, z).is_zero
                    for y in basis(SP2) for z in basis(SP2))
         assert not all(ctx.ham_bracket(0, y).is_zero for y in basis(SP2))
@@ -756,28 +828,23 @@ class TestLieGeneratorDecisions:
         return formed
 
     @staticmethod
-    def plant(monkeypatch, level, label, term):
-        # every context reads the planted grid: the fault is in the build
-        build = checks.generator_grid
+    def formed_local(monkeypatch):
+        formed = set()
+        local_residual = checks._ModelContext.local_residual
 
-        def planted(ms, lvl):
-            grid = build(ms, lvl)
-            if lvl == level:
-                grid = dict(grid)
-                grid[label] = checks.operator_combination(
-                    ms.space, [(1, grid[label]), (1, term(ms.space))])
-            return grid
+        def recording(ctx, level, y, z, m):
+            formed.add((ctx.ms.lam, level, y, z, m))
+            return local_residual(ctx, level, y, z, m)
 
-        monkeypatch.setattr(checks, "generator_grid", planted)
-        return planted
+        monkeypatch.setattr(checks._ModelContext, "local_residual",
+                            recording)
+        return formed
 
     @staticmethod
     def reference(ms, planted):
-        # the bound grids and Hamiltonian, and every residual and bracket
-        # in basis order, with no context
-        grids = {level: {ab: checks.bind(op, ms) for ab, op in planted(
-            ms.replace(lam="symbolic", omega="symbolic"), level).items()}
-            for level in (0, 1)}
+        # the bound grids, and every residual in basis order, with no
+        # context
+        grids = {level: planted_grid(planted, ms, level) for level in (0, 1)}
         space, labels = ms.space, basis(ms.algebra)
         residuals = {
             (level, y, z): checks.operator_combination(space, [
@@ -792,16 +859,21 @@ class TestLieGeneratorDecisions:
     def test_covariance_forms_generator_rows_only(self, spec, formed_pairs,
                                                   monkeypatch):
         formed = self.formed_residuals(monkeypatch)
+        local = self.formed_local(monkeypatch)
         ms = ModelSpec(spec, 2, "sutherland", lam="star")
         r0, r1 = check_level_relations(ms)
-        d = len(basis(spec))
+        labels = basis(spec)
+        d = len(labels)
         assert r1.notes == (f"{d * d} bracket pairs verified",)
         level1 = {(y, z) for _, level, y, z in formed if level == 1}
         assert len(level1) == formed_pairs
         assert {y for y, _ in level1} == set(checks.lie_generators(spec))
-        # level-relation-0 is decided once, on the symbolic variant
-        assert {(lam, level) for lam, level, _, _ in formed} == {
-            ("symbolic", 0), ("star", 1)}
+        # at L=2 level 1 is at its local bound and forms L-site residuals;
+        # level-relation-0 is decided once, on the symbolic variant, from
+        # its d^2 one-site local residuals
+        assert {(lam, level) for lam, level, _, _ in formed} == {("star", 1)}
+        assert local == {("symbolic", 0, y, z, 1)
+                         for y in labels for z in labels}
 
     def test_level0_conservation_forms_generator_brackets_only(self,
                                                                monkeypatch):
@@ -830,9 +902,10 @@ class TestLieGeneratorDecisions:
                              ids=["sp(2)", "sp(4)"])
     def test_planted_spin_term_in_non_generator_level1(self, spec, label,
                                                        monkeypatch):
+        # E^(1,2) on site 1 of the pair density: at L=2 on site 1 only
         assert label not in checks.lie_generators(spec)
-        planted = self.plant(monkeypatch, 1, label,
-                             lambda space: Operator.spin_unit(space, 1, 1, 2))
+        planted = plant(monkeypatch, 1, label, 2,
+                        lambda space: Operator.spin_unit(space, 1, 1, 2))
         ms = ModelSpec(spec, 2, "sutherland", lam="star")
         grids, residuals = self.reference(ms, planted)
         labels = basis(spec)
@@ -857,18 +930,22 @@ class TestLieGeneratorDecisions:
 
     def test_planted_noncovariant_generator_refutes_before_any_premise(
             self, monkeypatch):
-        # a spin-only term in J1 of a Lie generator makes a generator row
-        # nonzero: covariance fails before level-relation-0 is formed
+        # a spin-only term in J1 of a Lie generator, planted in its
+        # one-site density, makes a generator row nonzero: covariance
+        # fails before level-relation-0 is formed, and its nonzero local
+        # residual falls through to the L-site route
         label = checks.lie_generators(SP2)[0]
-        planted = self.plant(monkeypatch, 1, label,
-                             lambda space: Operator.spin_unit(space, 1, 1, 2))
+        planted = plant(monkeypatch, 1, label, 1,
+                        lambda space: Operator.spin_unit(space, 1, 1, 2))
         ms = ModelSpec(SP2, 3, "sutherland", lam="star")
         _, residuals = self.reference(ms, planted)
         labels = basis(SP2)
         formed = self.formed_residuals(monkeypatch)
+        local = self.formed_local(monkeypatch)
         ctx = checks._ModelContext(ms)
         assert not ctx.holds("residual", 1)
         assert formed and not any(level == 0 for _, level, _, _ in formed)
+        assert local and not any(level == 0 for _, level, *_ in local)
         _, r1 = check_level_relations(ms, ctx)
         (y, z), diff = next(((y, z), residuals[(1, y, z)]) for y in labels
                             for z in labels
@@ -879,13 +956,15 @@ class TestLieGeneratorDecisions:
 
     def test_planted_non_representation_forms_every_residual(self,
                                                              monkeypatch):
-        # J0^(1,1) + 1 breaks level-relation-0 and leaves every level-1
-        # residual 0: level 1 is then decided on every label
-        planted = self.plant(monkeypatch, 0, (1, 1), Operator.identity)
+        # J0^(1,1) + 1 on every site breaks level-relation-0 and leaves
+        # every level-1 residual 0: level 1 is then decided on every label,
+        # each from its local residuals
+        planted = plant(monkeypatch, 0, (1, 1), 1, Operator.identity)
         ms = ModelSpec(SP2, 3, "sutherland", lam="star")
         _, residuals = self.reference(ms, planted)
         labels = basis(SP2)
         formed = self.formed_residuals(monkeypatch)
+        local = self.formed_local(monkeypatch)
         r0, r1 = check_level_relations(ms)
         (y, z), diff = next(((y, z), residuals[(0, y, z)]) for y in labels
                             for z in labels
@@ -895,20 +974,21 @@ class TestLieGeneratorDecisions:
             diff, f"residue for {y} x {z}:")
         assert r1.status == "pass"
         assert r1.notes == ("9 bracket pairs verified",)
-        assert {(y, z) for lam, level, y, z in formed
+        assert not any(level == 1 for _, level, _, _ in formed)
+        assert {(y, z) for lam, level, y, z, _ in local
                 if (lam, level) == ("star", 1)} == set(product(labels,
                                                                repeat=2))
 
     def test_planted_nonconserved_non_generator_level0(self, monkeypatch):
-        # a one-site term in J0^(1,1), a label outside the Lie generators,
-        # breaks [H, J0^(1,1)] = 0 (and level-relation-0 with it)
+        # sum_j x_j E_j^(1,2) in J0^(1,1), a label outside the Lie
+        # generators, breaks [H, J0^(1,1)] = 0 (and level-relation-0 with
+        # it); its local bracket falls through to the L-site route
         assert (1, 1) not in checks.lie_generators(SP2)
-        planted = self.plant(monkeypatch, 0, (1, 1),
-                             lambda space: Operator.spin_unit(space, 1, 1, 2))
+        planted = plant(monkeypatch, 0, (1, 1), 1, position_term(1, 2))
         ms = ModelSpec(SP2, 3, "sutherland", lam="star")
         free = ms.replace(lam="symbolic")
         ham = hamiltonian(free)
-        grid = planted(free, 0)
+        grid = planted_grid(planted, free, 0)
         ab, defect = next((ab, commutator(ham, grid[ab]))
                           for ab in basis(SP2)
                           if not commutator(ham, grid[ab]).is_zero)
@@ -927,6 +1007,117 @@ class TestLieGeneratorDecisions:
                    if isinstance(node, ast.Name)
                    and node.id in ("lie_generators", "ideal_generators")}
         assert readers == {"_generators"}
+
+
+class TestSiteLocalDecisions:
+    """Level relations and ``[H, J0]`` decided on the densities above each
+    family's local bound, with the L-site route wherever a local defect is
+    nonzero."""
+
+    @pytest.mark.parametrize("kind,level1", [
+        ("calogero", 2), ("sutherland", 2), ("confined", 3)])
+    def test_bounds_read_off_the_densities(self, kind, level1):
+        ctx = checks._ModelContext(ModelSpec(SP2, 4, kind, lam="star"))
+        assert ctx.local_bound("residual", 0) == 1
+        assert ctx.local_bound("residual", 1) == level1
+        assert ctx.local_bound("ham", 0) == 2
+        assert ctx.local_bound("ham", 1) is None
+
+    def test_site_objects_are_sums_of_the_bound_densities(self):
+        # each L-site operator is summed once from the symbolic densities
+        # and then bound; binding each density on its own sites first
+        # gives the same operator, for the model and for its variants
+        ctx = checks._ModelContext(
+            ModelSpec(SP2, 3, "confined", lam="star", omega=F(2)))
+        for c in (ctx, ctx.variant(lam=F(1)), ctx.variant(omega=F(0))):
+            space = c.ms.space
+            assert c.hamiltonian() == site_sum(space, c.ham_densities())
+            for level in (0, 1):
+                for ab, own in c.densities(level).items():
+                    assert c.generator(level, ab) == site_sum(space, own)
+
+    def test_no_local_form_once_j0_leaves_one_site(self, monkeypatch):
+        plant(monkeypatch, 0, (1, 1), 2,
+              lambda space: Operator.spin_unit(space, 1, 1, 2))
+        ctx = checks._ModelContext(ModelSpec(SP2, 4, "sutherland"))
+        for family, level in (("residual", 0), ("residual", 1), ("ham", 0)):
+            assert ctx.local_bound(family, level) is None
+            assert not ctx.local_zero(family, level, (1, 2))
+
+    @pytest.mark.parametrize("ms", [
+        ModelSpec(SO3, 3, "calogero", lam="star"),
+        ModelSpec(SP2, 3, "sutherland", lam="star"),
+        ModelSpec(SP4, 4, "sutherland", lam="star"),
+        ModelSpec(SP2, 4, "confined", lam="star")],
+        ids=["calogero-so3-L3", "sutherland-sp2-L3", "sutherland-sp4-L4",
+             "confined-sp2-L4"])
+    def test_local_decisions_agree_with_the_formed_defects(self, ms):
+        ctx = checks._ModelContext(ms)
+        labels = basis(ms.algebra)
+        for family, level in (("residual", 0), ("residual", 1), ("ham", 0)):
+            assert ms.sites > ctx.local_bound(family, level)
+            for y in labels:
+                formed = (ctx.ham_bracket(0, y).is_zero if family == "ham"
+                          else all(ctx.residual(level, y, z).is_zero
+                                   for z in labels))
+                assert ctx.local_zero(family, level, y) == formed, (
+                    family, level, y)
+
+    def test_nonzero_local_certificate_falls_back(self, monkeypatch):
+        # X = E^(1,2) in the one-site density of J1^(1,2) and -(X_1 + X_2)/2
+        # in its pair density cancel on three sites, so J1 is unchanged,
+        # yet the local residuals of both Lie generators are not zero: the
+        # level is decided on the L-site route, with the L-site verdict
+        label = (1, 2)
+        build = checks.generator_densities
+
+        def planted(ms, level):
+            densities = build(ms, level)
+            if level == 1:
+                one, two = OpSpace(SP2.N, 1), OpSpace(SP2.N, 2)
+                own = dict(densities[label])
+                own[1] = own[1] + Operator.spin_unit(one, 1, 1, 2)
+                own[2] = own[2] - (Operator.spin_unit(two, 1, 1, 2)
+                                   + Operator.spin_unit(two, 2, 1, 2)
+                                   ).scaled(F(1, 2))
+                densities = {**densities, label: own}
+            return densities
+
+        monkeypatch.setattr(checks, "generator_densities", planted)
+        formed = TestLieGeneratorDecisions.formed_residuals(monkeypatch)
+        ms = ModelSpec(SP2, 3, "sutherland", lam="star")
+        ctx = checks._ModelContext(ms)
+        assert ctx.grid(1) == generator_grid(ms, 1)
+        generators = checks.lie_generators(SP2)
+        assert not any(ctx.local_zero("residual", 1, y) for y in generators)
+        _, r1 = check_level_relations(ms, ctx)
+        assert r1.status == "pass"
+        assert r1.notes == ("9 bracket pairs verified",)
+        assert {(y, z) for _, level, y, z in formed if level == 1} == {
+            (y, z) for y in generators for z in basis(SP2)}
+
+    def test_serre_forms_no_site_object(self, monkeypatch):
+        # sutherland sp(2) at L=3: both premises of the bracket table are
+        # decided on densities, and every row of sl2 is zero, so nothing
+        # on three sites is formed: no level-1 generator, no residual and
+        # no [H, J0]
+        sites, formed = [], []
+        summed = checks.site_sum
+        monkeypatch.setattr(checks, "site_sum", lambda space, densities: (
+            sites.append(space.sites) or summed(space, densities)))
+        for name in ("residual", "ham_bracket"):
+            method = getattr(checks._ModelContext, name)
+            monkeypatch.setattr(
+                checks._ModelContext, name,
+                lambda ctx, *args, method=method, name=name: (
+                    formed.append(name) or method(ctx, *args)))
+        ms = ModelSpec(SP2, 3, "sutherland", lam="star")
+        (r,) = run_model_suite(ms, checks=("serre",)).results
+        assert r.status == "pass"
+        assert r.notes[0] == "27 triples verified under the committed " \
+            "convention"
+        assert formed == []
+        assert sites and max(sites) < ms.sites
 
 
 class TestSpinIdentityChecks:
@@ -1328,18 +1519,29 @@ class TestSharedContext:
         assert not repeats
 
     def test_grids_built_once_and_released(self, monkeypatch):
+        # the densities of each level are built once, and neither they nor
+        # any operator summed from them outlive the run
         calls = []
         refs = []
+        build, summed = checks.generator_densities, checks.site_sum
 
         def recording(ms, level):
             calls.append((ms, level))
-            grid = generator_grid(ms, level)
-            refs.extend(weakref.ref(op) for op in grid.values())
-            return grid
+            densities = build(ms, level)
+            refs.extend(weakref.ref(op) for own in densities.values()
+                        for op in own.values())
+            return densities
 
-        monkeypatch.setattr(checks, "generator_grid", recording)
+        def summing(space, densities):
+            op = summed(space, densities)
+            refs.append(weakref.ref(op))
+            return op
+
+        monkeypatch.setattr(checks, "generator_densities", recording)
+        monkeypatch.setattr(checks, "site_sum", summing)
         run_model_suite(self.MS, trials=3)
-        assert len(calls) == len(set(calls))
-        assert len(refs) == 2 * len(basis(SP2))
+        assert sorted(level for _, level in calls) == [0, 1]
+        # 3 one-site level-0 densities, 3 one-site and 3 pair level-1 ones
+        assert len(refs) > 3 * len(basis(SP2))
         gc.collect()
         assert all(ref() is None for ref in refs)

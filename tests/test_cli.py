@@ -86,6 +86,19 @@ class TestGoldenInvocations:
         expected = (GOLDEN / f"confined_sp2_L2_seed{seed}.json").read_text()
         assert json.dumps(payload, indent=2) + "\n" == expected
 
+    def test_sutherland_sp4_L4_relations_json(self, capsys):
+        # above every local bound: level-relation-0, level 1 and [H, J0]
+        # are decided on densities, [H, J1] on four sites
+        code = cli.run(["model", "--model", "sutherland", "--N", "4",
+                        "--theta0", "-1", "--L", "4", "--checks",
+                        "conservation,level-relations", "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        for check in payload["checks"]:
+            check["millis"] = 0
+        expected = (GOLDEN / "sutherland_sp4_L4_relations.json").read_text()
+        assert json.dumps(payload, indent=2) + "\n" == expected
+
     @pytest.mark.parametrize("name", REFUTATIONS)
     def test_refutation_witnesses_json(self, capsys, name):
         # failing runs: each refutation's witness is an operator render,

@@ -1,58 +1,76 @@
-"""Model items: a weight with its operator, on the operator's support.
+"""Model densities: each label's items summed once per support.
 
-A builder embeds each weight once per increasing site tuple of its
-operator's site count, and equal weights share one embedding across the
-items and labels of one call.
+A builder states each summand once, as a weight with its operator on the
+operator's own support, and sums the items of one support into a density
+on ``OpSpace(N, m)``.  Densities do not depend on the number of sites;
+every L-site operator is one combination of them, embedded at the
+increasing site tuples.
 """
-
-from collections import Counter
 
 import pytest
 
 import spinsym.models as models
-from spinsym.exact import RationalFunction, lam_slot, om_slot
-from spinsym.lie import AlgebraSpec
-from spinsym.models import ModelSpec, generator_grid
+import spinsym.operators as operators
+from spinsym.errors import ShapeMismatchError
+from spinsym.exact import RationalFunction
+from spinsym.lie import AlgebraSpec, basis
+from spinsym.models import (ModelSpec, generator_densities, generator_grid,
+                            hamiltonian_densities)
 from spinsym.operators import Operator, OpSpace
 
 SP2, SP4 = AlgebraSpec(2, -1), AlgebraSpec(4, -1)
 
 
-def _carries_parameters(value):
-    slots = (lam_slot(value.npos), om_slot(value.npos))
-    return any(expo[s] for expo, _ in value.terms() for s in slots)
+def density_spaces(monkeypatch, build):
+    """The spaces of the combinations one build makes, in order."""
+    calls = []
+    combine = operators.operator_combination
 
+    def counting(space, items):
+        calls.append(space)
+        return combine(space, items)
 
-def weight_embeddings(monkeypatch, spec):
-    """How often each value that carries lam or om is embedded at each
-    site tuple in one confined level-1 grid on three sites.  Only weights
-    carry those variables: the local operators are spin words,
-    derivatives and positions."""
-    seen = Counter()
-    embed = RationalFunction.embed
-
-    def counting(value, npos, sites):
-        if _carries_parameters(value):
-            seen[value, npos, tuple(sites)] += 1
-        return embed(value, npos, sites)
-
-    monkeypatch.setattr(RationalFunction, "embed", counting)
-    generator_grid(ModelSpec(spec, 3, "confined", lam="symbolic"), 1)
+    monkeypatch.setattr(models, "operator_combination", counting)
+    build()
     monkeypatch.undo()
-    return seen
+    return calls
 
 
-def test_each_weight_embedded_once_per_tuple(monkeypatch):
-    seen = weight_embeddings(monkeypatch, SP4)
-    assert seen
-    assert all(count == 1 for count in seen.values()), [
-        (key[2], count) for key, count in seen.items() if count > 1]
+def test_each_density_formed_once_per_support(monkeypatch):
+    # one confined sp(4) level-1 grid on four sites: per label one
+    # combination on each support 1, 2 and 3, then one on the four sites
+    ms = ModelSpec(SP4, 4, "confined", lam="symbolic")
+    spaces = density_spaces(monkeypatch, lambda: generator_grid(ms, 1))
+    per_label = [OpSpace(4, 1), OpSpace(4, 2), OpSpace(4, 3)]
+    labels = len(basis(SP4))
+    assert spaces == per_label * labels + [ms.space] * labels
+    densities = generator_densities(ms, 1)
+    assert all(op.space == OpSpace(4, m) for own in densities.values()
+               for m, op in own.items())
 
 
-def test_embeddings_do_not_grow_with_labels(monkeypatch):
-    # sp(2) has 3 labels and sp(4) 10; the weights are the same
-    assert sum(weight_embeddings(monkeypatch, SP2).values()) \
-        == sum(weight_embeddings(monkeypatch, SP4).values())
+def test_densities_do_not_depend_on_sites(monkeypatch):
+    # a support larger than the model's sites is never built, and every
+    # other density is the same on any number of sites
+    triples = []
+    contraction = models.triple_contraction
+    monkeypatch.setattr(models, "triple_contraction", lambda *args: (
+        triples.append(args) or contraction(*args)))
+    for kind in models.MODEL_KINDS:
+        triples.clear()
+        small, large = (ModelSpec(SP2, sites, kind, lam="symbolic")
+                        for sites in (2, 4))
+        for level in (0, 1):
+            few, many = (generator_densities(ms, level)
+                         for ms in (small, large))
+            for ab in basis(SP2):
+                assert max(few[ab]) <= 2
+                assert few[ab] == {m: op for m, op in many[ab].items()
+                                   if m <= 2}
+        assert hamiltonian_densities(small) == hamiltonian_densities(large)
+        assert all(args[1] == OpSpace(2, 3) for args in triples)
+        assert len(triples) == (
+            6 * len(basis(SP2)) if kind == "confined" else 0), kind
 
 
 @pytest.mark.parametrize("weight, support", [
@@ -61,9 +79,8 @@ def test_embeddings_do_not_grow_with_labels(monkeypatch):
     (RationalFunction.coupling(3), 2),
 ])
 def test_weight_off_its_operator_support_rejected(weight, support):
-    # the support is read off the operator, so a weight on another number
-    # of positions cannot be embedded there
-    frame = models._Frame(OpSpace(2, 3))
+    # a density lives on its operator's support, so a weight on another
+    # number of positions cannot scale its operator there
     item = (weight, Operator.identity(OpSpace(2, support)))
-    with pytest.raises(ValueError, match="is not an increasing map"):
-        frame.build([item])
+    with pytest.raises(ShapeMismatchError, match="mixed variable tables"):
+        models._densities(SP2, {support: lambda: [item]}, 3)

@@ -384,7 +384,8 @@ class TestGenerators:
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_one_combination_per_build(self, monkeypatch, kind):
-        # each built operator is one linear combination of its items: no
+        # each density is one linear combination of its items, and each
+        # built operator one combination of its embedded densities: no
         # sum, difference or scaling of intermediate operators
         calls = []
         combine = operators.operator_combination
@@ -397,12 +398,14 @@ class TestGenerators:
         monkeypatch.setattr(operators, "operator_combination", counting)
         ms = ModelSpec(SP2, 3, kind, lam="symbolic")
         hamiltonian(ms)
-        assert len(calls) == 1
+        assert calls == [OpSpace(2, 1), OpSpace(2, 2), ms.space]
+        supports = {0: 1, 1: 3 if kind == "confined" else 2}
         for level in (0, 1):
             for ab in basis(SP2):
                 calls.clear()
                 symmetry_generator(ms, level, ab)
-                assert len(calls) == 1, (level, ab)
+                assert calls == [OpSpace(2, m) for m in range(
+                    1, supports[level] + 1)] + [ms.space], (level, ab)
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_builders_keep_nothing(self, kind):
