@@ -14,7 +14,7 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import gcd as _integer_gcd, isqrt
 from operator import mul
 from random import Random
@@ -33,8 +33,8 @@ from .models import (Densities, Item, ModelSpec, bind, bind_densities,
                      hamiltonian_densities, site_sum, star_coupling,
                      symmetrized_triple)
 from .operators import (Operator, OpSpace, SpinVector, apply_operator,
-                        commutator, evaluate_vector, operator_combination,
-                        vector_combination, word_apply)
+                        commutator, embed, evaluate_vector,
+                        operator_combination, vector_combination, word_apply)
 from .spin_ops import permutation_op, twist_op
 from .value import Value
 from .version import __version__
@@ -45,6 +45,8 @@ Matrix = List[List[Fraction]]
 Atom = Union[str, Tuple[int, int, int]]     # "P", "Q" or (site, a, b)
 Side = List[Tuple[Fraction, Tuple[Atom, ...]]]
 Triple = Tuple[Pair, Pair, Pair]
+# the right densities and linear terms bracketed with one left side
+RightSide = Tuple[Densities, List[Tuple[Fraction, Densities]]]
 VectorMap = Callable[[SpinVector], SpinVector]
 
 
@@ -374,9 +376,10 @@ class _ModelContext:
     one ``hamiltonian_densities`` call.  Each L-site operator is summed
     from them once per run (``models.site_sum``).  Every context binds its
     own coupling and trap strength into those sums, and into the densities
-    themselves, each on its own sites, where it decides on them.  So a
-    decision on the densities and an L-site object are read from one
-    source.
+    themselves, each on its own sites.  Every family is decided by one
+    rule: on the connected parts of its densities above its local bound
+    (``connected_parts``), and on the L-site defect at or below it or
+    where a part is nonzero.
     """
 
     def __init__(self, ms: ModelSpec,
@@ -452,10 +455,10 @@ class _ModelContext:
         """Whether a family vanishes at label y: for ``"ham"``, ``[H, J^y]``
         of the level; for ``"residual"``, ``R(y, z)`` for every z.
 
-        Above the family's local bound the label is first decided on its
-        local defects (``local_zero``).  Where they all vanish the family
-        vanishes at y for every number of sites; a nonzero one falls
-        through to the L-site route, so each verdict is the L-site one.
+        The connected parts are read first (``local_zero``): where they
+        all vanish, so does the family at y for every number of sites, and
+        a nonzero one falls through to the L-site route, which gives the
+        verdict.
         """
         if self.local_zero(family, level, y):
             return True
@@ -464,77 +467,73 @@ class _ModelContext:
         return all(self.residual(level, y, z).is_zero
                    for z in basis(self.ms.algebra))
 
-    def local_bound(self, family: str, level: int) -> Optional[int]:
-        """The largest support of the densities a family's local defects
-        are formed from, or None where it has no local form.
-
-        Every ``J0^y = sum_j g^y_j`` is one-site, and an operator on site
-        j commutes with every density embedded off j.  Write ``I^z`` for
-        the level's densities and ``h`` for the Hamiltonian's.  So with
-        ``J0^y`` on m sites, ``sum_{i<=m} g^y_i``, each family is a sum of
-        embedded local defects over the increasing site tuples t, and
-        embedding is an algebra monomorphism:
-
-            R_L(y,z) = sum_t embed_t(rho_|t|(y,z)),
-            rho_m(y,z) = [J0^y on m sites, I^z_m] - sum_w f^{yz}_w I^w_m,
-            [H, J0^y] = sum_t embed_t([h_|t|, J0^y on |t| sites]).
-
-        When every local defect vanishes, the family vanishes at every L
-        (the sufficient half of the cluster argument, Rota 1964).  The
-        bound is 1 for level-relation-0, 2 for the calogero and
-        sutherland level 1 and for ``[H, J0]``, and 3 for the confined
-        level 1.  ``[H, J1]`` has no local form here, nor has any family
-        when a ``J0`` density is not one-site.
-        """
-        if (family == "ham" and level) or any(
-                m != 1 for d in self.densities(0).values() for m in d):
-            return None
+    def identities(self, family: str, level: int, y: Pair
+                   ) -> Tuple[Densities, List[RightSide]]:
+        """A family at label y as one left side and its sides ``(right,
+        linear)``, each the identity ``[sum left, sum right] + sum_c c *
+        sum linear = 0`` of site sums of densities: ``R(y, z)`` for every
+        z, ``(J0^y, I^z, -sum_w f^{yz}_w I^w)`` with ``I`` the level's
+        densities, or ``[J^y, H]``, zero exactly when ``[H, J^y]`` is."""
         if family == "ham":
-            return max(self.ham_densities(), default=0)
-        return max((m for d in self.densities(level).values() for m in d),
-                   default=0)
+            return self.densities(level)[y], [(self.ham_densities(), [])]
+        own, spec = self.densities(level), self.ms.algebra
+        return self.densities(0)[y], [(own[z], [
+            (-c, own[w]) for w, c in structure_row(spec, y, z).items()])
+            for z in basis(spec)]
+
+    def local_bound(self, family: str, level: int) -> int:
+        """The largest left support plus the largest right support, less
+        1: no larger set of sites is the union of two density tuples that
+        meet, so every connected part above it is zero."""
+        return self._once(("bound", family, level), lambda: max(
+            max(left) + max(right) - 1 for y in basis(self.ms.algebra)
+            for left, sides in [self.identities(family, level, y)]
+            for right, _ in sides))
 
     def local_zero(self, family: str, level: int, y: Pair) -> bool:
-        """Whether every local defect of a family at label y vanishes;
-        False at or below the family's local bound, where the local defects
-        are as large as the L-site one and only the L-site route runs.
+        """Whether every connected part of the family's identities at label
+        y vanishes; False at or below the local bound, where the parts are
+        as large as the L-site defect and only the L-site route runs.
         Decided once per context and label."""
         bound = self.local_bound(family, level)
-        if bound is None or self.ms.sites <= bound:
+        if self.ms.sites <= bound:
             return False
+        return self._once(("local", family, level, y), lambda: all(
+            part.is_zero for k in range(1, bound + 1)
+            for part in self.connected_parts(
+                *self.identities(family, level, y), k)))
 
-        def build() -> bool:
-            if family == "ham":
-                return all(self.local_bracket(y, m).is_zero
-                           for m in self.ham_densities())
-            supports = sorted({m for d in self.densities(level).values()
-                               for m in d})
-            return all(self.local_residual(level, y, z, m).is_zero
-                       for z in basis(self.ms.algebra) for m in supports)
+    def connected_parts(self, left: Densities, sides: List[RightSide],
+                        k: int) -> Iterator[Operator]:
+        """``c_k`` of each side, the part on exactly k sites of ``[sum
+        left, sum right] + sum_c c * sum linear``; with ``a`` and ``b`` the
+        left and right densities, ``c_k = sum_{s meets t, s | t = [k]}
+        [embed_s a, embed_t b] + sum_c c * linear_k``.
 
-        return self._once(("local", family, level, y), build)
-
-    def moment(self, y: Pair, m: int) -> Operator:
-        """``J0^y`` on m sites, summed from its one-site density."""
-        return self._once(("moment", y, m), lambda: site_sum(
-            OpSpace(self.ms.algebra.N, m), self.densities(0)[y]))
-
-    def local_bracket(self, y: Pair, m: int) -> Operator:
-        """``[h_m, J0^y on m sites]``, the local defect of ``[H, J0^y]``."""
-        return commutator(self.ham_densities()[m], self.moment(y, m))
-
-    def local_residual(self, level: int, y: Pair, z: Pair, m: int
-                       ) -> Operator:
-        """``rho_m(y,z) = [J0^y on m sites, I^z_m] - sum_w f^{yz}_w
-        I^w_m``, the local defect of ``R(y, z)`` on m sites; a density a
-        label lacks is zero."""
-        space = OpSpace(self.ms.algebra.N, m)
-        densities = self.densities(level)
-        zero = Operator.zero(space)
-        return operator_combination(space, [
-            (1, commutator(self.moment(y, m), densities[z].get(m, zero)))] + [
-            (-c, densities[w].get(m, zero))
-            for w, c in structure_row(self.ms.algebra, y, z).items()])
+        Densities at tuples that do not meet commute, and embedding is an
+        algebra monomorphism, so on L sites the defect is ``sum_{U <= [L]}
+        embed_U(c_|U|)``, zero at every L when every c_k is.  A part is
+        one commutator per right tuple t, with the sum of the left
+        densities that meet t and cover the rest of [k], formed once.
+        """
+        space = OpSpace(self.ms.algebra.N, k)
+        sites = range(1, k + 1)
+        placed = [(set(s), embed(a, s, space)) for p, a in left.items()
+                  for s in combinations(sites, p)]
+        sums: Dict[Tuple[int, ...], Operator] = {}
+        for t in sorted({t for right, _ in sides for q in right
+                         for t in combinations(sites, q)}):
+            rest = set(sites).difference(t)
+            # the left tuples that cover the rest of [k] and meet t
+            lefts = [(1, a) for s, a in placed
+                     if rest <= s and not s <= rest]
+            if lefts:
+                sums[t] = operator_combination(space, lefts)
+        for right, linear in sides:
+            yield operator_combination(space, [
+                (1, commutator(sums[t], embed(b, t, space)))
+                for q, b in right.items() for t in combinations(sites, q)
+                if t in sums] + [(c, d[k]) for c, d in linear if k in d])
 
     def _generators(self, family: str, level: int
                     ) -> Tuple[Tuple[Pair, ...], Tuple[Tuple[str, int], ...]]:

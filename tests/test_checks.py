@@ -5,7 +5,7 @@ import gc
 import time
 import weakref
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from pathlib import Path
 from random import Random
 
@@ -25,7 +25,7 @@ from spinsym.models import (ModelSpec, bind_densities, generator_grid,
                             hamiltonian, site_sum, star_coupling,
                             symmetrized_triple)
 from spinsym.operators import (Operator, OpSpace, apply_operator, commutator,
-                               evaluate_vector, operator_sum)
+                               embed, evaluate_vector, operator_sum)
 
 F = Fraction
 
@@ -84,6 +84,27 @@ def planted_grid(planted, ms, level):
     symbolic = ms.replace(lam="symbolic", omega="symbolic")
     return {ab: site_sum(ms.space, bind_densities(d, ms))
             for ab, d in planted(symbolic, level).items()}
+
+
+def plant_cancelling(monkeypatch, label=(1, 2)):
+    """X = E^(1,2) in the one-site level-1 density of a label and -(X_1 +
+    X_2)/2 in its pair density: they cancel on three sites, so the L=3
+    generator is unchanged, but not on one or two."""
+    build = checks.generator_densities
+
+    def planted(ms, level):
+        densities = build(ms, level)
+        if level == 1:
+            one, two = OpSpace(ms.algebra.N, 1), OpSpace(ms.algebra.N, 2)
+            own = dict(densities[label])
+            own[1] = own[1] + Operator.spin_unit(one, 1, 1, 2)
+            own[2] = own[2] - (Operator.spin_unit(two, 1, 1, 2)
+                               + Operator.spin_unit(two, 2, 1, 2)
+                               ).scaled(F(1, 2))
+            densities = {**densities, label: own}
+        return densities
+
+    monkeypatch.setattr(checks, "generator_densities", planted)
 
 
 def position_term(a, b):
@@ -829,14 +850,25 @@ class TestLieGeneratorDecisions:
 
     @staticmethod
     def formed_local(monkeypatch):
+        """The connected parts formed, as ``(coupling, level, y, z, k)``
+        for a residual's, with y and z read off the densities handed in
+        (``"ham"`` in place of z for a bracket with H)."""
         formed = set()
-        local_residual = checks._ModelContext.local_residual
+        parts = checks._ModelContext.connected_parts
 
-        def recording(ctx, level, y, z, m):
-            formed.add((ctx.ms.lam, level, y, z, m))
-            return local_residual(ctx, level, y, z, m)
+        def label(ctx, densities):
+            return next(((level, ab) for level in (0, 1)
+                         for ab, d in ctx._cache.get(("densities", level),
+                                                     {}).items()
+                         if d is densities), (None, "ham"))
 
-        monkeypatch.setattr(checks._ModelContext, "local_residual",
+        def recording(ctx, left, sides, k):
+            for (right, _), part in zip(sides, parts(ctx, left, sides, k)):
+                level, z = label(ctx, right)
+                formed.add((ctx.ms.lam, level, label(ctx, left)[1], z, k))
+                yield part
+
+        monkeypatch.setattr(checks._ModelContext, "connected_parts",
                             recording)
         return formed
 
@@ -870,7 +902,7 @@ class TestLieGeneratorDecisions:
         assert {y for y, _ in level1} == set(checks.lie_generators(spec))
         # at L=2 level 1 is at its local bound and forms L-site residuals;
         # level-relation-0 is decided once, on the symbolic variant, from
-        # its d^2 one-site local residuals
+        # the one-site connected parts of its d^2 residuals
         assert {(lam, level) for lam, level, _, _ in formed} == {("star", 1)}
         assert local == {("symbolic", 0, y, z, 1)
                          for y in labels for z in labels}
@@ -932,8 +964,8 @@ class TestLieGeneratorDecisions:
             self, monkeypatch):
         # a spin-only term in J1 of a Lie generator, planted in its
         # one-site density, makes a generator row nonzero: covariance
-        # fails before level-relation-0 is formed, and its nonzero local
-        # residual falls through to the L-site route
+        # fails before level-relation-0 is formed, and its nonzero
+        # connected part falls through to the L-site route
         label = checks.lie_generators(SP2)[0]
         planted = plant(monkeypatch, 1, label, 1,
                         lambda space: Operator.spin_unit(space, 1, 1, 2))
@@ -958,7 +990,7 @@ class TestLieGeneratorDecisions:
                                                              monkeypatch):
         # J0^(1,1) + 1 on every site breaks level-relation-0 and leaves
         # every level-1 residual 0: level 1 is then decided on every label,
-        # each from its local residuals
+        # each from its connected parts
         planted = plant(monkeypatch, 0, (1, 1), 1, Operator.identity)
         ms = ModelSpec(SP2, 3, "sutherland", lam="star")
         _, residuals = self.reference(ms, planted)
@@ -982,7 +1014,8 @@ class TestLieGeneratorDecisions:
     def test_planted_nonconserved_non_generator_level0(self, monkeypatch):
         # sum_j x_j E_j^(1,2) in J0^(1,1), a label outside the Lie
         # generators, breaks [H, J0^(1,1)] = 0 (and level-relation-0 with
-        # it); its local bracket falls through to the L-site route
+        # it); its nonzero connected part falls through to the L-site
+        # route
         assert (1, 1) not in checks.lie_generators(SP2)
         planted = plant(monkeypatch, 0, (1, 1), 1, position_term(1, 2))
         ms = ModelSpec(SP2, 3, "sutherland", lam="star")
@@ -1010,18 +1043,19 @@ class TestLieGeneratorDecisions:
 
 
 class TestSiteLocalDecisions:
-    """Level relations and ``[H, J0]`` decided on the densities above each
-    family's local bound, with the L-site route wherever a local defect is
-    nonzero."""
+    """Level relations, ``[H, J0]`` and ``[H, J1]`` decided on connected
+    parts of densities above each family's local bound, with the L-site
+    route wherever a part is nonzero."""
 
-    @pytest.mark.parametrize("kind,level1", [
-        ("calogero", 2), ("sutherland", 2), ("confined", 3)])
-    def test_bounds_read_off_the_densities(self, kind, level1):
+    FAMILIES = (("residual", 0), ("residual", 1), ("ham", 0), ("ham", 1))
+
+    @pytest.mark.parametrize("kind,level1,ham1", [
+        ("calogero", 2, 3), ("sutherland", 2, 3), ("confined", 3, 4)],
+        ids=["calogero-2", "sutherland-2", "confined-3"])
+    def test_bounds_read_off_the_densities(self, kind, level1, ham1):
         ctx = checks._ModelContext(ModelSpec(SP2, 4, kind, lam="star"))
-        assert ctx.local_bound("residual", 0) == 1
-        assert ctx.local_bound("residual", 1) == level1
-        assert ctx.local_bound("ham", 0) == 2
-        assert ctx.local_bound("ham", 1) is None
+        assert tuple(ctx.local_bound(*f) for f in self.FAMILIES) == (
+            1, level1, 2, ham1)
 
     def test_site_objects_are_sums_of_the_bound_densities(self):
         # each L-site operator is summed once from the symbolic densities
@@ -1036,54 +1070,103 @@ class TestSiteLocalDecisions:
                 for ab, own in c.densities(level).items():
                     assert c.generator(level, ab) == site_sum(space, own)
 
-    def test_no_local_form_once_j0_leaves_one_site(self, monkeypatch):
-        plant(monkeypatch, 0, (1, 1), 2,
-              lambda space: Operator.spin_unit(space, 1, 1, 2))
-        ctx = checks._ModelContext(ModelSpec(SP2, 4, "sutherland"))
-        for family, level in (("residual", 0), ("residual", 1), ("ham", 0)):
-            assert ctx.local_bound(family, level) is None
-            assert not ctx.local_zero(family, level, (1, 2))
-
-    @pytest.mark.parametrize("ms", [
-        ModelSpec(SO3, 3, "calogero", lam="star"),
-        ModelSpec(SP2, 3, "sutherland", lam="star"),
-        ModelSpec(SP4, 4, "sutherland", lam="star"),
-        ModelSpec(SP2, 4, "confined", lam="star")],
-        ids=["calogero-so3-L3", "sutherland-sp2-L3", "sutherland-sp4-L4",
-             "confined-sp2-L4"])
-    def test_local_decisions_agree_with_the_formed_defects(self, ms):
-        ctx = checks._ModelContext(ms)
-        labels = basis(ms.algebra)
-        for family, level in (("residual", 0), ("residual", 1), ("ham", 0)):
-            assert ms.sites > ctx.local_bound(family, level)
+    @staticmethod
+    def assert_local_agrees(ctx, families):
+        # each local decision is the zero test of the formed L-site defect
+        labels = basis(ctx.ms.algebra)
+        for family, level in families:
+            assert ctx.ms.sites > ctx.local_bound(family, level)
             for y in labels:
-                formed = (ctx.ham_bracket(0, y).is_zero if family == "ham"
+                formed = (ctx.ham_bracket(level, y).is_zero if family == "ham"
                           else all(ctx.residual(level, y, z).is_zero
                                    for z in labels))
                 assert ctx.local_zero(family, level, y) == formed, (
                     family, level, y)
 
+    def test_two_site_j0_raises_the_bounds(self, monkeypatch):
+        # E_1^(1,2) in the pair density of J0^(1,1), on L sites
+        # sum_j (L - j) E_j^(1,2): the three bounds that J0 enters rise
+        # to 3, the bound of [H, J1]
+        plant(monkeypatch, 0, (1, 1), 2,
+              lambda space: Operator.spin_unit(space, 1, 1, 2))
+        ctx = checks._ModelContext(ModelSpec(SP2, 4, "sutherland"))
+        assert tuple(ctx.local_bound(*f) for f in self.FAMILIES) == (
+            3, 3, 3, 3)
+        assert not ctx.local_zero("residual", 0, (1, 1))
+        self.assert_local_agrees(ctx, self.FAMILIES)
+
+    @pytest.mark.parametrize("ms,families", [
+        (ModelSpec(SO3, 3, "calogero", lam="star"), FAMILIES[:3]),
+        (ModelSpec(SO3, 4, "calogero", lam="star"), FAMILIES),
+        (ModelSpec(SP2, 3, "sutherland", lam="star"), FAMILIES[:3]),
+        (ModelSpec(SP4, 4, "sutherland", lam="star"), FAMILIES),
+        (ModelSpec(SP4, 4, "sutherland", lam=F(1)), FAMILIES),
+        (ModelSpec(SP2, 4, "confined", lam="star"), FAMILIES[:3])],
+        ids=["calogero-so3-L3", "calogero-so3-L4", "sutherland-sp2-L3",
+             "sutherland-sp4-L4", "sutherland-sp4-L4-lam1",
+             "confined-sp2-L4"])
+    def test_local_decisions_agree_with_the_formed_defects(self, ms,
+                                                            families):
+        self.assert_local_agrees(checks._ModelContext(ms), families)
+
+    @staticmethod
+    def reconstructed(monkeypatch, ctx, left, side):
+        """``sum_{U <= [L]} embed_U(c_|U|)`` of one identity, with the
+        nonzero parts' term counts and the commutators each part formed."""
+        space, commutators = ctx.ms.space, []
+        formed = checks.commutator
+        with monkeypatch.context() as patched:
+            patched.setattr(checks, "commutator", lambda a, b: (
+                commutators.append(a.space.sites) or formed(a, b)))
+            parts = {k: next(ctx.connected_parts(left, [side], k))
+                     for k in range(1, space.sites + 1)}
+        total = checks.operator_combination(space, (
+            (1, embed(part, sites, space)) for k, part in parts.items()
+            for sites in combinations(range(1, space.sites + 1), k)))
+        terms = {k: p.term_count for k, p in parts.items() if not p.is_zero}
+        return total, terms, [commutators.count(k) for k in parts]
+
+    @pytest.mark.parametrize("ms,terms,commutators", [
+        (ModelSpec(SP4, 4, "sutherland", lam=F(1)), {2: 14}, [1, 3, 3, 0]),
+        (ModelSpec(SP2, 4, "confined", lam=F(1)), {2: 4, 3: 6},
+         [1, 3, 6, 6])],
+        ids=["sutherland-sp4-L4", "confined-sp2-L4"])
+    def test_parts_sum_to_the_nonzero_ham_bracket(self, ms, terms,
+                                                  commutators, monkeypatch):
+        # [J1^(1,1), H] at coupling 1 is the sum of its connected parts
+        # embedded at every site subset.  Dropping the union condition
+        # counts a bracket in parts larger than its sites; tuples that do
+        # not meet commute, so dropping the meet condition shows only in
+        # the commutators formed: one per right tuple that a left tuple
+        # meets and, with it, covers
+        ctx = checks._ModelContext(ms)
+        left, (side,) = ctx.identities("ham", 1, (1, 1))
+        total, nonzero, formed = self.reconstructed(monkeypatch, ctx, left,
+                                                     side)
+        assert total == -ctx.ham_bracket(1, (1, 1))
+        assert nonzero == terms
+        assert formed == commutators
+
+    def test_parts_sum_to_the_planted_residual(self, monkeypatch):
+        # the fault that cancels on three sites (see the fallback test
+        # below): the residual is zero, though two of its parts are not
+        plant_cancelling(monkeypatch)
+        ms = ModelSpec(SP2, 3, "sutherland", lam="star")
+        ctx = checks._ModelContext(ms)
+        y, z = (2, 1), (1, 2)
+        left, sides = ctx.identities("residual", 1, y)
+        total, nonzero, formed = self.reconstructed(
+            monkeypatch, ctx, left, sides[basis(SP2).index(z)])
+        assert ctx.residual(1, y, z).is_zero and total.is_zero
+        assert nonzero == {1: 2, 2: 3}
+        assert formed == [1, 1, 0]
+
     def test_nonzero_local_certificate_falls_back(self, monkeypatch):
         # X = E^(1,2) in the one-site density of J1^(1,2) and -(X_1 + X_2)/2
         # in its pair density cancel on three sites, so J1 is unchanged,
-        # yet the local residuals of both Lie generators are not zero: the
+        # yet connected parts of both Lie generators' rows are not zero: the
         # level is decided on the L-site route, with the L-site verdict
-        label = (1, 2)
-        build = checks.generator_densities
-
-        def planted(ms, level):
-            densities = build(ms, level)
-            if level == 1:
-                one, two = OpSpace(SP2.N, 1), OpSpace(SP2.N, 2)
-                own = dict(densities[label])
-                own[1] = own[1] + Operator.spin_unit(one, 1, 1, 2)
-                own[2] = own[2] - (Operator.spin_unit(two, 1, 1, 2)
-                                   + Operator.spin_unit(two, 2, 1, 2)
-                                   ).scaled(F(1, 2))
-                densities = {**densities, label: own}
-            return densities
-
-        monkeypatch.setattr(checks, "generator_densities", planted)
+        plant_cancelling(monkeypatch)
         formed = TestLieGeneratorDecisions.formed_residuals(monkeypatch)
         ms = ModelSpec(SP2, 3, "sutherland", lam="star")
         ctx = checks._ModelContext(ms)
@@ -1098,13 +1181,18 @@ class TestSiteLocalDecisions:
 
     def test_serre_forms_no_site_object(self, monkeypatch):
         # sutherland sp(2) at L=3: both premises of the bracket table are
-        # decided on densities, and every row of sl2 is zero, so nothing
-        # on three sites is formed: no level-1 generator, no residual and
-        # no [H, J0]
-        sites, formed = [], []
-        summed = checks.site_sum
+        # decided on connected parts of densities, and every row of sl2 is
+        # zero, so nothing on three sites is formed: no level-1 generator,
+        # no residual, no [H, J0] and no part
+        sites, parts, formed = [], [], []
+        summed, formed_parts = (checks.site_sum,
+                                checks._ModelContext.connected_parts)
         monkeypatch.setattr(checks, "site_sum", lambda space, densities: (
             sites.append(space.sites) or summed(space, densities)))
+        monkeypatch.setattr(
+            checks._ModelContext, "connected_parts",
+            lambda ctx, left, sides, k: (
+                parts.append(k) or formed_parts(ctx, left, sides, k)))
         for name in ("residual", "ham_bracket"):
             method = getattr(checks._ModelContext, name)
             monkeypatch.setattr(
@@ -1117,7 +1205,8 @@ class TestSiteLocalDecisions:
         assert r.notes[0] == "27 triples verified under the committed " \
             "convention"
         assert formed == []
-        assert sites and max(sites) < ms.sites
+        assert parts and max(parts) < ms.sites
+        assert all(n < ms.sites for n in sites)
 
 
 class TestSpinIdentityChecks:

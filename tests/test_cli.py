@@ -87,8 +87,8 @@ class TestGoldenInvocations:
         assert json.dumps(payload, indent=2) + "\n" == expected
 
     def test_sutherland_sp4_L4_relations_json(self, capsys):
-        # above every local bound: level-relation-0, level 1 and [H, J0]
-        # are decided on densities, [H, J1] on four sites
+        # above every local bound: level-relation-0, level 1, [H, J0] and
+        # [H, J1] (bound 3) are decided on connected parts of densities
         code = cli.run(["model", "--model", "sutherland", "--N", "4",
                         "--theta0", "-1", "--L", "4", "--checks",
                         "conservation,level-relations", "--format", "json"])
